@@ -21,21 +21,19 @@ __version__ = "0.1.0"
 from .model import (
     ChannelParams,
     SourceParams,
-    ModulationParams,
+    Protocol,
     ProtocolParams,
     FiberModel,
     SINGLE,
     DOUBLE,
     MODIFIED,
     aggregated_noise_variance,
-    aggregated_noise_variance_double,
     distance_to_transmittance,
     transmittance_to_distance,
     excess_noise_from_fiber,
     channel_at_distance,
 )
 from .estimation import (
-    EstimationScheme,
     SampleSet,
     VarianceModel,
     ConfidenceBounds,

@@ -42,29 +42,25 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
-from .model import (SINGLE, DOUBLE, MODIFIED, DEFAULT_BETA, DEFAULT_DELTA,
-                    DEFAULT_DELTA_STAR, ChannelParams, SourceParams,
-                    ModulationParams, ProtocolParams, FiberModel,
-                    channel_at_distance, _require)
-from .estimation import (EstimationScheme, expected_bounds, ideal_bounds)
+from .model import (SINGLE, MODIFIED, KINDS, DEFAULT_BETA, DEFAULT_DELTA,
+                    DEFAULT_DELTA_STAR, ChannelParams, SourceParams, Protocol,
+                    ProtocolParams, FiberModel, channel_at_distance, _require)
+from .estimation import expected_bounds, ideal_bounds
 from .keyrate import finite_key_rate, theoretical_key_rate_limit
-from .montecarlo import TrialConfig, validate_variance_models
-from .optimizer import (ExponentialFit, OptimizationProblem, optimize_key_rate,
-                        evaluate_point, fit_exponential_keyrate, max_distance)
+from .montecarlo import validate_variance_models
+from .optimizer import (FREE, LEGACY, ExponentialFit, OptimizationProblem,
+                        optimize_key_rate, evaluate_point,
+                        fit_exponential_keyrate, max_distance)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INSECURE = 2
-
-_SCHEMES = (SINGLE, DOUBLE, MODIFIED)
-_LEGACY_V = 1.5
-_LEGACY_R = 0.5
 
 _SWEEP_COLUMNS = ("axis_value", "K", "K_inf", "I_AB", "chi", "Delta",
                   "T_low", "Veps_up", "V_opt", "r_opt", "K_th", "K_legacy")
@@ -182,12 +178,24 @@ def _scenario_channel(scenario: dict, fiber: FiberModel) -> ChannelParams:
 
 def _point_channel(variable: str, value: float, scenario: dict,
                    fiber: FiberModel) -> tuple[ChannelParams, int]:
+    if variable == "N":
+        return _scenario_channel(scenario, fiber), int(round(float(value)))
+    _require("N" in scenario, "a sweep over d or T needs the block size 'N'")
+    n_block = int(round(float(scenario["N"])))
     if variable == "d":
-        return channel_at_distance(float(value), fiber), int(round(float(scenario["N"])))
-    if variable == "T":
-        T = float(value)
-        return ChannelParams(T, fiber.eps_ratio * T), int(round(float(scenario["N"])))
-    return _scenario_channel(scenario, fiber), int(round(float(value)))
+        return channel_at_distance(float(value), fiber), n_block
+    T = float(value)
+    return ChannelParams(T, fiber.eps_ratio * T), n_block
+
+
+def _scheme_entry(spec: dict) -> tuple[str, SourceParams]:
+    """The scheme kind and the source of one ``schemes`` entry of a sweep."""
+    for key in spec:
+        _require(key in ("kind", "v_s"),
+                 f"unknown key {key!r} in scheme entry {spec!r}; "
+                 f"an entry has 'kind' and 'v_s'")
+    _require("kind" in spec, f"scheme entry {spec!r} needs a 'kind'")
+    return spec["kind"], SourceParams(v_s=float(spec.get("v_s", 1.0)))
 
 
 # ------------------------------------------------------------------
@@ -210,31 +218,26 @@ def run_sweep(scenario: dict, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for spec in scenario["schemes"]:
-        kind = spec["kind"]
-        _require(kind in _SCHEMES, f"unknown scheme kind {kind!r}")
-        v_s = float(spec.get("v_s", 1.0))
-        source = SourceParams(v_s=v_s)
+        kind, source = _scheme_entry(spec)
+        # v and r are searched; 0.0 only holds their place
+        protocol = Protocol(kind, v=0.0)
         rows = []
         for value in values:
             channel, n_block = _point_channel(axis["variable"], value,
                                               scenario, fiber)
-            problem = OptimizationProblem(channel=channel, source=source,
-                                          N=n_block, kind=kind, beta=beta,
-                                          delta=delta, delta_star=delta_star)
+            problem = OptimizationProblem(channel, source, n_block, protocol,
+                                          beta, delta, delta_star)
             result = optimize_key_rate(problem)
             report = result.report
-            v_opt = result.point.get("v", result.point.get("v1", 0.0))
-            r_opt = result.point.get("r", 0.0)
             k_th = theoretical_key_rate_limit(channel, n_block, beta, delta_star)
-            legacy_problem = OptimizationProblem(
-                channel=channel, source=SourceParams(v_s=1.0), N=n_block,
-                kind=SINGLE, beta=beta, delta=delta, delta_star=delta_star)
-            k_legacy = evaluate_point(legacy_problem,
-                                      {"v": _LEGACY_V, "r": _LEGACY_R}).K
+            legacy = OptimizationProblem(channel, SourceParams(v_s=1.0), n_block,
+                                         LEGACY, beta, delta, delta_star)
+            k_legacy = evaluate_point(legacy, {}).K
             rows.append((value, report.K, report.K_inf, report.I_AB,
                          report.chi_BE, report.Delta_n, report.T_low,
-                         report.veps_up, v_opt, r_opt, k_th, k_legacy))
-        path = os.path.join(out_dir, f"{name}_{kind}_vs{v_s:g}.csv")
+                         report.veps_up, result.point["v"],
+                         result.point.get("r", 0.0), k_th, k_legacy))
+        path = os.path.join(out_dir, f"{name}_{kind}_vs{source.v_s:g}.csv")
         _write_csv(path, manifest, _SWEEP_COLUMNS, rows)
         paths.append(path)
     return paths
@@ -244,6 +247,15 @@ def run_sweep(scenario: dict, out_dir: str) -> list[str]:
 # montecarlo command
 # ------------------------------------------------------------------
 
+def _mc_protocol(kind: str, tpl: dict) -> Protocol:
+    """The protocol of one scheme of the validation table: the single
+    scheme sends the template's ``v``, the others ``v1`` and ``v2``."""
+    if kind == SINGLE:
+        return Protocol(SINGLE, float(tpl["v"]), r=float(tpl["r"]))
+    r = float(tpl["r"]) if kind == MODIFIED else 0.0
+    return Protocol(kind, float(tpl["v1"]), float(tpl["v2"]), r)
+
+
 def run_montecarlo(scenario: dict, out_dir: str,
                    threads: int | None = None) -> tuple[str, list]:
     """Variance-model validation table; returns (path, rows)."""
@@ -252,22 +264,12 @@ def run_montecarlo(scenario: dict, out_dir: str,
     fiber = _fiber_from(scenario)
     grid = _axis_values({"variable": "T", **scenario["t_grid"]})
     tpl = scenario["template"]
-    trials = int(scenario["trials"])
     seed = int(scenario["seed"])
-    schemes = tuple(scenario.get("schemes", list(_SCHEMES)))
-    # the template channel is replaced per grid row; T=1 keeps it valid
-    # for every scheme's preconditions
-    template = TrialConfig(
-        channel=ChannelParams(1.0, fiber.eps_ratio),
-        source=SourceParams(v_s=float(tpl.get("v_s", 1.0))),
-        modulation=ModulationParams(DOUBLE, v=float(tpl["v"]),
-                                    v1=float(tpl["v1"]), v2=float(tpl["v2"])),
-        scheme=EstimationScheme(MODIFIED, r=float(tpl["r"])),
-        N=int(round(float(tpl["N"]))),
-        trials=trials,
-        seed=seed)
-    rows = validate_variance_models(grid, template, fiber=fiber,
-                                    schemes=schemes, threads=threads)
+    protocols = [_mc_protocol(kind, tpl) for kind in scenario.get("schemes", KINDS)]
+    rows = validate_variance_models(
+        grid, protocols, SourceParams(v_s=float(tpl.get("v_s", 1.0))),
+        int(round(float(tpl["N"]))), int(scenario["trials"]), seed,
+        fiber=fiber, threads=threads)
     manifest = make_manifest(scenario, seed)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{scenario.get('name', 'montecarlo')}.csv")
@@ -288,67 +290,53 @@ def _parse_count(text: str) -> int:
     return int(round(value))
 
 
-def _channel_from_args(args) -> tuple[ChannelParams, FiberModel]:
-    ratio = args.eps_ratio if args.eps_ratio is not None else 0.01
-    fiber = FiberModel(eps_ratio=ratio)
+def _channel_from_args(args) -> ChannelParams:
+    fiber = FiberModel(eps_ratio=args.eps_ratio)
     _require(args.T is not None or args.d is not None,
              "need --T or --d to fix the channel")
-    if args.d is not None:
-        channel = channel_at_distance(args.d, fiber)
-        T = channel.T
-    else:
-        T = args.T
-    veps = args.veps if args.veps is not None else ratio * T
-    return ChannelParams(T, veps), fiber
+    T = channel_at_distance(args.d, fiber).T if args.d is not None else args.T
+    veps = args.veps if args.veps is not None else fiber.eps_ratio * T
+    return ChannelParams(T, veps)
 
 
-def _given_modulation(args) -> dict:
-    given = {}
-    if args.scheme == SINGLE:
-        if args.v is not None:
-            given["v"] = args.v
-    else:
-        if args.v1 is not None:
-            given["v1"] = args.v1
-        if args.v2 is not None:
-            given["v2"] = args.v2
-    if args.r is not None:
-        given["r"] = args.r
-    return given
+def _key_name(kind: str) -> str:
+    """Flag and JSON key of the key variance ``Protocol.v``."""
+    return "v" if kind == SINGLE else "v1"
+
+
+def _pinned(args) -> dict:
+    """The :class:`Protocol` fields the flags pin."""
+    pinned = {"v": getattr(args, _key_name(args.scheme)), "v2": args.v2, "r": args.r}
+    return {name: x for name, x in pinned.items() if x is not None}
 
 
 def _direct_report(args, channel: ChannelParams, source: SourceParams):
     """Evaluate the key rate at fully specified protocol parameters."""
-    r = args.r if args.r is not None else 0.0
-    if args.scheme == SINGLE:
-        modulation = ModulationParams(SINGLE, v=args.v)
-    else:
-        v2 = args.v2 if args.v2 is not None else 10.0
-        modulation = ModulationParams(DOUBLE, v1=args.v1, v2=v2)
-    scheme = EstimationScheme(args.scheme, r=r)
-    protocol = ProtocolParams(source=source, modulation=modulation,
-                              N=args.N, r=r, beta=args.beta,
-                              delta=args.delta, delta_star=args.delta_star)
+    protocol = Protocol(args.scheme, **_pinned(args))
+    params = ProtocolParams(source, protocol, args.N, args.beta, args.delta,
+                            args.delta_star)
     if args.ideal_bounds:
         bounds = ideal_bounds(channel)
     else:
-        bounds = expected_bounds(channel, source, modulation, scheme,
-                                 args.N, args.delta)
-    return finite_key_rate(protocol, channel, bounds,
+        bounds = expected_bounds(channel, source, protocol, args.N, args.delta)
+    return finite_key_rate(params, channel, bounds,
                            corner_search=args.corner_search,
                            with_correction=not args.ideal_bounds)
 
 
-def _problem_from_args(args, channel: ChannelParams,
-                       source: SourceParams) -> OptimizationProblem:
-    given = _given_modulation(args)
-    default_free = {"single": ("v", "r"), "double": ("v1",),
-                    "modified": ("v1", "r")}[args.scheme]
-    free = tuple(nm for nm in default_free if nm not in given)
-    return OptimizationProblem(channel=channel, source=source, N=args.N,
-                               kind=args.scheme, beta=args.beta,
-                               delta=args.delta, delta_star=args.delta_star,
-                               free=free or None, fixed=given)
+def _optimize(args, channel: ChannelParams, source: SourceParams) -> tuple:
+    """Optimize what the flags leave free (everything, if they pin all);
+    returns the result and its point under the CLI's key names."""
+    pinned = _pinned(args)
+    free = tuple(name for name in FREE[args.scheme] if name not in pinned)
+    # a free key variance is the optimizer's to choose; 0.0 holds its place
+    protocol = Protocol(args.scheme, **{"v": 0.0, **pinned})
+    result = optimize_key_rate(OptimizationProblem(
+        channel, source, args.N, protocol, args.beta, args.delta,
+        args.delta_star, free=free or None))
+    point = {(_key_name(args.scheme) if name == "v" else name): x
+             for name, x in result.point.items()}
+    return result, point
 
 
 def _inputs_dict(args, channel: ChannelParams) -> dict:
@@ -370,29 +358,24 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def cmd_keyrate(args) -> int:
-    channel, _ = _channel_from_args(args)
+    channel = _channel_from_args(args)
     source = SourceParams(v_s=args.vs)
     inputs = _inputs_dict(args, channel)
-    given = _given_modulation(args)
-    default_free = {"single": ("v", "r"), "double": ("v1",),
-                    "modified": ("v1", "r")}[args.scheme]
-    missing = [nm for nm in default_free if nm not in given]
-
-    have_variance = ("v" in given) if args.scheme == SINGLE else ("v1" in given)
+    pinned = _pinned(args)
 
     optimum = None
     if args.ideal_bounds:
         # estimation is bypassed, so r defaults to 0 and only the
         # modulation variance itself must be pinned
-        _require(have_variance,
+        _require("v" in pinned,
                  "--ideal-bounds needs --v (single) or --v1 (double/modified)")
         report = _direct_report(args, channel, source)
-    elif not missing:
+    elif all(name in pinned for name in FREE[args.scheme]):
         report = _direct_report(args, channel, source)
     else:
-        result = optimize_key_rate(_problem_from_args(args, channel, source))
+        result, point = _optimize(args, channel, source)
         report = result.report
-        optimum = {"point": result.point, "status": result.status,
+        optimum = {"point": point, "status": result.status,
                    "evaluations": result.evaluations}
 
     payload = {"manifest": make_manifest(inputs, None).as_dict(),
@@ -405,13 +388,12 @@ def cmd_keyrate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    channel, _ = _channel_from_args(args)
-    source = SourceParams(v_s=args.vs)
-    result = optimize_key_rate(_problem_from_args(args, channel, source))
+    channel = _channel_from_args(args)
+    result, point = _optimize(args, channel, SourceParams(v_s=args.vs))
     inputs = _inputs_dict(args, channel)
     payload = {"manifest": make_manifest(inputs, None).as_dict(),
                "inputs": inputs,
-               "optimum": {"point": result.point, "K": result.K,
+               "optimum": {"point": point, "K": result.K,
                            "status": result.status,
                            "evaluations": result.evaluations},
                "report": result.report.as_dict()}
@@ -420,8 +402,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_maxdist(args) -> int:
-    ratio = args.eps_ratio if args.eps_ratio is not None else 0.01
-    fiber = FiberModel(eps_ratio=ratio)
+    fiber = FiberModel(eps_ratio=args.eps_ratio)
     if (args.fit_a is None) != (args.fit_kappa is None):
         raise ValueError("--fit-a and --fit-kappa must be given together")
     if args.fit_a is not None:
@@ -435,7 +416,7 @@ def cmd_maxdist(args) -> int:
     table = [{"N": n_val, "d_max_km": max_distance(fit, n_val, args.delta_star)}
              for n_val in args.N]
     inputs = {"command": "maxdist", "beta": args.beta, "v_s": args.vs,
-              "eps_ratio": ratio, "d_min": args.d_min, "d_max": args.d_max,
+              "eps_ratio": args.eps_ratio, "d_min": args.d_min, "d_max": args.d_max,
               "points": args.points, "N": list(args.N),
               "delta_star": args.delta_star}
     payload = {"manifest": make_manifest(inputs, None).as_dict(),
@@ -501,12 +482,12 @@ def _add_channel_flags(sub) -> None:
     where.add_argument("--d", type=float, help="fiber length in km (0.2 dB/km)")
     noise = sub.add_mutually_exclusive_group(required=False)
     noise.add_argument("--veps", type=float, help="excess noise in shot-noise units")
-    noise.add_argument("--eps-ratio", type=float,
-                       help="excess noise per unit transmittance (default 0.01)")
+    noise.add_argument("--eps-ratio", type=float, default=FiberModel().eps_ratio,
+                       help="excess noise per unit transmittance (default %(default)g)")
 
 
 def _add_protocol_flags(sub) -> None:
-    sub.add_argument("--scheme", choices=list(_SCHEMES), default=SINGLE)
+    sub.add_argument("--scheme", choices=list(KINDS), default=SINGLE)
     sub.add_argument("--vs", type=float, default=1.0,
                      help="source quadrature variance (1 = coherent)")
     sub.add_argument("--v", type=float, help="single-scheme modulation variance")
@@ -565,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="override the scenario seed")
     montecarlo.add_argument("--threads", type=int,
                             help="worker threads (default CVQKD_THREADS "
-                                 "or all cores)")
+                                 "or all usable cores)")
     montecarlo.add_argument("--out", default=".", help="output directory")
     montecarlo.set_defaults(func=cmd_montecarlo)
 
@@ -576,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     maxdist.add_argument("--beta", type=float, default=DEFAULT_BETA)
     maxdist.add_argument("--vs", type=float, default=None,
                          help="source variance (default: strong-squeezing limit)")
-    maxdist.add_argument("--eps-ratio", type=float, default=None)
+    maxdist.add_argument("--eps-ratio", type=float, default=FiberModel().eps_ratio)
     maxdist.add_argument("--d-min", type=float, default=30.0)
     maxdist.add_argument("--d-max", type=float, default=150.0)
     maxdist.add_argument("--points", type=int, default=13)

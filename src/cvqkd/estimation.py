@@ -31,36 +31,14 @@ from scipy.stats import norm
 
 from .model import (
     DEFAULT_DELTA,
-    DOUBLE,
-    MODIFIED,
     SINGLE,
     ChannelParams,
-    ModulationParams,
+    Protocol,
     SourceParams,
     _finite,
     _require,
     aggregated_noise_variance,
-    aggregated_noise_variance_double,
 )
-
-
-@dataclass(frozen=True)
-class EstimationScheme:
-    """Which disclosure pattern is used and how much of the block it takes."""
-
-    kind: str
-    r: float = 0.0
-
-    def __post_init__(self):
-        _require(self.kind in (SINGLE, DOUBLE, MODIFIED),
-                 f"estimation kind must be one of {SINGLE!r}, {DOUBLE!r}, {MODIFIED!r}, "
-                 f"got {self.kind!r}")
-        _require(_finite(self.r) and 0.0 <= self.r <= 1.0,
-                 f"disclosed fraction r must lie in [0, 1], got {self.r!r}")
-        if self.kind == DOUBLE:
-            # the probe displacement is public on every sample; nothing extra
-            # is disclosed, so nothing is burned
-            _require(self.r == 0.0, "the double scheme discloses no extra samples; r must be 0")
 
 
 @dataclass(frozen=True)
@@ -200,15 +178,14 @@ def variance_single(channel: ChannelParams, source: SourceParams,
 
 
 def variance_double(channel: ChannelParams, source: SourceParams,
-                    modulation: ModulationParams, N: float) -> VarianceModel:
+                    protocol: Protocol, N: float) -> VarianceModel:
     """Estimator variances when the public probe displacement on all ``N``
     samples estimates the channel while the key displacement stays hidden."""
-    _require(modulation.scheme == DOUBLE, "variance_double needs a double modulation")
     _require(_finite(N) and N > 0.0, f"sample count must be > 0, got {N!r}")
     T = channel.T
-    vns = aggregated_noise_variance_double(channel, source, modulation)
-    sigma_sq = (4.0 / N) * (2.0 * T * T + T * vns / modulation.v2)
-    s_sq = (2.0 / N) * vns * vns + (modulation.v1 + source.v_s - 1.0) ** 2 * sigma_sq
+    vns = aggregated_noise_variance(channel, source, protocol.v)
+    sigma_sq = (4.0 / N) * (2.0 * T * T + T * vns / protocol.v2)
+    s_sq = (2.0 / N) * vns * vns + (protocol.v + source.v_s - 1.0) ** 2 * sigma_sq
     return VarianceModel(sigma_sq, s_sq)
 
 
@@ -221,7 +198,7 @@ def opt_combine(w1: float, w2: float) -> float:
 
 
 def modified_double_arms(channel: ChannelParams, source: SourceParams,
-                         modulation: ModulationParams, N: float, r: float):
+                         protocol: Protocol, N: float):
     """Per-subset estimator variances for the split double-modulation block.
 
     Subset ``b`` is the first ``r * N`` samples with both displacements
@@ -231,41 +208,40 @@ def modified_double_arms(channel: ChannelParams, source: SourceParams,
     transmittance variance feeds both noise arms, because each residual fit
     uses the merged transmittance estimate.
     """
-    _require(modulation.scheme == DOUBLE, "the split scheme needs a double modulation")
+    r = protocol.r
     _require(_finite(N) and N > 0.0, f"sample count must be > 0, got {N!r}")
-    _require(_finite(r) and 0.0 < r < 1.0, f"the split needs 0 < r < 1, got {r!r}")
+    _require(0.0 < r < 1.0, f"the split needs 0 < r < 1, got {r!r}")
     T = channel.T
     vn = aggregated_noise_variance(channel, source)
-    vns = aggregated_noise_variance_double(channel, source, modulation)
+    vns = aggregated_noise_variance(channel, source, protocol.v)
     na = (1.0 - r) * N
     nb = r * N
-    sigma_a_sq = (4.0 / na) * (2.0 * T * T + T * vns / modulation.v2)
-    sigma_b_sq = (4.0 / nb) * (2.0 * T * T + T * vn / (modulation.v1 + modulation.v2))
+    sigma_a_sq = (4.0 / na) * (2.0 * T * T + T * vns / protocol.v2)
+    sigma_b_sq = (4.0 / nb) * (2.0 * T * T + T * vn / (protocol.v + protocol.v2))
     if sigma_a_sq > 0.0 and sigma_b_sq > 0.0:
         sigma_sq = opt_combine(sigma_a_sq, sigma_b_sq)
     else:
         sigma_sq = 0.0  # only at T = 0, where both arms vanish
-    s_a_sq = (2.0 / na) * vns * vns + (modulation.v1 + source.v_s - 1.0) ** 2 * sigma_sq
+    s_a_sq = (2.0 / na) * vns * vns + (protocol.v + source.v_s - 1.0) ** 2 * sigma_sq
     s_b_sq = (2.0 / nb) * vn * vn + (1.0 - source.v_s) ** 2 * sigma_sq
     s_sq = opt_combine(s_a_sq, s_b_sq)
     return sigma_a_sq, sigma_b_sq, sigma_sq, s_a_sq, s_b_sq, s_sq
 
 
 def variance_modified_double(channel: ChannelParams, source: SourceParams,
-                             modulation: ModulationParams, N: float,
-                             r: float) -> VarianceModel:
+                             protocol: Protocol, N: float) -> VarianceModel:
     """Estimator variances for the split double-modulation scheme.
 
-    ``r = 0`` reduces to :func:`variance_double`; ``r = 1`` reveals both
-    displacements everywhere, which is single-modulation estimation with
-    the summed variance.
+    ``r = 0``, which includes the double scheme, reduces to
+    :func:`variance_double`; ``r = 1`` reveals both displacements
+    everywhere, which is single-modulation estimation with the summed
+    variance.
     """
-    _require(_finite(r) and 0.0 <= r <= 1.0, f"r must lie in [0, 1], got {r!r}")
-    if r == 0.0:
-        return variance_double(channel, source, modulation, N)
-    if r == 1.0:
-        return variance_single(channel, source, modulation.v1 + modulation.v2, N)
-    _, _, sigma_sq, _, _, s_sq = modified_double_arms(channel, source, modulation, N, r)
+    if protocol.r == 0.0:
+        return variance_double(channel, source, protocol, N)
+    if protocol.r == 1.0:
+        return variance_single(channel, source, protocol.v + protocol.v2, N)
+    _, _, sigma_sq, _, _, s_sq = modified_double_arms(channel, source, protocol, N)
     return VarianceModel(sigma_sq, s_sq)
 
 
@@ -310,16 +286,12 @@ def ideal_bounds(channel: ChannelParams) -> ConfidenceBounds:
 
 
 def expected_bounds(channel: ChannelParams, source: SourceParams,
-                    modulation: ModulationParams, scheme: EstimationScheme,
-                    N: float, delta: float = DEFAULT_DELTA) -> ConfidenceBounds:
+                    protocol: Protocol, N: float,
+                    delta: float = DEFAULT_DELTA) -> ConfidenceBounds:
     """Planning-mode bounds: the confidence box a typical run will produce,
     built from the true parameters and the analytic variance model."""
-    if scheme.kind == SINGLE:
-        _require(modulation.scheme == SINGLE,
-                 "single-scheme estimation needs a single modulation")
-        model = variance_single(channel, source, modulation.v, scheme.r * N)
-    elif scheme.kind == DOUBLE:
-        model = variance_double(channel, source, modulation, N)
+    if protocol.kind == SINGLE:
+        model = variance_single(channel, source, protocol.v, protocol.r * N)
     else:
-        model = variance_modified_double(channel, source, modulation, N, scheme.r)
+        model = variance_modified_double(channel, source, protocol, N)
     return confidence_bounds(channel.T, channel.v_eps, model, delta)

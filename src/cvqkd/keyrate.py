@@ -28,7 +28,6 @@ from .model import (
     DEFAULT_DELTA_STAR,
     SINGLE,
     ChannelParams,
-    ModulationParams,
     ProtocolParams,
     SourceParams,
     _finite,
@@ -85,18 +84,6 @@ class CovarianceMatrix2Mode:
         m[0, 2] = m[2, 0] = c_x
         m[1, 3] = m[3, 1] = c_p
         return cls(m)
-
-    @property
-    def block_a(self) -> np.ndarray:
-        return self.entries[:2, :2]
-
-    @property
-    def block_b(self) -> np.ndarray:
-        return self.entries[2:, 2:]
-
-    @property
-    def block_c(self) -> np.ndarray:
-        return self.entries[:2, 2:]
 
     def sector_split(self):
         """Return the (x, p) 2x2 sector matrices when the two quadrature
@@ -184,22 +171,6 @@ def von_neumann_entropy(spectrum: SymplecticSpectrum) -> float:
     return sum(_thermal_entropy_bits((nu - 1.0) / 2.0) for nu in spectrum.nus)
 
 
-def quadrature_split(source: SourceParams, v_key: float,
-                     modulate_both: bool | None = None) -> tuple[float, float]:
-    """Distribute the key modulation over the quadratures.
-
-    A coherent (or anti-squeezed) source modulates both quadratures
-    symmetrically; a squeezed source by default puts all modulation on the
-    squeezed quadrature and leaves the conjugate one untouched. Passing
-    ``modulate_both`` overrides the default.
-    """
-    if modulate_both is None:
-        modulate_both = source.v_s >= 1.0
-    if modulate_both:
-        return v_key, v_key
-    return v_key, 0.0
-
-
 def build_eb_covariance(channel: ChannelParams, source: SourceParams,
                         v_mod_x: float, v_mod_p: float) -> CovarianceMatrix2Mode:
     """Entanglement-based covariance matrix equivalent to modulating the
@@ -267,19 +238,21 @@ def holevo_bound(channel: ChannelParams, source: SourceParams,
 
 
 def asymptotic_key_rate(channel: ChannelParams, source: SourceParams,
-                        modulation: ModulationParams, beta: float = DEFAULT_BETA,
-                        modulate_both: bool | None = None) -> tuple[float, float, float]:
+                        v_key: float,
+                        beta: float = DEFAULT_BETA) -> tuple[float, float, float]:
     """Collective-attack rate ``beta * I_AB - chi_BE`` for an infinitely
-    long block. Returns ``(rate, I_AB, chi_BE)``.
+    long block and a key displacement of variance ``v_key``. Returns
+    ``(rate, I_AB, chi_BE)``.
 
-    For the double modulation only the key displacement enters: the probe
-    displacement is public, so the receiver removes it and it neither
-    carries information nor strengthens the eavesdropper.
+    A coherent (or anti-squeezed) source modulates both quadratures
+    symmetrically; a squeezed source puts all modulation on the squeezed
+    quadrature. A public probe displacement never enters: the receiver
+    removes it, so it neither carries information nor strengthens the
+    eavesdropper.
     """
-    v_key = modulation.v_key
-    v_mod_x, v_mod_p = quadrature_split(source, v_key, modulate_both)
+    v_mod_p = v_key if source.v_s >= 1.0 else 0.0
     i_ab = mutual_information(channel, source, v_key)
-    chi = holevo_bound(channel, source, v_mod_x, v_mod_p)
+    chi = holevo_bound(channel, source, v_key, v_mod_p)
     return beta * i_ab - chi, i_ab, chi
 
 
@@ -293,19 +266,14 @@ def finite_size_correction(n: float, delta_star: float = DEFAULT_DELTA_STAR) -> 
 
 
 def worst_case_corner(bounds: ConfidenceBounds, channel: ChannelParams,
-                      source: SourceParams, modulation: ModulationParams,
-                      beta: float = DEFAULT_BETA,
-                      modulate_both: bool | None = None,
-                      exhaustive: bool = False) -> tuple[float, float, bool]:
-    """Select the corner of the confidence box the rate is evaluated at.
+                      source: SourceParams, v_key: float,
+                      beta: float = DEFAULT_BETA) -> tuple[float, float, bool]:
+    """The corner of the confidence box with the lowest rate.
 
-    The default is the analytically pessimistic one: lowest transmittance,
-    highest excess noise. With ``exhaustive=True`` all four corners are
-    evaluated and the minimizer returned, along with a flag telling whether
-    it agrees with the default choice.
+    All four corners are evaluated; returns the minimizer along with a flag
+    telling whether it is the analytically pessimistic corner (lowest
+    transmittance, highest excess noise) the rate uses by default.
     """
-    if not exhaustive:
-        return bounds.T_low, bounds.veps_up, True
     t_up = bounds.T_up if bounds.T_up is not None else channel.T
     v_low = bounds.veps_low if bounds.veps_low is not None else channel.v_eps
     corners = [
@@ -317,7 +285,7 @@ def worst_case_corner(bounds: ConfidenceBounds, channel: ChannelParams,
     rates = []
     for t_c, v_c in corners:
         ch = ChannelParams(min(max(t_c, 0.0), 1.0), max(v_c, 0.0))
-        k, _, _ = asymptotic_key_rate(ch, source, modulation, beta, modulate_both)
+        k, _, _ = asymptotic_key_rate(ch, source, v_key, beta)
         rates.append(k)
     i_min = min(range(4), key=lambda i: rates[i])
     return corners[i_min][0], corners[i_min][1], i_min == 0
@@ -364,9 +332,8 @@ class KeyRateReport:
         }
 
 
-def finite_key_rate(protocol: ProtocolParams, channel: ChannelParams,
+def finite_key_rate(params: ProtocolParams, channel: ChannelParams,
                     bounds: ConfidenceBounds,
-                    modulate_both: bool | None = None,
                     corner_search: bool = False,
                     with_correction: bool = True) -> KeyRateReport:
     """Finite-size secure key rate per block symbol.
@@ -378,26 +345,25 @@ def finite_key_rate(protocol: ProtocolParams, channel: ChannelParams,
     ``with_correction=False`` drops the penalty; together with degenerate
     bounds and ``r = 0`` that reproduces the asymptotic rate exactly.
     """
-    mod = protocol.modulation
-    n = protocol.n
-    m = protocol.m
-    if mod.scheme == SINGLE and m <= 0.0 and bounds.z != 0.0:
+    protocol = params.protocol
+    n = params.n
+    m = params.m
+    if protocol.kind == SINGLE and m <= 0.0 and bounds.z != 0.0:
         raise ValueError("single-modulation estimation consumed no samples; "
                          "r must be > 0 when bounds carry real uncertainty")
     t_corner, v_corner = bounds.T_low, bounds.veps_up
     corner_agrees = True
     if corner_search:
         t_corner, v_corner, corner_agrees = worst_case_corner(
-            bounds, channel, protocol.source, mod, protocol.beta,
-            modulate_both, exhaustive=True)
+            bounds, channel, params.source, protocol.v, params.beta)
     t_eval = min(max(float(t_corner), 0.0), 1.0)
     veps_eval = max(float(v_corner), 0.0)
     ch_eval = ChannelParams(t_eval, veps_eval)
-    k_inf, i_ab, chi = asymptotic_key_rate(ch_eval, protocol.source, mod,
-                                           protocol.beta, modulate_both)
+    k_inf, i_ab, chi = asymptotic_key_rate(ch_eval, params.source, protocol.v,
+                                           params.beta)
     if n >= 1.0:
-        delta_n = finite_size_correction(n, protocol.delta_star) if with_correction else 0.0
-        key_rate = (n / protocol.N) * (k_inf - delta_n)
+        delta_n = finite_size_correction(n, params.delta_star) if with_correction else 0.0
+        key_rate = (n / params.N) * (k_inf - delta_n)
     else:
         # nothing left to distill from
         delta_n = 0.0
@@ -405,7 +371,7 @@ def finite_key_rate(protocol: ProtocolParams, channel: ChannelParams,
     return KeyRateReport(K=key_rate, K_inf=k_inf, I_AB=i_ab, chi_BE=chi,
                          Delta_n=delta_n, T_low=bounds.T_low,
                          veps_up=bounds.veps_up, T_eval=t_eval,
-                         veps_eval=veps_eval, n=n, m=m, N=protocol.N,
+                         veps_eval=veps_eval, n=n, m=m, N=params.N,
                          corner_agrees=corner_agrees)
 
 
@@ -429,28 +395,21 @@ def veps_up_approx(channel: ChannelParams, source: SourceParams,
     _require(_finite(m) and m >= 1.0, f"sample count must be >= 1, got {m!r}")
     _require(_finite(v_withheld) and v_withheld >= 0.0,
              f"withheld variance must be >= 0, got {v_withheld!r}")
-    vn = 1.0 + channel.v_eps + channel.T * (v_withheld + source.v_s - 1.0)
+    vn = aggregated_noise_variance(channel, source, v_withheld)
     return math.sqrt(2.0) * vn / math.sqrt(m)
 
 
 def optimal_asymptotic_rate(channel: ChannelParams, beta: float = DEFAULT_BETA,
-                            v_s: float | None = None,
-                            modulate_both: bool | None = None) -> tuple[float, float]:
+                            v_s: float | None = None) -> tuple[float, float]:
     """Asymptotic rate maximised over the modulation variance.
 
     ``v_s = None`` evaluates the strong-squeezing limit. Returns
     ``(rate, v_opt)``.
     """
-    if v_s is None:
-        source = SourceParams(SQUEEZING_LIMIT_VS)
-        if modulate_both is None:
-            modulate_both = False
-    else:
-        source = SourceParams(v_s)
+    source = SourceParams(SQUEEZING_LIMIT_VS if v_s is None else v_s)
 
     def rate_of(v: float) -> float:
-        mod = ModulationParams(SINGLE, v=v)
-        k, _, _ = asymptotic_key_rate(channel, source, mod, beta, modulate_both)
+        k, _, _ = asymptotic_key_rate(channel, source, v, beta)
         return k
 
     grid = numeric.log_grid(1e-2, 1e2, 25)
@@ -462,8 +421,7 @@ def theoretical_key_rate_limit(channel: ChannelParams, N: float,
                                beta: float = DEFAULT_BETA,
                                delta_star: float = DEFAULT_DELTA_STAR,
                                v_s: float | None = None,
-                               v_mod: float | None = None,
-                               modulate_both: bool | None = None) -> float:
+                               v_mod: float | None = None) -> float:
     """Upper benchmark on any finite-size rate from a block of ``N``.
 
     Parameter uncertainty is reduced to its statistical floor: the excess
@@ -474,11 +432,8 @@ def theoretical_key_rate_limit(channel: ChannelParams, N: float,
     veps_eval = max(channel.v_eps, theoretical_noise_limit(channel, N))
     ch = ChannelParams(channel.T, veps_eval)
     if v_mod is None:
-        k_inf, _ = optimal_asymptotic_rate(ch, beta, v_s, modulate_both)
+        k_inf, _ = optimal_asymptotic_rate(ch, beta, v_s)
     else:
         source = SourceParams(SQUEEZING_LIMIT_VS if v_s is None else v_s)
-        if v_s is None and modulate_both is None:
-            modulate_both = False
-        mod = ModulationParams(SINGLE, v=v_mod)
-        k_inf, _, _ = asymptotic_key_rate(ch, source, mod, beta, modulate_both)
+        k_inf, _, _ = asymptotic_key_rate(ch, source, v_mod, beta)
     return k_inf - finite_size_correction(N, delta_star)

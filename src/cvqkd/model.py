@@ -12,11 +12,13 @@ value that made it into one of them can be trusted downstream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 SINGLE = "single"
 DOUBLE = "double"
 MODIFIED = "modified"
+KINDS = (SINGLE, DOUBLE, MODIFIED)
 
 # Default error budgets: two-sided significance of the parameter confidence
 # region, and the failure/smoothing budget of the finite-size penalty.
@@ -31,7 +33,11 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    # any real scalar, numpy's included, but not a bool; a float skips the
+    # slower abstract-class check, which runs dozens of times per rate
+    if not isinstance(x, float) and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+        return False
+    return math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -64,50 +70,46 @@ class SourceParams:
 
 
 @dataclass(frozen=True)
-class ModulationParams:
-    """Gaussian modulation variances.
+class Protocol:
+    """One channel-estimation scheme and its parameters.
 
-    ``scheme = "single"`` uses one displacement of variance ``v`` which
-    doubles as key material and channel probe. ``scheme = "double"`` stacks
-    a key displacement ``v1`` and a dedicated probe displacement ``v2``.
+    ``single`` sends one displacement of variance ``v`` that carries key
+    and, on the disclosed fraction ``r`` of the block, probes the channel.
+    ``double`` adds a public probe displacement of variance ``v2`` to the
+    key displacement ``v`` on every sample and discloses nothing extra, so
+    ``r`` is 0. ``modified`` is the double scheme that also reveals the key
+    displacement on the first ``r * N`` samples.
     """
 
-    scheme: str
-    v: float | None = None
-    v1: float | None = None
-    v2: float | None = None
+    kind: str
+    v: float
+    v2: float = 10.0
+    r: float = 0.0
 
     def __post_init__(self):
-        _require(self.scheme in (SINGLE, DOUBLE),
-                 f"modulation scheme must be {SINGLE!r} or {DOUBLE!r}, got {self.scheme!r}")
-        if self.scheme == SINGLE:
-            _require(self.v is not None and _finite(self.v) and self.v >= 0.0,
-                     "single modulation needs a variance v >= 0")
-        else:
-            _require(self.v1 is not None and _finite(self.v1) and self.v1 >= 0.0,
-                     "double modulation needs a key variance v1 >= 0")
-            _require(self.v2 is not None and _finite(self.v2) and self.v2 > 0.0,
-                     "double modulation needs a probe variance v2 > 0")
-
-    @property
-    def v_key(self) -> float:
-        """Variance of the displacement that actually carries key."""
-        return self.v if self.scheme == SINGLE else self.v1
+        _require(self.kind in KINDS,
+                 f"scheme kind must be one of {', '.join(map(repr, KINDS))}, got {self.kind!r}")
+        _require(_finite(self.v) and self.v >= 0.0,
+                 f"key variance v must be >= 0, got {self.v!r}")
+        _require(_finite(self.v2) and self.v2 > 0.0,
+                 f"probe variance v2 must be > 0, got {self.v2!r}")
+        _require(_finite(self.r) and 0.0 <= self.r <= 1.0,
+                 f"disclosed fraction r must lie in [0, 1], got {self.r!r}")
+        _require(self.kind != DOUBLE or self.r == 0.0,
+                 "the double scheme discloses no extra samples; r must be 0")
 
 
 @dataclass(frozen=True)
 class ProtocolParams:
     """Everything the finite-size rate needs besides the channel itself.
 
-    ``r`` is the fraction of the block sacrificed for estimation in
-    schemes that disclose samples; the key is distilled from the
-    remaining ``n = (1 - r) * N``.
+    The key is distilled from the ``n = (1 - r) * N`` samples the protocol
+    does not disclose.
     """
 
     source: SourceParams
-    modulation: ModulationParams
+    protocol: Protocol
     N: int
-    r: float = 0.0
     beta: float = DEFAULT_BETA
     delta: float = DEFAULT_DELTA
     delta_star: float = DEFAULT_DELTA_STAR
@@ -115,8 +117,6 @@ class ProtocolParams:
     def __post_init__(self):
         _require(isinstance(self.N, int) and self.N >= 2,
                  f"block size N must be an integer >= 2, got {self.N!r}")
-        _require(_finite(self.r) and 0.0 <= self.r <= 1.0,
-                 f"disclosed fraction r must lie in [0, 1], got {self.r!r}")
         _require(_finite(self.beta) and 0.0 < self.beta <= 1.0,
                  f"reconciliation efficiency must lie in (0, 1], got {self.beta!r}")
         _require(_finite(self.delta) and 0.0 < self.delta < 1.0,
@@ -127,16 +127,19 @@ class ProtocolParams:
     @property
     def n(self) -> float:
         """Samples left for key distillation."""
-        return (1.0 - self.r) * self.N
+        return (1.0 - self.protocol.r) * self.N
 
     @property
     def m(self) -> float:
         """Samples consumed by channel estimation.
 
-        Single modulation discloses a subset; double modulation re-uses the
-        whole block because the probe displacement is public anyway.
+        The single scheme discloses a subset; the double and modified
+        schemes estimate on the whole block because the probe displacement
+        is public anyway.
         """
-        return self.r * self.N if self.modulation.scheme == SINGLE else float(self.N)
+        if self.protocol.kind == SINGLE:
+            return self.protocol.r * self.N
+        return float(self.N)
 
 
 @dataclass(frozen=True)
@@ -157,25 +160,16 @@ class FiberModel:
 # noise algebra
 
 
-def aggregated_noise_variance(channel: ChannelParams, source: SourceParams) -> float:
+def aggregated_noise_variance(channel: ChannelParams, source: SourceParams,
+                              v_withheld: float = 0.0) -> float:
     """Receiver-side variance of everything except the revealed modulation.
 
-    For a single-modulation transmission this is the vacuum share, the
-    excess noise, and the transmitted source fluctuation:
-    ``1 + v_eps + T * (v_s - 1)``.
+    That is the vacuum share, the excess noise, the transmitted source
+    fluctuation and a withheld displacement of variance ``v_withheld``
+    (the key displacement when only the probe is revealed):
+    ``1 + v_eps + T * (v_withheld + v_s - 1)``.
     """
-    return 1.0 + channel.v_eps + channel.T * (source.v_s - 1.0)
-
-
-def aggregated_noise_variance_double(channel: ChannelParams,
-                                     source: SourceParams,
-                                     modulation: ModulationParams) -> float:
-    """Same as :func:`aggregated_noise_variance` when only the probe
-    displacement is revealed, so the key displacement rides along as noise.
-    """
-    _require(modulation.scheme == DOUBLE,
-             "the double-modulation noise variance needs a double modulation")
-    return 1.0 + channel.v_eps + channel.T * (modulation.v1 + source.v_s - 1.0)
+    return 1.0 + channel.v_eps + channel.T * (v_withheld + source.v_s - 1.0)
 
 
 def distance_to_transmittance(distance_km: float, fiber: FiberModel = FiberModel()) -> float:

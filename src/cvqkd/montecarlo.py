@@ -19,18 +19,16 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimation import (
-    EstimationScheme,
     SampleSet,
     VarianceModel,
     estimate_T,
     estimate_Veps,
     modified_double_arms,
-    variance_double,
     variance_modified_double,
     variance_single,
 )
@@ -41,10 +39,10 @@ from .model import (
     SINGLE,
     ChannelParams,
     FiberModel,
-    ModulationParams,
+    Protocol,
     SourceParams,
-    _finite,
     _require,
+    aggregated_noise_variance,
     excess_noise_from_fiber,
 )
 
@@ -57,8 +55,7 @@ class TrialConfig:
 
     channel: ChannelParams
     source: SourceParams
-    modulation: ModulationParams
-    scheme: EstimationScheme
+    scheme: Protocol
     N: int
     trials: int
     seed: int
@@ -72,13 +69,8 @@ class TrialConfig:
                  f"seed must be a non-negative integer, got {self.seed!r}")
         kind = self.scheme.kind
         if kind == SINGLE:
-            _require(self.modulation.scheme == SINGLE,
-                     "single-scheme trials need a single modulation")
             _require(round(self.scheme.r * self.N) >= 1,
                      "single-scheme trials need at least one disclosed sample")
-        else:
-            _require(self.modulation.scheme == DOUBLE,
-                     f"{kind}-scheme trials need a double modulation")
         if kind == MODIFIED:
             mc = round(self.scheme.r * self.N)
             _require(1 <= mc <= self.N - 1,
@@ -131,16 +123,8 @@ def _draw_scaled(rng: np.random.Generator, sd: float, out: np.ndarray) -> np.nda
     return out
 
 
-def _hidden_noise_sd(config: TrialConfig) -> float:
-    T = config.channel.T
-    return math.sqrt(T * config.source.v_s + (1.0 - T) + config.channel.v_eps)
-
-
-def _probe_only_noise_sd(config: TrialConfig) -> float:
-    # the probe regression never sees the key displacement; it acts as noise
-    T = config.channel.T
-    return math.sqrt(T * (config.source.v_s + config.modulation.v1)
-                     + (1.0 - T) + config.channel.v_eps)
+def _noise_sd(config: TrialConfig, v_withheld: float = 0.0) -> float:
+    return math.sqrt(aggregated_noise_variance(config.channel, config.source, v_withheld))
 
 
 def _lean_buffers(config: TrialConfig) -> list[np.ndarray]:
@@ -163,24 +147,26 @@ def _simulate_lean(config: TrialConfig, trial_index: int,
     fixed: revealed displacements first, then noise."""
     rng = _trial_rng(config.seed, trial_index)
     st = _DTYPE(math.sqrt(config.channel.T))
-    if config.scheme.kind == SINGLE:
+    p = config.scheme
+    if p.kind == SINGLE:
         m_buf, b_buf = buffers
-        m_arr = _draw_scaled(rng, math.sqrt(config.modulation.v), m_buf)
-        b_arr = _draw_scaled(rng, _hidden_noise_sd(config), b_buf)
+        m_arr = _draw_scaled(rng, math.sqrt(p.v), m_buf)
+        b_arr = _draw_scaled(rng, _noise_sd(config), b_buf)
         b_arr += st * m_arr
         return m_arr, None, b_arr
-    if config.scheme.kind == DOUBLE:
+    # the probe regression never sees the key displacement; it acts as noise
+    if p.kind == DOUBLE:
         m2_buf, b_buf = buffers
-        m2 = _draw_scaled(rng, math.sqrt(config.modulation.v2), m2_buf)
-        b_arr = _draw_scaled(rng, _probe_only_noise_sd(config), b_buf)
+        m2 = _draw_scaled(rng, math.sqrt(p.v2), m2_buf)
+        b_arr = _draw_scaled(rng, _noise_sd(config, p.v), b_buf)
         b_arr += st * m2
         return m2, None, b_arr
     m2_buf, m1b_buf, b_buf = buffers
     mc = m1b_buf.size
-    m2 = _draw_scaled(rng, math.sqrt(config.modulation.v2), m2_buf)
-    m1b = _draw_scaled(rng, math.sqrt(config.modulation.v1), m1b_buf)
-    _draw_scaled(rng, _hidden_noise_sd(config), b_buf[:mc])
-    _draw_scaled(rng, _probe_only_noise_sd(config), b_buf[mc:])
+    m2 = _draw_scaled(rng, math.sqrt(p.v2), m2_buf)
+    m1b = _draw_scaled(rng, math.sqrt(p.v), m1b_buf)
+    _draw_scaled(rng, _noise_sd(config), b_buf[:mc])
+    _draw_scaled(rng, _noise_sd(config, p.v), b_buf[mc:])
     b_buf[:mc] += st * (m1b + m2[:mc])
     b_buf[mc:] += st * m2[mc:]
     return m2, m1b, b_buf
@@ -191,16 +177,16 @@ def _simulate_into(config: TrialConfig, trial_index: int,
     """Fill ``buffers`` with one transmission; see simulate_transmission."""
     rng = _trial_rng(config.seed, trial_index)
     st = math.sqrt(config.channel.T)
-    noise_sd = _hidden_noise_sd(config)
+    noise_sd = _noise_sd(config)
     if config.scheme.kind == SINGLE:
         m_buf, b_buf = buffers
-        m_arr = _draw_scaled(rng, math.sqrt(config.modulation.v), m_buf)
+        m_arr = _draw_scaled(rng, math.sqrt(config.scheme.v), m_buf)
         b_arr = _draw_scaled(rng, noise_sd, b_buf)
         b_arr += _DTYPE(st) * m_arr
         return SampleSet(m_arr, b_arr), None
     m1_buf, m2_buf, b_buf = buffers
-    m1 = _draw_scaled(rng, math.sqrt(config.modulation.v1), m1_buf)
-    m2 = _draw_scaled(rng, math.sqrt(config.modulation.v2), m2_buf)
+    m1 = _draw_scaled(rng, math.sqrt(config.scheme.v), m1_buf)
+    m2 = _draw_scaled(rng, math.sqrt(config.scheme.v2), m2_buf)
     b_arr = _draw_scaled(rng, noise_sd, b_buf)
     total = m1 + m2
     total *= _DTYPE(st)
@@ -232,23 +218,22 @@ def simulate_transmission(config: TrialConfig, trial_index: int):
 def _one_trial(config: TrialConfig, trial_index: int, buffers: list[np.ndarray],
                scratch: dict) -> tuple[float, float]:
     m_rev, m1b, b_arr = _simulate_lean(config, trial_index, buffers)
-    kind = config.scheme.kind
-    mod = config.modulation
-    if kind == SINGLE:
+    p = config.scheme
+    if p.kind == SINGLE:
         samples = SampleSet(m_rev, b_arr)
-        t_hat = estimate_T(samples, mod.v)
+        t_hat = estimate_T(samples, p.v)
         v_hat = estimate_Veps(samples, t_hat, config.source)
         return t_hat, v_hat
-    if kind == DOUBLE:
+    if p.kind == DOUBLE:
         samples = SampleSet(m_rev, b_arr)
-        t_hat = estimate_T(samples, mod.v2)
+        t_hat = estimate_T(samples, p.v2)
         v_hat = estimate_Veps(samples, t_hat, scratch["source_eff"])
         return t_hat, v_hat
     mc = scratch["mc"]
     both = SampleSet(m1b + m_rev[:mc], b_arr[:mc])
     probe_only = SampleSet(m_rev[mc:], b_arr[mc:])
-    t_b = estimate_T(both, mod.v1 + mod.v2)
-    t_a = estimate_T(probe_only, mod.v2)
+    t_b = estimate_T(both, p.v + p.v2)
+    t_a = estimate_T(probe_only, p.v2)
     w_a, w_b = scratch["t_weights"]
     t_hat = t_a * w_a + t_b * w_b
     v_a = estimate_Veps(probe_only, t_hat, scratch["source_eff"])
@@ -262,12 +247,11 @@ def _trial_scratch(config: TrialConfig) -> dict:
     scratch: dict = {}
     if config.scheme.kind in (DOUBLE, MODIFIED):
         # everything the probe-only regression cannot see acts as source noise
-        scratch["source_eff"] = SourceParams(config.source.v_s + config.modulation.v1)
+        scratch["source_eff"] = SourceParams(config.source.v_s + config.scheme.v)
     if config.scheme.kind == MODIFIED:
         scratch["mc"] = round(config.scheme.r * config.N)
         sig_a, sig_b, _, s_a, s_b, _ = modified_double_arms(
-            config.channel, config.source, config.modulation,
-            float(config.N), config.scheme.r)
+            config.channel, config.source, config.scheme, float(config.N))
         # inverse-variance weights from the analytic model at the true
         # parameters; normalised once here
         wa, wb = 1.0 / sig_a, 1.0 / sig_b
@@ -278,36 +262,33 @@ def _trial_scratch(config: TrialConfig) -> dict:
 
 
 def analytic_model(config: TrialConfig) -> VarianceModel:
-    """Analytic variance model matching the trial setup."""
-    kind = config.scheme.kind
-    if kind == SINGLE:
-        m = round(config.scheme.r * config.N)
-        return variance_single(config.channel, config.source,
-                               config.modulation.v, float(m))
-    if kind == DOUBLE:
-        return variance_double(config.channel, config.source,
-                               config.modulation, float(config.N))
-    return variance_modified_double(config.channel, config.source,
-                                    config.modulation, float(config.N),
-                                    config.scheme.r)
+    """Analytic variance model matching the trial setup.
+
+    The same models :func:`cvqkd.estimation.expected_bounds` plans with,
+    except that the single scheme discloses the whole number
+    ``round(r * N)`` of samples the sampler draws.
+    """
+    p = config.scheme
+    if p.kind == SINGLE:
+        return variance_single(config.channel, config.source, p.v,
+                               float(round(p.r * config.N)))
+    return variance_modified_double(config.channel, config.source, p, float(config.N))
 
 
 def _resolve_threads(threads: int | None) -> int:
     if threads is None:
         env = os.environ.get("CVQKD_THREADS", "").strip()
-        if env:
-            threads = int(env)
-        else:
-            threads = os.cpu_count() or 1
+        threads = int(env) if env else len(os.sched_getaffinity(0))
     return max(1, int(threads))
 
 
 def run_trials(config: TrialConfig, threads: int | None = None) -> EmpiricalStats:
     """Simulate, estimate and reduce ``config.trials`` transmissions.
 
-    Thread count (argument, else ``CVQKD_THREADS``, else the CPU count)
-    affects wall time only: every trial owns a generator derived from its
-    index, and the reduction runs over the index-ordered arrays.
+    Thread count (argument, else ``CVQKD_THREADS``, else the number of
+    CPUs this process may run on) affects wall time only: every trial owns
+    a generator derived from its index, and the reduction runs over the
+    index-ordered arrays.
     """
     threads = _resolve_threads(threads)
     scratch = _trial_scratch(config)
@@ -351,51 +332,36 @@ def _row_seed(base_seed: int, scheme_index: int, t_index: int) -> int:
     return (hi << 32) | lo
 
 
-def validate_variance_models(t_grid, template: TrialConfig,
+def validate_variance_models(t_grid, protocols, source: SourceParams, N: int,
+                             trials: int, seed: int,
                              fiber: FiberModel = FiberModel(),
-                             schemes: tuple[str, ...] = (SINGLE, DOUBLE, MODIFIED),
                              threads: int | None = None) -> list[ValidationRow]:
-    """Run the trial batch for every (scheme, transmittance) pair.
+    """Run the trial batch for every (protocol, transmittance) pair.
 
     The channel at each grid point takes its excess noise from the fiber
-    model. The template supplies block size, trial count, disclosed
-    fraction and all modulation variances; single-scheme rows use the
-    template's single-modulation variance ``v``. Row seeds derive from the
-    template seed and the row position, so the full table is reproducible
-    and rows are independent.
+    model. Row seeds derive from ``seed`` and the row position, so the
+    full table is reproducible and rows are independent.
     """
+    _require(isinstance(trials, int) and trials >= 2,
+             f"the validation table compares spreads, so trials must be >= 2, got {trials!r}")
     rows: list[ValidationRow] = []
-    for s_idx, kind in enumerate(schemes):
-        _require(kind in (SINGLE, DOUBLE, MODIFIED), f"unknown scheme {kind!r}")
+    for s_idx, protocol in enumerate(protocols):
         for t_idx, T in enumerate(t_grid):
             channel = ChannelParams(float(T), excess_noise_from_fiber(float(T), fiber))
-            if kind == SINGLE:
-                modulation = ModulationParams(SINGLE, v=template.modulation.v)
-                scheme = EstimationScheme(SINGLE, template.scheme.r)
-                samples = float(round(scheme.r * template.N))
-            elif kind == DOUBLE:
-                modulation = ModulationParams(DOUBLE, v1=template.modulation.v1,
-                                              v2=template.modulation.v2)
-                scheme = EstimationScheme(DOUBLE, 0.0)
-                samples = float(template.N)
-            else:
-                modulation = ModulationParams(DOUBLE, v1=template.modulation.v1,
-                                              v2=template.modulation.v2)
-                scheme = EstimationScheme(MODIFIED, template.scheme.r)
-                samples = float(template.N)
-            config = replace(template, channel=channel, modulation=modulation,
-                             scheme=scheme, seed=_row_seed(template.seed, s_idx, t_idx))
+            config = TrialConfig(channel, source, protocol, N, trials,
+                                 _row_seed(seed, s_idx, t_idx))
             stats = run_trials(config, threads=threads)
+            samples = round(protocol.r * N) if protocol.kind == SINGLE else N
             rows.append(ValidationRow(
-                scheme=kind,
+                scheme=protocol.kind,
                 T=channel.T,
-                samples=samples,
+                samples=float(samples),
                 s_analytic=stats.model.s,
                 s_empirical=stats.std_Veps,
                 rel_err_s=stats.rel_err_Veps,
                 sigma_analytic=stats.model.sigma,
                 sigma_empirical=stats.std_T,
                 rel_err_sigma=stats.rel_err_T,
-                veps_th=theoretical_noise_limit(channel, float(template.N)),
+                veps_th=theoretical_noise_limit(channel, float(N)),
             ))
     return rows

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numeric
-from .estimation import EstimationScheme, expected_bounds
+from .estimation import expected_bounds
 from .keyrate import (
     KeyRateReport,
     finite_key_rate,
@@ -35,7 +35,7 @@ from .model import (
     SINGLE,
     ChannelParams,
     FiberModel,
-    ModulationParams,
+    Protocol,
     ProtocolParams,
     SourceParams,
     _finite,
@@ -45,74 +45,54 @@ from .model import (
 
 _GRID_V = 13
 _GRID_R = 12
-_LEGACY_POINT = {"v": 1.5, "r": 0.5}  # classic single-modulation working point
 
-
-def _default_free(kind: str) -> tuple[str, ...]:
-    if kind == SINGLE:
-        return ("v", "r")
-    if kind == DOUBLE:
-        return ("v1",)
-    return ("v1", "r")
+# the scheme's natural knobs: the key variance, and the disclosed fraction
+# where the scheme has one
+FREE = {SINGLE: ("v", "r"), DOUBLE: ("v",), MODIFIED: ("v", "r")}
+# search ranges; r stays below 1 so both subsets remain usable
+_BOX = {"v": (0.01, 100.0), "v2": (0.1, 50.0), "r": (0.0, 0.9)}
+# classic single-modulation working point
+LEGACY = Protocol(SINGLE, v=1.5, r=0.5)
 
 
 @dataclass(frozen=True)
 class OptimizationProblem:
     """Key-rate maximisation over a subset of the protocol parameters.
 
-    ``free`` defaults to the scheme's natural knobs: modulation variance
-    and disclosed fraction for ``single`` and ``modified``, the key
-    modulation variance alone for ``double``. ``fixed`` overrides the
-    default value of any variable that is not free (``v2`` defaults to
-    10, ``r`` to 0 where it is not searched).
+    ``protocol`` is the fixed point: its scheme, and the values of every
+    field that is not free. ``free`` names the :class:`Protocol` fields to
+    search and defaults to the scheme's entry in :data:`FREE`; ``box``
+    overrides a field's search range.
     """
 
     channel: ChannelParams
     source: SourceParams
     N: int
-    kind: str = SINGLE
+    protocol: Protocol
     beta: float = DEFAULT_BETA
     delta: float = DEFAULT_DELTA
     delta_star: float = DEFAULT_DELTA_STAR
     free: tuple[str, ...] | None = None
     box: dict = field(default_factory=dict)
-    fixed: dict = field(default_factory=dict)
     tol: float = 1e-4
 
     def __post_init__(self):
-        _require(self.kind in (SINGLE, DOUBLE, MODIFIED),
-                 f"unknown scheme kind {self.kind!r}")
+        kind = self.protocol.kind
         _require(isinstance(self.N, int) and self.N >= 2,
                  f"block size N must be an integer >= 2, got {self.N!r}")
         _require(_finite(self.tol) and self.tol > 0.0, "tol must be > 0")
-        free = self.free if self.free is not None else _default_free(self.kind)
-        allowed = ("v", "r") if self.kind == SINGLE else ("v1", "v2", "r")
+        free = self.free if self.free is not None else FREE[kind]
+        allowed = ("v", "r") if kind == SINGLE else ("v", "v2", "r")
         for name in free:
             _require(name in allowed,
-                     f"{name!r} is not a free variable of the {self.kind} scheme")
-        _require(self.kind != DOUBLE or "r" not in free,
+                     f"{name!r} is not a free variable of the {kind} scheme")
+        _require(kind != DOUBLE or "r" not in free,
                  "the double scheme has no disclosed fraction to optimise")
         object.__setattr__(self, "free", tuple(free))
 
     def variable_box(self, name: str) -> tuple[float, float]:
-        if name in self.box:
-            lo, hi = self.box[name]
-            return float(lo), float(hi)
-        if name in ("v", "v1"):
-            return 0.01, 100.0
-        if name == "v2":
-            return 0.1, 50.0
-        # r: keep both subsets usable
-        return 0.0, 0.9
-
-    def fixed_value(self, name: str) -> float:
-        if name in self.fixed:
-            return float(self.fixed[name])
-        if name == "v2":
-            return 10.0
-        if name == "r":
-            return 0.0
-        raise ValueError(f"no default for fixed variable {name!r}")
+        lo, hi = self.box.get(name, _BOX[name])
+        return float(lo), float(hi)
 
 
 @dataclass(frozen=True)
@@ -125,26 +105,14 @@ class OptimizationResult:
 
 
 def evaluate_point(problem: OptimizationProblem, point: dict) -> KeyRateReport:
-    """Planning-mode finite-size rate at one parameter point."""
-
-    def value(name: str) -> float:
-        if name in point:
-            return float(point[name])
-        return problem.fixed_value(name)
-
-    if problem.kind == SINGLE:
-        mod = ModulationParams(SINGLE, v=value("v"))
-        r = value("r")
-        scheme = EstimationScheme(SINGLE, r)
-    else:
-        mod = ModulationParams(DOUBLE, v1=value("v1"), v2=value("v2"))
-        r = 0.0 if problem.kind == DOUBLE else value("r")
-        scheme = EstimationScheme(problem.kind, r)
-    bounds = expected_bounds(problem.channel, problem.source, mod, scheme,
+    """Planning-mode finite-size rate at one parameter point: ``point``
+    maps :class:`Protocol` fields to values that replace the fixed ones."""
+    protocol = replace(problem.protocol, **point)
+    bounds = expected_bounds(problem.channel, problem.source, protocol,
                              float(problem.N), problem.delta)
-    protocol = ProtocolParams(problem.source, mod, problem.N, r, problem.beta,
-                              problem.delta, problem.delta_star)
-    return finite_key_rate(protocol, problem.channel, bounds)
+    params = ProtocolParams(problem.source, protocol, problem.N, problem.beta,
+                            problem.delta, problem.delta_star)
+    return finite_key_rate(params, problem.channel, bounds)
 
 
 def _coordinate_grid(problem: OptimizationProblem, name: str) -> list[float]:
@@ -152,7 +120,7 @@ def _coordinate_grid(problem: OptimizationProblem, name: str) -> list[float]:
     if name == "r":
         r_min = max(lo, 2.0 / problem.N, 1e-6)
         grid = numeric.log_grid(r_min, hi, _GRID_R)
-        if problem.kind == MODIFIED and lo == 0.0:
+        if problem.protocol.kind == MODIFIED and lo == 0.0:
             grid = [0.0] + grid
         return grid
     return numeric.log_grid(lo, hi, _GRID_V)
@@ -200,11 +168,11 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
         del point[name]
 
     scan(list(free), {})
-    if problem.kind == SINGLE and all(n in free for n in ("v", "r")):
+    if problem.protocol.kind == SINGLE and all(n in free for n in ("v", "r")):
         lo_v, hi_v = problem.variable_box("v")
         lo_r, hi_r = problem.variable_box("r")
-        if lo_v <= _LEGACY_POINT["v"] <= hi_v and lo_r <= _LEGACY_POINT["r"] <= hi_r:
-            consider(dict(_LEGACY_POINT))
+        if lo_v <= LEGACY.v <= hi_v and lo_r <= LEGACY.r <= hi_r:
+            consider({"v": LEGACY.v, "r": LEGACY.r})
     _require(bool(best_point),
              "every grid point was infeasible; check the channel and block size")
 
@@ -232,7 +200,7 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
         if best_value - improved <= problem.tol * scale:
             break
 
-    if problem.kind == MODIFIED and "r" in free and best_point.get("r", 0.0) > 0.0:
+    if problem.protocol.kind == MODIFIED and "r" in free and best_point.get("r", 0.0) > 0.0:
         at_zero = dict(best_point)
         at_zero["r"] = 0.0
         if objective(at_zero) >= best_value - problem.tol * scale:
@@ -333,7 +301,7 @@ def optimal_ratio_zero_crossing(problem_template: OptimizationProblem,
     The channel's excess noise follows the template's ratio of excess
     noise to transmittance.
     """
-    _require(problem_template.kind == MODIFIED,
+    _require(problem_template.protocol.kind == MODIFIED,
              "the zero crossing is a property of the modified scheme")
     base = problem_template.channel
     eps_ratio = base.v_eps / base.T if base.T > 0.0 else 0.0

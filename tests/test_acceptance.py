@@ -16,8 +16,7 @@ import pytest
 from cvqkd import (
     ChannelParams,
     SourceParams,
-    ModulationParams,
-    EstimationScheme,
+    Protocol,
     SampleSet,
     FiberModel,
     channel_at_distance,
@@ -115,12 +114,9 @@ def test_criterion_03_pure_channel_nulls():
         chi = holevo_bound(ch, SourceParams(vs), v, v if vs >= 1.0 else 0.0)
         assert chi < 1e-9
     for beta in (0.8, 0.95, 1.0):
-        k, i_ab, _ = asymptotic_key_rate(ch, SourceParams(1.0),
-                                         ModulationParams("single", v=3.0),
-                                         beta)
+        k, i_ab, _ = asymptotic_key_rate(ch, SourceParams(1.0), 3.0, beta)
         assert k == pytest.approx(beta * i_ab, abs=1e-9)
-    k1, _, _ = asymptotic_key_rate(ch, SourceParams(1.0),
-                                   ModulationParams("single", v=3.0), 1.0)
+    k1, _, _ = asymptotic_key_rate(ch, SourceParams(1.0), 3.0, 1.0)
     print(f"lossless unit-efficiency rate = {k1:.12f}")
     assert k1 == pytest.approx(1.0, abs=1e-9)
 
@@ -145,7 +141,7 @@ def test_criterion_05_distance_fit_slope():
 
 def test_criterion_06_optimal_ratio_power_law():
     template = OptimizationProblem(ChannelParams(0.03, 0.0003),
-                                   SourceParams(1.0), 1000, kind="single")
+                                   SourceParams(1.0), 1000, Protocol("single", 1.0))
     fit, points = optimal_ratio_curve(template, np.logspace(5, 9, 9))
     print(f"gamma={fit.gamma:.4f} from {len(points)} live points")
     assert abs(fit.gamma - (-0.35)) < 0.10
@@ -162,12 +158,12 @@ def test_criterion_07_scheme_ordering():
         for vs in (0.1, 0.5, 1.0):
             src = SourceParams(vs)
             k_single[vs] = optimize_key_rate(OptimizationProblem(
-                channel, src, 10**6, kind="single")).K
+                channel, src, 10**6, Protocol("single", 1.0))).K
             k_mod[vs] = optimize_key_rate(OptimizationProblem(
-                channel, src, 10**6, kind="modified")).K
+                channel, src, 10**6, Protocol("modified", 1.0))).K
             k_legacy = evaluate_point(
                 OptimizationProblem(channel, SourceParams(1.0), 10**6,
-                                    kind="single", free=()),
+                                    Protocol("single", 1.0), free=()),
                 {"v": 1.5, "r": 0.5}).K
             rows += 1
             if k_single[vs] > 0 and k_legacy > 0 and \
@@ -191,7 +187,7 @@ def test_criterion_07_scheme_ordering():
 
 def test_criterion_08_disclosure_zero_crossing():
     template = OptimizationProblem(ChannelParams(0.5, 0.005),
-                                   SourceParams(0.1), 10**6, kind="modified")
+                                   SourceParams(0.1), 10**6, Protocol("modified", 1.0))
     t_star = optimal_ratio_zero_crossing(template)
     print(f"T* = {t_star:.5f}")
     assert 0.1 <= t_star <= 0.3
@@ -200,8 +196,7 @@ def test_criterion_08_disclosure_zero_crossing():
 def test_criterion_09_noise_bound_reaches_statistical_floor():
     channel = ChannelParams(1e-4, 0.01 * 1e-4)
     bounds = expected_bounds(channel, SourceParams(1.0),
-                             ModulationParams("double", v1=3.0, v2=10.0),
-                             EstimationScheme("double"), 1e6)
+                             Protocol("double", 3.0, 10.0), 1e6)
     z = confidence_coefficient(DEFAULT_DELTA)
     ratio = (bounds.veps_up - channel.v_eps) / (
         z * theoretical_noise_limit(channel, 1e6))
@@ -277,15 +272,15 @@ def test_headline_claim():
     # legacy coherent baseline at N=1e8 by >= 5x
     channel = ChannelParams(0.03, 0.0003)
     k_mod_1e7 = optimize_key_rate(OptimizationProblem(
-        channel, SourceParams(0.1), 10**7, kind="modified")).K
+        channel, SourceParams(0.1), 10**7, Protocol("modified", 1.0))).K
     k_leg_1e8 = evaluate_point(
-        OptimizationProblem(channel, SourceParams(1.0), 10**8, kind="single",
+        OptimizationProblem(channel, SourceParams(1.0), 10**8, Protocol("single", 1.0),
                             free=()),
         {"v": 1.5, "r": 0.5}).K
     k_mod_1e8 = optimize_key_rate(OptimizationProblem(
-        channel, SourceParams(0.1), 10**8, kind="modified")).K
+        channel, SourceParams(0.1), 10**8, Protocol("modified", 1.0))).K
     k_leg_1e9 = evaluate_point(
-        OptimizationProblem(channel, SourceParams(1.0), 10**9, kind="single",
+        OptimizationProblem(channel, SourceParams(1.0), 10**9, Protocol("single", 1.0),
                             free=()),
         {"v": 1.5, "r": 0.5}).K
     message = (

@@ -3,12 +3,15 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from cvqkd.cli import main_entry, scenario_digest, preset_names, load_preset
+from cvqkd.cli import (main_entry, scenario_digest, preset_names, load_preset,
+                       run_sweep)
 
 _SWEEP_HEADER = ("axis_value,K,K_inf,I_AB,chi,Delta,T_low,Veps_up,"
                  "V_opt,r_opt,K_th,K_legacy")
@@ -156,6 +159,45 @@ def test_sweep_custom_scenario(capsys, tmp_path):
         assert "%.12g" % float(cell) == cell
 
 
+_TINY_SWEEP = {
+    "name": "typo",
+    "command": "sweep",
+    "sweep": {"variable": "d", "min": 10.0, "max": 30.0, "points": 2},
+    "N": 1e6,
+    "schemes": [{"kind": "single", "v_s": 1.0}],
+}
+
+
+def _sweep_argv(tmp_path, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return ["sweep", "--scenario", str(path), "--out", str(tmp_path)]
+
+
+def test_sweep_rejects_unknown_scheme_key(capsys, tmp_path):
+    scenario = {**_TINY_SWEEP, "schemes": [{"kind": "single", "vs": 0.1}]}
+    assert main_entry(_sweep_argv(tmp_path, scenario)) == 1
+    assert "'vs'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_sweep_without_block_size_names_it(capsys, tmp_path):
+    scenario = {key: x for key, x in _TINY_SWEEP.items() if key != "N"}
+    assert main_entry(_sweep_argv(tmp_path, scenario)) == 1
+    assert "block size 'N'" in capsys.readouterr().err
+
+
+def test_readme_scenario_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Scenario files"):]
+    scenario = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    paths = run_sweep(scenario, str(tmp_path))
+    assert [os.path.basename(p) for p in paths] == [
+        "short_distance_single_vs1.csv", "short_distance_modified_vs0.1.csv"]
+    for path in paths:
+        assert len(Path(path).read_text().splitlines()) == 2 + 3
+
+
 def test_sweep_presets_have_expected_geometry():
     points = {"distance_sweep": 12, "blocksize_sweep": 11,
               "large_block_sweep": 11, "noise_sweep": 10,
@@ -190,6 +232,15 @@ def test_montecarlo_preset_small_run(capsys, tmp_path):
     assert main_entry(args[:-4] + ["--threads", "2", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == first
+
+
+def test_montecarlo_rejects_single_trial(capsys, tmp_path):
+    # one trial has no spread to compare; refused before any row runs
+    rc = main_entry(["montecarlo", "--preset", "variance_validation",
+                     "--trials", "1", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "trials" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_montecarlo_env_thread_count_is_invisible(tmp_path):

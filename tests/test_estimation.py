@@ -8,8 +8,7 @@ import pytest
 from cvqkd import (
     ChannelParams,
     SourceParams,
-    ModulationParams,
-    EstimationScheme,
+    Protocol,
     SampleSet,
     VarianceModel,
     estimate_covariance,
@@ -95,13 +94,16 @@ def test_sample_set_validation():
 
 
 def test_estimation_scheme_validation():
+    # the estimation half of a Protocol: its kind and its sample ratio
     with pytest.raises(ValueError):
-        EstimationScheme("triple")
+        Protocol("triple", 3.0)
     with pytest.raises(ValueError):
-        EstimationScheme("single", r=1.5)
+        Protocol("single", 3.0, r=1.5)
     with pytest.raises(ValueError):
-        EstimationScheme("double", r=0.5)  # the double scheme burns no samples
-    assert EstimationScheme("modified", 0.3).r == 0.3
+        Protocol("double", 3.0, r=0.5)           # the double scheme burns no samples
+    with pytest.raises(ValueError):
+        Protocol("modified", 3.0, r=-0.1)
+    assert Protocol("modified", 3.0, r=0.3).r == 0.3
 
 
 # --------------------------------------------------------------------------
@@ -141,7 +143,7 @@ def test_variance_single_rejects_degenerate_inputs():
 
 
 def test_variance_double_reference_point():
-    mod = ModulationParams("double", v1=3.0, v2=10.0)
+    mod = Protocol("double", 3.0, 10.0)
     model = variance_double(ChannelParams(0.1, 0.001), SourceParams(1.0), mod, 1e5)
     assert model.sigma_sq == pytest.approx(1.3204e-06, rel=1e-12)
     assert model.s_sq == pytest.approx(4.5735620000000004e-05, rel=1e-12)
@@ -149,7 +151,7 @@ def test_variance_double_reference_point():
 
 def test_variance_double_low_transmittance_limit():
     # as T -> 0 the noise uncertainty floors at sqrt(2/N) (1 + veps)
-    mod = ModulationParams("double", v1=3.0, v2=10.0)
+    mod = Protocol("double", 3.0, 10.0)
     model = variance_double(ChannelParams(1e-12, 0.01), SourceParams(1.0), mod, 1e6)
     assert model.s == pytest.approx(math.sqrt(2.0 / 1e6) * 1.01, rel=1e-9)
 
@@ -158,7 +160,7 @@ def test_variance_double_probe_strength_helps():
     ch, src = ChannelParams(0.1, 0.001), SourceParams(1.0)
     prev = None
     for v2 in (1.0, 3.0, 10.0, 30.0, 100.0):
-        mod = ModulationParams("double", v1=3.0, v2=v2)
+        mod = Protocol("double", 3.0, v2)
         sig = variance_double(ch, src, mod, 1e5).sigma_sq
         if prev is not None:
             assert sig < prev
@@ -189,56 +191,54 @@ def test_opt_combine_rejects_nonpositive():
 
 def test_variance_modified_double_endpoints():
     ch, src = ChannelParams(0.1, 0.001), SourceParams(1.0)
-    mod = ModulationParams("double", v1=3.0, v2=10.0)
-    at_zero = variance_modified_double(ch, src, mod, 1e5, 0.0)
-    ref = variance_double(ch, src, mod, 1e5)
+    mod = Protocol("modified", 3.0, 10.0, r=0.0)
+    at_zero = variance_modified_double(ch, src, mod, 1e5)
+    ref = variance_double(ch, src, Protocol("double", 3.0, 10.0), 1e5)
     assert at_zero.sigma_sq == ref.sigma_sq and at_zero.s_sq == ref.s_sq
 
-    at_one = variance_modified_double(ch, src, mod, 1e5, 1.0)
+    at_one = variance_modified_double(ch, src, Protocol("modified", 3.0, 10.0, 1.0), 1e5)
     ref1 = variance_single(ch, src, 13.0, 1e5)
     assert at_one.sigma_sq == ref1.sigma_sq and at_one.s_sq == ref1.s_sq
 
 
 def test_variance_modified_double_continuous_at_zero():
     ch, src = ChannelParams(0.1, 0.001), SourceParams(1.0)
-    mod = ModulationParams("double", v1=3.0, v2=10.0)
-    near = variance_modified_double(ch, src, mod, 1e5, 1e-6)
-    ref = variance_double(ch, src, mod, 1e5)
+    near = variance_modified_double(ch, src, Protocol("modified", 3.0, 10.0, 1e-6), 1e5)
+    ref = variance_double(ch, src, Protocol("double", 3.0, 10.0), 1e5)
     assert near.sigma_sq == pytest.approx(ref.sigma_sq, rel=1e-5)
     assert near.s_sq == pytest.approx(ref.s_sq, rel=1e-5)
 
 
 def test_variance_modified_double_beats_both_constituents():
     ch, src = ChannelParams(0.05, 0.0005), SourceParams(1.0)
-    mod = ModulationParams("double", v1=3.0, v2=10.0)
-    N, r = 1e5, 0.5
-    sig_a, sig_b, sig, s_a, s_b, s = modified_double_arms(ch, src, mod, N, r)
+    mod = Protocol("modified", 3.0, 10.0, r=0.5)
+    N = 1e5
+    sig_a, sig_b, sig, s_a, s_b, s = modified_double_arms(ch, src, mod, N)
     assert sig <= min(sig_a, sig_b) + 1e-18
     assert s <= min(s_a, s_b) + 1e-18
-    combined = variance_modified_double(ch, src, mod, N, r)
+    combined = variance_modified_double(ch, src, mod, N)
     assert combined.sigma_sq == pytest.approx(sig, rel=1e-14)
     assert combined.s_sq == pytest.approx(s, rel=1e-14)
 
 
 def test_variance_modified_double_below_pure_schemes_on_grid():
     src = SourceParams(1.0)
-    mod = ModulationParams("double", v1=3.0, v2=10.0)
     N, r = 1e5, 0.5
+    mod = Protocol("modified", 3.0, 10.0, r)
     for T in np.logspace(-2, 0, 20):
         ch = ChannelParams(float(T), 0.01 * float(T))
-        s3 = variance_modified_double(ch, src, mod, N, r).s
+        s3 = variance_modified_double(ch, src, mod, N).s
         s1 = variance_single(ch, src, 3.0, r * N).s
-        s2 = variance_double(ch, src, mod, N).s
+        s2 = variance_double(ch, src, Protocol("double", 3.0, 10.0), N).s
         assert s3 <= min(s1, s2) * (1.0 + 1e-12)
 
 
 def test_variance_modified_double_rejects_bad_ratio():
     ch, src = ChannelParams(0.1, 0.001), SourceParams(1.0)
-    mod = ModulationParams("double", v1=3.0, v2=10.0)
     with pytest.raises(ValueError):
-        variance_modified_double(ch, src, mod, 1e5, -0.1)
+        variance_modified_double(ch, src, Protocol("modified", 3.0, 10.0, -0.1), 1e5)
     with pytest.raises(ValueError):
-        variance_modified_double(ch, src, mod, 1e5, 1.1)
+        variance_modified_double(ch, src, Protocol("modified", 3.0, 10.0, 1.1), 1e5)
 
 
 # --------------------------------------------------------------------------
@@ -302,34 +302,32 @@ def test_expected_bounds_match_scheme_models():
     ch, src = ChannelParams(0.2, 0.002), SourceParams(1.0)
     z = confidence_coefficient(1e-10)
 
-    mod_s = ModulationParams("single", v=3.0)
-    got = expected_bounds(ch, src, mod_s, EstimationScheme("single", 0.5), 1e5)
+    got = expected_bounds(ch, src, Protocol("single", 3.0, r=0.5), 1e5)
     ref = variance_single(ch, src, 3.0, 0.5e5)
     assert got.T_low == pytest.approx(ch.T - z * ref.sigma, rel=1e-12)
     assert got.veps_up == pytest.approx(ch.v_eps + z * ref.s, rel=1e-12)
 
-    mod_d = ModulationParams("double", v1=3.0, v2=10.0)
-    got = expected_bounds(ch, src, mod_d, EstimationScheme("double"), 1e5)
+    mod_d = Protocol("double", 3.0, 10.0)
+    got = expected_bounds(ch, src, mod_d, 1e5)
     ref = variance_double(ch, src, mod_d, 1e5)
     assert got.veps_up == pytest.approx(ch.v_eps + z * ref.s, rel=1e-12)
 
-    got = expected_bounds(ch, src, mod_d, EstimationScheme("modified", 0.3), 1e5)
-    ref = variance_modified_double(ch, src, mod_d, 1e5, 0.3)
+    mod_m = Protocol("modified", 3.0, 10.0, 0.3)
+    got = expected_bounds(ch, src, mod_m, 1e5)
+    ref = variance_modified_double(ch, src, mod_m, 1e5)
     assert got.veps_up == pytest.approx(ch.v_eps + z * ref.s, rel=1e-12)
 
 
 def test_expected_bounds_tighten_with_block_size():
     ch, src = ChannelParams(0.1, 0.001), SourceParams(1.0)
-    mod = ModulationParams("double", v1=3.0, v2=10.0)
-    b = expected_bounds(ch, src, mod, EstimationScheme("double"), 1e14)
+    b = expected_bounds(ch, src, Protocol("double", 3.0, 10.0), 1e14)
     assert b.T_low == pytest.approx(ch.T, abs=1e-5)
     assert b.veps_up == pytest.approx(ch.v_eps, abs=1e-5)
 
 
 def test_expected_bounds_double_low_transmittance_margin():
     ch, src = ChannelParams(1e-9, 0.01), SourceParams(1.0)
-    mod = ModulationParams("double", v1=3.0, v2=10.0)
-    b = expected_bounds(ch, src, mod, EstimationScheme("double"), 1e6)
+    b = expected_bounds(ch, src, Protocol("double", 3.0, 10.0), 1e6)
     z = confidence_coefficient(1e-10)
     assert b.veps_up - ch.v_eps == pytest.approx(
         z * math.sqrt(2.0 / 1e6) * 1.01, rel=1e-6)
@@ -339,15 +337,7 @@ def test_expected_bounds_double_beats_single_at_low_transmittance():
     # hiding the key displacement keeps the whole block usable for
     # estimation, which wins clearly in the deep-loss regime
     ch, src = ChannelParams(0.03, 0.0003), SourceParams(1.0)
-    single = expected_bounds(ch, src, ModulationParams("single", v=3.0),
-                             EstimationScheme("single", 0.5), 1e6)
-    double = expected_bounds(ch, src, ModulationParams("double", v1=3.0, v2=10.0),
-                             EstimationScheme("double"), 1e6)
+    single = expected_bounds(ch, src, Protocol("single", 3.0, r=0.5), 1e6)
+    double = expected_bounds(ch, src, Protocol("double", 3.0, 10.0), 1e6)
     assert double.veps_up < single.veps_up
 
-
-def test_expected_bounds_scheme_mismatch():
-    ch, src = ChannelParams(0.1, 0.001), SourceParams(1.0)
-    with pytest.raises(ValueError):
-        expected_bounds(ch, src, ModulationParams("double", v1=3.0, v2=10.0),
-                        EstimationScheme("single", 0.5), 1e5)

@@ -13,7 +13,7 @@ import pytest
 from cvqkd import (
     ChannelParams,
     SourceParams,
-    ModulationParams,
+    Protocol,
     ProtocolParams,
     ConfidenceBounds,
     CovarianceMatrix2Mode,
@@ -215,25 +215,27 @@ def test_holevo_vanishes_without_eavesdropping_channel():
 
 def test_asymptotic_rate_identity_and_values():
     ch, src = ChannelParams(1.0, 0.0), SourceParams(1.0)
-    mod = ModulationParams("single", v=3.0)
-    k, i_ab, chi = asymptotic_key_rate(ch, src, mod, beta=1.0)
+    k, i_ab, chi = asymptotic_key_rate(ch, src, 3.0, beta=1.0)
     assert k == pytest.approx(1.0, abs=1e-9)
-    k95, _, _ = asymptotic_key_rate(ch, src, mod, beta=0.95)
+    k95, _, _ = asymptotic_key_rate(ch, src, 3.0, beta=0.95)
     assert k95 == pytest.approx(0.95, abs=1e-9)
 
     ch = ChannelParams(0.4, 0.01)
-    k, i_ab, chi = asymptotic_key_rate(ch, SourceParams(0.5),
-                                       ModulationParams("single", v=2.0),
-                                       beta=0.9)
+    k, i_ab, chi = asymptotic_key_rate(ch, SourceParams(0.5), 2.0, beta=0.9)
     assert k == pytest.approx(0.9 * i_ab - chi, abs=1e-15)
 
 
 def test_asymptotic_rate_double_uses_key_displacement_only():
+    # the public probe displacement v2 never enters the rate
     ch, src = ChannelParams(0.3, 0.003), SourceParams(1.0)
-    as_double = asymptotic_key_rate(ch, src,
-                                    ModulationParams("double", v1=3.0, v2=10.0))
-    as_single = asymptotic_key_rate(ch, src, ModulationParams("single", v=3.0))
-    assert as_double == as_single
+    reports = [finite_key_rate(ProtocolParams(src, protocol, N=10**6), ch,
+                               ideal_bounds(ch), with_correction=False)
+               for protocol in (Protocol("double", 3.0, 10.0),
+                                Protocol("double", 3.0, 40.0),
+                                Protocol("single", 3.0))]
+    as_single = asymptotic_key_rate(ch, src, 3.0)
+    for report in reports:
+        assert (report.K_inf, report.I_AB, report.chi_BE) == as_single
 
 
 # --------------------------------------------------------------------------
@@ -258,21 +260,19 @@ def test_finite_size_correction_validation():
 
 def test_worst_case_corner_default_is_the_minimizer():
     ch, src = ChannelParams(0.2, 0.002), SourceParams(1.0)
-    mod = ModulationParams("single", v=3.0)
     bounds = ConfidenceBounds(T_low=0.18, veps_up=0.004, z=6.5, delta=1e-10,
                               T_up=0.22, veps_low=0.0)
-    t_c, v_c, agrees = worst_case_corner(bounds, ch, src, mod, exhaustive=True)
+    t_c, v_c, agrees = worst_case_corner(bounds, ch, src, 3.0)
     assert agrees
     assert (t_c, v_c) == (0.18, 0.004)
 
 
 def test_finite_key_rate_reduces_to_asymptotic():
     ch, src = ChannelParams(0.5, 0.005), SourceParams(1.0)
-    mod = ModulationParams("single", v=3.0)
-    protocol = ProtocolParams(src, mod, N=10**6, r=0.0)
+    protocol = ProtocolParams(src, Protocol("single", 3.0, r=0.0), N=10**6)
     report = finite_key_rate(protocol, ch, ideal_bounds(ch),
                              with_correction=False)
-    k_inf, i_ab, chi = asymptotic_key_rate(ch, src, mod, protocol.beta)
+    k_inf, i_ab, chi = asymptotic_key_rate(ch, src, 3.0, protocol.beta)
     assert report.K == pytest.approx(k_inf, abs=1e-15)
     assert report.I_AB == i_ab and report.chi_BE == chi
     assert report.Delta_n == 0.0
@@ -280,8 +280,7 @@ def test_finite_key_rate_reduces_to_asymptotic():
 
 def test_finite_key_rate_assembly():
     ch, src = ChannelParams(0.5, 0.005), SourceParams(1.0)
-    mod = ModulationParams("single", v=3.0)
-    protocol = ProtocolParams(src, mod, N=10**6, r=0.25)
+    protocol = ProtocolParams(src, Protocol("single", 3.0, r=0.25), N=10**6)
     bounds = ConfidenceBounds(T_low=0.49, veps_up=0.006, z=6.5, delta=1e-10)
     report = finite_key_rate(protocol, ch, bounds)
     assert report.n == 0.75e6 and report.m == 0.25e6
@@ -292,16 +291,14 @@ def test_finite_key_rate_assembly():
 
 def test_finite_key_rate_nothing_left_to_distill():
     ch, src = ChannelParams(0.5, 0.0), SourceParams(1.0)
-    mod = ModulationParams("single", v=3.0)
-    protocol = ProtocolParams(src, mod, N=10**6, r=1.0)
+    protocol = ProtocolParams(src, Protocol("single", 3.0, r=1.0), N=10**6)
     report = finite_key_rate(protocol, ch, ideal_bounds(ch))
     assert report.K == 0.0 and report.n == 0.0
 
 
 def test_finite_key_rate_rejects_uncertain_bounds_without_disclosure():
     ch, src = ChannelParams(0.5, 0.0), SourceParams(1.0)
-    mod = ModulationParams("single", v=3.0)
-    protocol = ProtocolParams(src, mod, N=10**6, r=0.0)
+    protocol = ProtocolParams(src, Protocol("single", 3.0, r=0.0), N=10**6)
     bounds = ConfidenceBounds(T_low=0.49, veps_up=0.001, z=6.5, delta=1e-10)
     with pytest.raises(ValueError):
         finite_key_rate(protocol, ch, bounds)
@@ -309,8 +306,7 @@ def test_finite_key_rate_rejects_uncertain_bounds_without_disclosure():
 
 def test_finite_key_rate_clamps_corner_into_physical_range():
     ch, src = ChannelParams(0.01, 0.0), SourceParams(1.0)
-    mod = ModulationParams("single", v=3.0)
-    protocol = ProtocolParams(src, mod, N=10**4, r=0.5)
+    protocol = ProtocolParams(src, Protocol("single", 3.0, r=0.5), N=10**4)
     bounds = ConfidenceBounds(T_low=-0.05, veps_up=-0.002, z=6.5, delta=1e-10)
     report = finite_key_rate(protocol, ch, bounds)
     assert report.T_eval == 0.0 and report.veps_eval == 0.0
@@ -334,9 +330,7 @@ def test_theoretical_key_rate_limit_assembly():
     ch, N = ChannelParams(0.5, 0.0), 1e6
     floor = theoretical_noise_limit(ch, N)
     k_inf, _, _ = asymptotic_key_rate(ChannelParams(0.5, floor),
-                                      SourceParams(1.0),
-                                      ModulationParams("single", v=3.0),
-                                      beta=0.95)
+                                      SourceParams(1.0), 3.0, beta=0.95)
     got = theoretical_key_rate_limit(ch, N, beta=0.95, v_s=1.0, v_mod=3.0)
     assert got == pytest.approx(k_inf - finite_size_correction(N), abs=1e-14)
 
@@ -373,6 +367,6 @@ def test_double_modulation_rate_at_76km_small_block():
     # rate (about 0.030) at this loss, so the assembled rate is negative.
     channel = channel_at_distance(76.0)
     problem = OptimizationProblem(channel=channel, source=SourceParams(0.1),
-                                  N=10**6, kind="double")
+                                  N=10**6, protocol=Protocol("double", 1.0))
     result = optimize_key_rate(problem)
     assert result.K > 0.0

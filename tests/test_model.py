@@ -2,16 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cvqkd import (
     ChannelParams,
     SourceParams,
-    ModulationParams,
+    Protocol,
     ProtocolParams,
     FiberModel,
     aggregated_noise_variance,
-    aggregated_noise_variance_double,
     distance_to_transmittance,
     transmittance_to_distance,
     excess_noise_from_fiber,
@@ -52,17 +52,15 @@ def test_aggregated_noise_variance_double_values():
         ((0.03, 0.0003), 0.5, 3.0, 1.0753),
     ]
     for (T, veps), v_s, v1, expected in cases:
-        mod = ModulationParams("double", v1=v1, v2=10.0)
-        got = aggregated_noise_variance_double(ChannelParams(T, veps),
-                                               SourceParams(v_s), mod)
+        got = aggregated_noise_variance(ChannelParams(T, veps),
+                                        SourceParams(v_s), v1)
         assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_double_noise_with_no_key_displacement_matches_single():
     ch = ChannelParams(0.42, 0.007)
     src = SourceParams(0.3)
-    mod = ModulationParams("double", v1=0.0, v2=5.0)
-    assert aggregated_noise_variance_double(ch, src, mod) == pytest.approx(
+    assert aggregated_noise_variance(ch, src, 0.0) == pytest.approx(
         aggregated_noise_variance(ch, src), abs=1e-15)
 
 
@@ -108,6 +106,9 @@ def test_channel_params_validation():
         ChannelParams(0.5, -1e-9)
     with pytest.raises(ValueError):
         ChannelParams(float("nan"), 0.0)
+    with pytest.raises(ValueError):
+        ChannelParams(True, 0.0)             # a bool is not a transmittance
+    assert ChannelParams(np.float32(0.5), np.float64(0.01)).T == 0.5
 
 
 def test_source_params_validation():
@@ -115,46 +116,45 @@ def test_source_params_validation():
         SourceParams(0.0)
     with pytest.raises(ValueError):
         SourceParams(-1.0)
+    with pytest.raises(ValueError):
+        SourceParams(True)
     assert SourceParams(0.1).v_s == 0.1
+    assert SourceParams(np.float32(0.5)).v_s == 0.5
 
 
 def test_modulation_params_validation():
+    # the modulation half of a Protocol: its kind and its variances
     with pytest.raises(ValueError):
-        ModulationParams("triple", v=1.0)
+        Protocol("triple", 1.0)
+    with pytest.raises(TypeError):
+        Protocol("single")                       # the key variance has no default
     with pytest.raises(ValueError):
-        ModulationParams("single")
+        Protocol("single", -1.0)
     with pytest.raises(ValueError):
-        ModulationParams("double", v1=1.0)          # missing probe variance
-    with pytest.raises(ValueError):
-        ModulationParams("double", v1=1.0, v2=0.0)  # probe variance must be > 0
-    assert ModulationParams("double", v1=0.0, v2=1.0).v1 == 0.0
-
-
-def test_modulation_v_key():
-    assert ModulationParams("single", v=2.5).v_key == 2.5
-    assert ModulationParams("double", v1=1.5, v2=8.0).v_key == 1.5
+        Protocol("double", 1.0, v2=0.0)          # probe variance must be > 0
+    assert Protocol("double", 0.0, v2=1.0).v == 0.0
+    assert Protocol("double", 3.0).v2 == 10.0
 
 
 def test_protocol_params_bookkeeping():
-    proto = ProtocolParams(SourceParams(1.0), ModulationParams("single", v=3.0),
-                           N=1000, r=0.25)
+    proto = ProtocolParams(SourceParams(1.0), Protocol("single", 3.0, r=0.25),
+                           N=1000)
     assert proto.n == pytest.approx(750.0)
     assert proto.m == pytest.approx(250.0)
 
     # the double modulation estimates on the whole block and burns nothing
-    proto2 = ProtocolParams(SourceParams(1.0),
-                            ModulationParams("double", v1=3.0, v2=10.0),
-                            N=1000, r=0.0)
+    proto2 = ProtocolParams(SourceParams(1.0), Protocol("double", 3.0, 10.0),
+                            N=1000)
     assert proto2.n == pytest.approx(1000.0)
     assert proto2.m == pytest.approx(1000.0)
 
 
 def test_protocol_params_validation():
-    mod = ModulationParams("single", v=3.0)
+    mod = Protocol("single", 3.0)
     with pytest.raises(ValueError):
         ProtocolParams(SourceParams(1.0), mod, N=1)
     with pytest.raises(ValueError):
-        ProtocolParams(SourceParams(1.0), mod, N=100, r=1.5)
+        ProtocolParams(SourceParams(1.0), Protocol("single", 3.0, r=1.5), N=100)
     with pytest.raises(ValueError):
         ProtocolParams(SourceParams(1.0), mod, N=100, beta=0.0)
     with pytest.raises(ValueError):

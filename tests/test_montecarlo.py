@@ -1,6 +1,7 @@
 """Sampling layer: determinism, distributional checks, estimator statistics."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ import pytest
 from cvqkd import (
     ChannelParams,
     SourceParams,
-    ModulationParams,
-    EstimationScheme,
+    Protocol,
     TrialConfig,
     build_eb_covariance,
     run_trials,
@@ -17,24 +17,22 @@ from cvqkd import (
     validate_variance_models,
     variance_single,
 )
+from cvqkd.montecarlo import _resolve_threads
 
 
 def _single_cfg(T=0.1, veps=0.001, v=3.0, r=1.0, N=100000, trials=1, seed=11):
     return TrialConfig(ChannelParams(T, veps), SourceParams(1.0),
-                       ModulationParams("single", v=v),
-                       EstimationScheme("single", r), N, trials, seed)
+                       Protocol("single", v, r=r), N, trials, seed)
 
 
 def _double_cfg(T=0.2, veps=0.002, N=100000, trials=400, seed=22):
     return TrialConfig(ChannelParams(T, veps), SourceParams(1.0),
-                       ModulationParams("double", v1=3.0, v2=10.0),
-                       EstimationScheme("double"), N, trials, seed)
+                       Protocol("double", 3.0, 10.0), N, trials, seed)
 
 
 def _modified_cfg(T=0.2, veps=0.002, r=0.5, N=100000, trials=400, seed=23):
     return TrialConfig(ChannelParams(T, veps), SourceParams(1.0),
-                       ModulationParams("double", v1=3.0, v2=10.0),
-                       EstimationScheme("modified", r), N, trials, seed)
+                       Protocol("modified", 3.0, 10.0, r), N, trials, seed)
 
 
 # --------------------------------------------------------------------------
@@ -95,8 +93,7 @@ def test_received_record_is_gaussian():
 
 def test_silent_source_produces_silence():
     cfg = TrialConfig(ChannelParams(1.0, 0.0), SourceParams(1e-30),
-                      ModulationParams("single", v=0.0),
-                      EstimationScheme("single", 1.0), 1000, 1, 14)
+                      Protocol("single", 0.0, r=1.0), 1000, 1, 14)
     samples, _ = simulate_transmission(cfg, 0)
     assert float(np.max(np.abs(samples.B))) < 1e-6
 
@@ -177,38 +174,42 @@ def test_single_trial_has_no_spread_fields():
 
 def test_trial_config_validation():
     ch, src = ChannelParams(0.1, 0.001), SourceParams(1.0)
-    mod_s = ModulationParams("single", v=3.0)
-    mod_d = ModulationParams("double", v1=3.0, v2=10.0)
+    single = Protocol("single", 3.0, r=0.5)
     with pytest.raises(ValueError):
-        TrialConfig(ch, src, mod_s, EstimationScheme("single", 0.5),
-                    100.5, 1, 0)  # N not an integer
+        TrialConfig(ch, src, single, 100.5, 1, 0)  # N not an integer
     with pytest.raises(ValueError):
-        TrialConfig(ch, src, mod_s, EstimationScheme("single", 0.5),
-                    100, 0, 0)    # no trials
+        TrialConfig(ch, src, single, 100, 0, 0)    # no trials
     with pytest.raises(ValueError):
-        TrialConfig(ch, src, mod_s, EstimationScheme("single", 0.5),
-                    100, 1, -1)   # negative seed
+        TrialConfig(ch, src, single, 100, 1, -1)   # negative seed
     with pytest.raises(ValueError):
-        TrialConfig(ch, src, mod_d, EstimationScheme("single", 0.5),
-                    100, 1, 0)    # scheme/modulation mismatch
-    with pytest.raises(ValueError):
-        TrialConfig(ch, src, mod_s, EstimationScheme("single", 0.001),
+        TrialConfig(ch, src, Protocol("single", 3.0, r=0.001),
                     100, 1, 0)    # discloses zero samples
     with pytest.raises(ValueError):
-        TrialConfig(ChannelParams(0.0, 0.0), src, mod_d,
-                    EstimationScheme("modified", 0.5), 100, 1, 0)
+        TrialConfig(ChannelParams(0.0, 0.0), src,
+                    Protocol("modified", 3.0, 10.0, 0.5), 100, 1, 0)
+
+
+def test_default_thread_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("CVQKD_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _resolve_threads(None) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 3})
+    assert _resolve_threads(None) == 3
 
 
 # --------------------------------------------------------------------------
 # validation-grid plumbing
 
+_GRID_PROTOCOLS = (Protocol("single", 3.0, r=0.5),
+                   Protocol("double", 3.0, 10.0),
+                   Protocol("modified", 3.0, 10.0, 0.5))
+
 
 def test_validation_grid_structure():
-    template = TrialConfig(ChannelParams(0.5, 0.005), SourceParams(1.0),
-                           ModulationParams("double", v=3.0, v1=3.0, v2=10.0),
-                           EstimationScheme("modified", 0.5), 5000, 60, 31)
+    src, N = SourceParams(1.0), 5000
     t_grid = [0.05, 0.2, 0.8]
-    rows = validate_variance_models(t_grid, template, threads=1)
+    rows = validate_variance_models(t_grid, _GRID_PROTOCOLS, src, N, 60, 31,
+                                    threads=1)
     assert len(rows) == 9
     assert [row.scheme for row in rows[:3]] == ["single"] * 3
     assert [row.T for row in rows[:3]] == t_grid
@@ -220,18 +221,18 @@ def test_validation_grid_structure():
             abs(row.s_empirical - row.s_analytic) / row.s_analytic, rel=1e-12)
         assert row.veps_th > 0.0
         if row.scheme == "single":
-            assert row.samples == pytest.approx(0.5 * template.N)
+            assert row.samples == pytest.approx(0.5 * N)
             ch = ChannelParams(row.T, 0.01 * row.T)
-            ref = variance_single(ch, template.source, 3.0, row.samples)
+            ref = variance_single(ch, src, 3.0, row.samples)
             assert row.s_analytic == pytest.approx(ref.s, rel=1e-12)
         else:
-            assert row.samples == template.N
+            assert row.samples == N
 
 
 def test_validation_grid_deterministic():
-    template = TrialConfig(ChannelParams(0.5, 0.005), SourceParams(1.0),
-                           ModulationParams("double", v=3.0, v1=3.0, v2=10.0),
-                           EstimationScheme("modified", 0.5), 2000, 25, 32)
-    a = validate_variance_models([0.1, 0.9], template, threads=1)
-    b = validate_variance_models([0.1, 0.9], template, threads=2)
+    src = SourceParams(1.0)
+    a = validate_variance_models([0.1, 0.9], _GRID_PROTOCOLS, src, 2000, 25, 32,
+                                 threads=1)
+    b = validate_variance_models([0.1, 0.9], _GRID_PROTOCOLS, src, 2000, 25, 32,
+                                 threads=2)
     assert a == b

@@ -9,8 +9,7 @@ import pytest
 from cvqkd import (
     ChannelParams,
     SourceParams,
-    ModulationParams,
-    EstimationScheme,
+    Protocol,
     ProtocolParams,
     FiberModel,
     channel_at_distance,
@@ -105,8 +104,8 @@ def test_max_distance_validation():
 
 def test_optimize_lossless_channel_prefers_strongest_modulation():
     problem = OptimizationProblem(ChannelParams(1.0, 0.0), SourceParams(1.0),
-                                  10**8, kind="single", beta=1.0, free=("v",),
-                                  fixed={"r": 0.5})
+                                  10**8, Protocol("single", 1.0, r=0.5),
+                                  beta=1.0, free=("v",))
     result = optimize_key_rate(problem)
     assert result.status == "ok"
     assert result.point["v"] == 100.0  # box ceiling: rate is monotone here
@@ -114,7 +113,7 @@ def test_optimize_lossless_channel_prefers_strongest_modulation():
 
 def test_optimize_deterministic():
     problem = OptimizationProblem(_channel(0.2), SourceParams(0.5), 10**7,
-                                  kind="modified")
+                                  Protocol("modified", 1.0))
     a = optimize_key_rate(problem)
     b = optimize_key_rate(problem)
     assert a.point == b.point and a.K == b.K and a.evaluations == b.evaluations
@@ -122,14 +121,13 @@ def test_optimize_deterministic():
 
 def test_evaluate_point_matches_direct_assembly():
     problem = OptimizationProblem(_channel(0.2), SourceParams(1.0), 10**6,
-                                  kind="single", free=())
+                                  Protocol("single", 3.0), free=())
     point = {"v": 1.5, "r": 0.5}
     report = evaluate_point(problem, point)
-    mod = ModulationParams("single", v=1.5)
-    bounds = expected_bounds(problem.channel, problem.source, mod,
-                             EstimationScheme("single", 0.5), 1e6)
-    protocol = ProtocolParams(problem.source, mod, 10**6, 0.5)
-    expected = finite_key_rate(protocol, problem.channel, bounds)
+    protocol = Protocol("single", 1.5, r=0.5)
+    bounds = expected_bounds(problem.channel, problem.source, protocol, 1e6)
+    params = ProtocolParams(problem.source, protocol, 10**6)
+    expected = finite_key_rate(params, problem.channel, bounds)
     assert report.K == expected.K
 
 
@@ -137,9 +135,9 @@ def test_optimized_beats_fixed_operating_point():
     channel = channel_at_distance(20.0)
     src = SourceParams(1.0)
     tuned = optimize_key_rate(OptimizationProblem(channel, src, 10**6,
-                                                  kind="single"))
+                                                  Protocol("single", 1.0)))
     fixed = evaluate_point(OptimizationProblem(channel, src, 10**6,
-                                               kind="single", free=()),
+                                               Protocol("single", 1.0), free=()),
                            {"v": 1.5, "r": 0.5})
     assert tuned.K >= fixed.K - 1e-12
 
@@ -149,15 +147,15 @@ def test_modified_subsumes_double():
     channel = _channel(0.2)
     src = SourceParams(0.5)
     k_mod = optimize_key_rate(OptimizationProblem(channel, src, 10**7,
-                                                  kind="modified")).K
+                                                  Protocol("modified", 1.0))).K
     k_dbl = optimize_key_rate(OptimizationProblem(channel, src, 10**7,
-                                                  kind="double")).K
+                                                  Protocol("double", 1.0))).K
     assert k_mod >= k_dbl - 1e-9
 
 
 def test_optimize_reports_dead_channel():
     problem = OptimizationProblem(_channel(0.03), SourceParams(1.0), 10**5,
-                                  kind="single")
+                                  Protocol("single", 1.0))
     result = optimize_key_rate(problem)
     assert result.status == "no_positive_rate"
     assert result.K <= 0.0
@@ -168,7 +166,7 @@ def test_first_positive_block_discloses_about_half():
     # positive-rate block; right there the best split reveals about half
     def tuned(N):
         return optimize_key_rate(OptimizationProblem(
-            _channel(0.03), SourceParams(1.0), int(N), kind="single"))
+            _channel(0.03), SourceParams(1.0), int(N), Protocol("single", 1.0)))
 
     lo, hi = 1e8, 3e8
     assert tuned(lo).status == "no_positive_rate"
@@ -188,7 +186,7 @@ def test_first_positive_block_discloses_about_half():
 
 def test_ratio_curve_power_law_moderate_loss():
     template = OptimizationProblem(_channel(0.3), SourceParams(1.0), 1000,
-                                   kind="single")
+                                   Protocol("single", 1.0))
     fit, points = optimal_ratio_curve(template, np.logspace(5, 9, 9))
     assert len(points) >= 5
     assert -0.45 < fit.gamma < -0.25
@@ -198,7 +196,7 @@ def test_ratio_curve_power_law_moderate_loss():
 
 def test_ratio_curve_needs_live_points():
     template = OptimizationProblem(_channel(0.03), SourceParams(1.0), 1000,
-                                   kind="single")
+                                   Protocol("single", 1.0))
     with pytest.raises(ValueError):
         optimal_ratio_curve(template, [1e5, 3e5])
 
@@ -211,7 +209,7 @@ def test_zero_crossing_bracket_probes():
     # frozen from a full crossing run at v_s = 0.1: T* close to 0.288
     def probe(T):
         return optimize_key_rate(OptimizationProblem(
-            _channel(T), SourceParams(0.1), 10**6, kind="modified"))
+            _channel(T), SourceParams(0.1), 10**6, Protocol("modified", 1.0)))
 
     above = probe(0.36)
     assert above.status == "ok" and above.point.get("r", 0.0) > 1e-3
@@ -221,7 +219,7 @@ def test_zero_crossing_bracket_probes():
 
 def test_zero_crossing_beta_sensitivity():
     template = OptimizationProblem(_channel(0.5), SourceParams(0.1), 10**6,
-                                   kind="modified", beta=0.8)
+                                   Protocol("modified", 1.0), beta=0.8)
     t_star = optimal_ratio_zero_crossing(template, iterations=8)
     assert 0.05 < t_star < 0.5
 
@@ -229,7 +227,7 @@ def test_zero_crossing_beta_sensitivity():
 def test_zero_crossing_requires_modified_scheme():
     with pytest.raises(ValueError):
         optimal_ratio_zero_crossing(OptimizationProblem(
-            _channel(0.5), SourceParams(0.1), 10**6, kind="single"))
+            _channel(0.5), SourceParams(0.1), 10**6, Protocol("single", 1.0)))
 
 
 def test_zero_crossing_found_for_each_squeezing():
@@ -237,7 +235,7 @@ def test_zero_crossing_found_for_each_squeezing():
     # never discloses at any live transmittance, so this raises instead
     for vs in (1.0, 0.5, 0.1):
         template = OptimizationProblem(_channel(0.5), SourceParams(vs), 10**6,
-                                       kind="modified")
+                                       Protocol("modified", 1.0))
         t_star = optimal_ratio_zero_crossing(template, iterations=8)
         assert 0.01 < t_star < 1.0
 
@@ -254,7 +252,7 @@ def test_fitted_reach_bounds_the_pipeline():
         lo, hi = 10.0, 220.0
         def alive(d):
             problem = OptimizationProblem(channel_at_distance(d, fiber),
-                                          SourceParams(0.1), int(N), kind=kind)
+                                          SourceParams(0.1), int(N), Protocol(kind, 1.0))
             return optimize_key_rate(problem).status == "ok"
         assert alive(lo)
         for _ in range(22):
@@ -285,17 +283,15 @@ def test_fit_exponential_keyrate_rejects_dead_window():
 def test_optimization_problem_validation():
     ch, src = _channel(0.2), SourceParams(1.0)
     with pytest.raises(ValueError):
-        OptimizationProblem(ch, src, 10**6, kind="triple")
+        OptimizationProblem(ch, src, 10**6, Protocol("triple", 1.0))
     with pytest.raises(ValueError):
-        OptimizationProblem(ch, src, 1e6, kind="single")  # N not an int
+        OptimizationProblem(ch, src, 1e6, Protocol("single", 1.0))  # N not an int
     with pytest.raises(ValueError):
-        OptimizationProblem(ch, src, 10**6, kind="modified", free=("v",))
+        OptimizationProblem(ch, src, 10**6, Protocol("single", 1.0), free=("v2",))
     with pytest.raises(ValueError):
-        OptimizationProblem(ch, src, 10**6, kind="double", free=("v1", "r"))
-    problem = OptimizationProblem(ch, src, 10**6, kind="modified",
-                                  box={"v1": (0.5, 2.0)})
-    assert problem.variable_box("v1") == (0.5, 2.0)
+        OptimizationProblem(ch, src, 10**6, Protocol("double", 1.0), free=("v", "r"))
+    problem = OptimizationProblem(ch, src, 10**6, Protocol("modified", 1.0),
+                                  box={"v": (0.5, 2.0)})
+    assert problem.variable_box("v") == (0.5, 2.0)
     assert problem.variable_box("v2") == (0.1, 50.0)
-    assert problem.fixed_value("v2") == 10.0
-    with pytest.raises(ValueError):
-        problem.fixed_value("v1")
+    assert problem.protocol.v2 == 10.0
