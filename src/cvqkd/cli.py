@@ -24,6 +24,8 @@ with the shape shipped under ``presets/``:
      "schemes": [{"kind": "single", "v_s": 1.0}, ...],
      "template": {...}, "t_grid": {...}, "trials": .., "seed": ..}
 
+A key outside this shape, at any level, is rejected by name.
+
 Every output file starts with a manifest line identifying the tool
 version, a digest of the scenario that produced it, and the seed.  The
 line carries no timestamp, so rerunning a scenario reproduces the file
@@ -67,6 +69,15 @@ _SWEEP_COLUMNS = ("axis_value", "K", "K_inf", "I_AB", "chi", "Delta",
 _MC_COLUMNS = ("scheme", "T", "samples", "s_analytic", "s_empirical",
                "rel_err_s", "sigma_analytic", "sigma_empirical",
                "rel_err_sigma", "veps_th")
+
+# the keys a scenario may hold; a misspelt one would otherwise be ignored
+# and the run would silently use a default
+_SWEEP_KEYS = ("name", "description", "command", "seed", "fiber", "sweep",
+               "channel", "N", "beta", "delta", "delta_star", "schemes")
+_MC_KEYS = ("name", "description", "command", "seed", "fiber", "t_grid",
+            "template", "trials", "schemes")
+_TEMPLATE_KEYS = ("N", "r", "v_s", "v", "v1", "v2")
+_AXIS_KEYS = ("variable", "min", "max", "points", "spacing")
 
 
 # ------------------------------------------------------------------
@@ -140,13 +151,26 @@ def load_preset(name: str) -> dict:
 def load_scenario(args) -> dict:
     if getattr(args, "scenario", None):
         with open(args.scenario) as handle:
-            return json.load(handle)
+            scenario = json.load(handle)
+        _require(isinstance(scenario, dict), "a scenario must be a JSON object")
+        return scenario
     _require(getattr(args, "preset", None) is not None,
              "need --preset NAME or --scenario FILE")
     return load_preset(args.preset)
 
 
+def _check_keys(spec, allowed: tuple[str, ...], where: str) -> None:
+    """Reject a ``spec`` that is not an object or holds a key outside
+    ``allowed``, naming the key."""
+    _require(isinstance(spec, dict), f"{where} must be a JSON object")
+    for key in spec:
+        _require(key in allowed,
+                 f"unknown key {key!r} in {where}; expected "
+                 f"{', '.join(map(repr, allowed))}")
+
+
 def _axis_values(axis: dict) -> np.ndarray:
+    _check_keys(axis, _AXIS_KEYS, "the sweep axis")
     for key in ("variable", "min", "max", "points"):
         _require(key in axis, f"sweep axis needs a {key!r} entry")
     _require(axis["variable"] in ("d", "T", "N"),
@@ -164,12 +188,16 @@ def _axis_values(axis: dict) -> np.ndarray:
 
 def _fiber_from(scenario: dict) -> FiberModel:
     spec = scenario.get("fiber", {})
+    _check_keys(spec, ("attenuation_db_per_km", "eps_ratio"), "'fiber'")
     return FiberModel(**spec)
 
 
 def _scenario_channel(scenario: dict, fiber: FiberModel) -> ChannelParams:
     spec = scenario.get("channel")
     _require(spec is not None, "an N-axis sweep needs a fixed 'channel' entry")
+    _check_keys(spec, ("T", "v_eps"), "'channel'")
+    _require("T" in spec, "an N-axis sweep needs the transmittance 'T' "
+                          "in its 'channel' entry")
     if "v_eps" in spec:
         return ChannelParams(float(spec["T"]), float(spec["v_eps"]))
     T = float(spec["T"])
@@ -190,10 +218,7 @@ def _point_channel(variable: str, value: float, scenario: dict,
 
 def _scheme_entry(spec: dict) -> tuple[str, SourceParams]:
     """The scheme kind and the source of one ``schemes`` entry of a sweep."""
-    for key in spec:
-        _require(key in ("kind", "v_s"),
-                 f"unknown key {key!r} in scheme entry {spec!r}; "
-                 f"an entry has 'kind' and 'v_s'")
+    _check_keys(spec, ("kind", "v_s"), f"scheme entry {spec!r}")
     _require("kind" in spec, f"scheme entry {spec!r} needs a 'kind'")
     return spec["kind"], SourceParams(v_s=float(spec.get("v_s", 1.0)))
 
@@ -206,6 +231,7 @@ def run_sweep(scenario: dict, out_dir: str) -> list[str]:
     """One CSV per scheme entry; returns the paths written."""
     _require(scenario.get("command") == "sweep",
              f"scenario {scenario.get('name')!r} is not a sweep")
+    _check_keys(scenario, _SWEEP_KEYS, "a sweep scenario")
     fiber = _fiber_from(scenario)
     axis = scenario["sweep"]
     values = _axis_values(axis)
@@ -261,9 +287,13 @@ def run_montecarlo(scenario: dict, out_dir: str,
     """Variance-model validation table; returns (path, rows)."""
     _require(scenario.get("command") == "montecarlo",
              f"scenario {scenario.get('name')!r} is not a montecarlo run")
+    _check_keys(scenario, _MC_KEYS, "a montecarlo scenario")
     fiber = _fiber_from(scenario)
-    grid = _axis_values({"variable": "T", **scenario["t_grid"]})
+    t_grid = scenario["t_grid"]
+    _check_keys(t_grid, ("min", "max", "points", "spacing"), "'t_grid'")
+    grid = _axis_values({"variable": "T", **t_grid})
     tpl = scenario["template"]
+    _check_keys(tpl, _TEMPLATE_KEYS, "the montecarlo 'template'")
     seed = int(scenario["seed"])
     protocols = [_mc_protocol(kind, tpl) for kind in scenario.get("schemes", KINDS)]
     rows = validate_variance_models(
@@ -325,7 +355,7 @@ def _direct_report(args, channel: ChannelParams, source: SourceParams):
 
 
 def _optimize(args, channel: ChannelParams, source: SourceParams) -> tuple:
-    """Optimize what the flags leave free (everything, if they pin all);
+    """Optimize what the flags leave free (nothing, if they pin all);
     returns the result and its point under the CLI's key names."""
     pinned = _pinned(args)
     free = tuple(name for name in FREE[args.scheme] if name not in pinned)
@@ -333,7 +363,7 @@ def _optimize(args, channel: ChannelParams, source: SourceParams) -> tuple:
     protocol = Protocol(args.scheme, **{"v": 0.0, **pinned})
     result = optimize_key_rate(OptimizationProblem(
         channel, source, args.N, protocol, args.beta, args.delta,
-        args.delta_star, free=free or None))
+        args.delta_star, free=free))
     point = {(_key_name(args.scheme) if name == "v" else name): x
              for name, x in result.point.items()}
     return result, point

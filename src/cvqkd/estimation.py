@@ -23,6 +23,7 @@ The analytic standard deviations returned here are leading order in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -254,6 +255,13 @@ def confidence_coefficient(delta: float) -> float:
     leaves total tail probability ``delta``."""
     _require(_finite(delta) and 0.0 < delta < 1.0,
              f"delta must lie in (0, 1), got {delta!r}")
+    return _two_sided_quantile(delta)
+
+
+# an optimisation asks for the same delta hundreds of times; typed, so that
+# a numpy scalar gets the value scipy gives for its own type
+@functools.lru_cache(maxsize=64, typed=True)
+def _two_sided_quantile(delta: float) -> float:
     return float(norm.isf(delta / 2.0))
 
 

@@ -153,6 +153,14 @@ def symplectic_eigenvalues(gamma) -> SymplecticSpectrum:
         delta = _det2(e[:2, :2]) + _det2(e[2:, 2:]) + 2.0 * _det2(e[:2, 2:])
         det_gamma = float(np.linalg.det(e))
         disc = delta * delta - 4.0 * det_gamma
+    return SymplecticSpectrum(_symplectic_pair(delta, disc, det_gamma))
+
+
+def _symplectic_pair(delta: float, disc: float,
+                     det_gamma: float) -> tuple[float, float]:
+    """``(nu_plus, nu_minus)`` of a two-mode state from the invariant
+    ``delta``, the discriminant of the characteristic polynomial of the
+    squared spectrum and the determinant."""
     if disc < 0.0:
         _require(disc >= -1e-9 * max(1.0, delta * delta),
                  "two-mode covariance has complex symplectic invariants")
@@ -163,7 +171,7 @@ def symplectic_eigenvalues(gamma) -> SymplecticSpectrum:
     # the small eigenvalue via the determinant, which avoids cancellation
     # in (delta - sqrt(disc)) when the eigenvalues are far apart
     nu_minus = math.sqrt(max(det_gamma, 0.0)) / nu_plus
-    return SymplecticSpectrum((nu_plus, nu_minus))
+    return nu_plus, nu_minus
 
 
 def von_neumann_entropy(spectrum: SymplecticSpectrum) -> float:
@@ -181,6 +189,15 @@ def build_eb_covariance(channel: ChannelParams, source: SourceParams,
     ``mu = sqrt((v_s + v_mod_x) * (1/v_s + v_mod_p))``; the asymmetry of
     the prepared ensemble moves into the cross correlations.
     """
+    mu, b_x, b_p, c_x, c_p = _eb_entries(channel, source, v_mod_x, v_mod_p)
+    return CovarianceMatrix2Mode.from_xp_blocks(a_x=mu, a_p=mu, b_x=b_x,
+                                                b_p=b_p, c_x=c_x, c_p=c_p)
+
+
+def _eb_entries(channel: ChannelParams, source: SourceParams,
+                v_mod_x: float, v_mod_p: float) -> tuple[float, ...]:
+    """The distinct entries ``(mu, b_x, b_p, c_x, c_p)`` of
+    :func:`build_eb_covariance`."""
     _require(_finite(v_mod_x) and v_mod_x >= 0.0,
              f"x modulation variance must be >= 0, got {v_mod_x!r}")
     _require(_finite(v_mod_p) and v_mod_p >= 0.0,
@@ -193,14 +210,8 @@ def build_eb_covariance(channel: ChannelParams, source: SourceParams,
     T, veps = channel.T, channel.v_eps
     corr = math.sqrt(T * max(mu * mu - 1.0, 0.0))
     t = math.sqrt(vx / mu)
-    return CovarianceMatrix2Mode.from_xp_blocks(
-        a_x=mu,
-        a_p=mu,
-        b_x=T * vx + 1.0 - T + veps,
-        b_p=T * vp + 1.0 - T + veps,
-        c_x=corr * t,
-        c_p=-corr / t,
-    )
+    return (mu, T * vx + 1.0 - T + veps, T * vp + 1.0 - T + veps,
+            corr * t, -corr / t)
 
 
 def mutual_information(channel: ChannelParams, source: SourceParams,
@@ -222,11 +233,30 @@ def holevo_bound(channel: ChannelParams, source: SourceParams,
     Computed as S(joint) - S(sender | receiver outcome); the channel
     purification gives the eavesdropper everything outside the two-mode
     state, so those entropies coincide with the eavesdropper's.
+
+    Evaluated in scalars with the checks and the floating-point operations
+    of :func:`build_eb_covariance`, :func:`symplectic_eigenvalues` and
+    :func:`von_neumann_entropy`, which give the same value through the
+    matrix and stay as its reference.
     """
-    gamma = build_eb_covariance(channel, source, v_mod_x, v_mod_p)
-    s_joint = von_neumann_entropy(symplectic_eigenvalues(gamma))
-    e = gamma.entries
-    mu, b_x, c_x = e[0, 0], e[2, 2], e[0, 2]
+    mu, b_x, b_p, c_x, c_p = _eb_entries(channel, source, v_mod_x, v_mod_p)
+    # the matrix symmetrises as 0.5 * (m + m.T), which overflows beyond
+    # half the largest float
+    for x in (mu, b_x, b_p, c_x, c_p):
+        _require(math.isfinite(x + x), "covariance entries must be finite")
+    # invariants of the x/p sector product, as in symplectic_eigenvalues
+    m11 = mu * mu + c_x * c_p
+    m12 = mu * c_p + c_x * b_p
+    m21 = c_x * mu + b_x * c_p
+    m22 = c_x * c_p + b_x * b_p
+    delta = m11 + m22
+    try:
+        disc = (m11 - m22) ** 2 + 4.0 * m12 * m21
+    except OverflowError:  # numpy's inf, which the spectrum rejects
+        raise ValueError("symplectic invariants overflow") from None
+    det_gamma = max(mu * b_x - c_x * c_x, 0.0) * max(mu * b_p - c_p * c_p, 0.0)
+    spectrum = SymplecticSpectrum(_symplectic_pair(delta, disc, det_gamma))
+    s_joint = von_neumann_entropy(spectrum)
     _require(b_x > 0.0, "receiver x variance must be positive")
     # sender covariance conditioned on a homodyne x outcome at the receiver
     a_cond = mu - c_x * c_x / b_x

@@ -173,7 +173,8 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
         lo_r, hi_r = problem.variable_box("r")
         if lo_v <= LEGACY.v <= hi_v and lo_r <= LEGACY.r <= hi_r:
             consider({"v": LEGACY.v, "r": LEGACY.r})
-    _require(bool(best_point),
+    # with nothing free, {} is the one point and a valid one
+    _require(best_value > -math.inf,
              "every grid point was infeasible; check the channel and block size")
 
     scale = max(abs(best_value), 1e-12)

@@ -88,6 +88,18 @@ def test_keyrate_pinned_point_is_direct(capsys):
     assert payload["report"]["n"] == 0.75e6
 
 
+def test_optimize_with_every_flag_pinned_reports_the_pinned_point(capsys):
+    flags = ["--T", "0.3", "--v", "3", "--r", "0.3", "--N", "1e6"]
+    rc = main_entry(["optimize"] + flags)
+    payload = _json_out(capsys)
+    assert rc == 0
+    assert payload["optimum"]["point"] == {}
+    assert payload["optimum"]["evaluations"] == 1
+    assert payload["report"]["n"] == 0.7e6
+    assert main_entry(["keyrate"] + flags) == 0
+    assert payload["optimum"]["K"] == _json_out(capsys)["report"]["K"]
+
+
 def test_keyrate_insecure_exit_code(capsys):
     rc = main_entry(["keyrate", "--T", "0.03", "--veps", "0.1", "--v", "3",
                      "--r", "0.5", "--N", "1e4"])
@@ -187,6 +199,37 @@ def test_sweep_without_block_size_names_it(capsys, tmp_path):
     assert "block size 'N'" in capsys.readouterr().err
 
 
+def test_sweep_rejects_unknown_top_level_key(capsys, tmp_path):
+    # a trailing space would otherwise run at the default beta
+    scenario = {**_TINY_SWEEP, "beta ": 0.5}
+    assert main_entry(_sweep_argv(tmp_path, scenario)) == 1
+    assert "unknown key 'beta '" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_sweep_rejects_unknown_fiber_key(capsys, tmp_path):
+    scenario = {**_TINY_SWEEP, "fiber": {"attenuation": 0.2}}
+    assert main_entry(_sweep_argv(tmp_path, scenario)) == 1
+    assert "unknown key 'attenuation' in 'fiber'" in capsys.readouterr().err
+
+
+def test_n_axis_sweep_channel_without_transmittance_names_it(capsys, tmp_path):
+    scenario = {**_TINY_SWEEP, "channel": {"v_eps": 0.001},
+                "sweep": {"variable": "N", "min": 1e5, "max": 1e6, "points": 2}}
+    assert main_entry(_sweep_argv(tmp_path, scenario)) == 1
+    assert "transmittance 'T'" in capsys.readouterr().err
+
+
+def test_shipped_sweep_presets_pass_the_key_checks(tmp_path):
+    for name in preset_names():
+        scenario = load_preset(name)
+        if scenario["command"] != "sweep":
+            continue
+        short = {**scenario, "sweep": {**scenario["sweep"], "points": 2},
+                 "schemes": scenario["schemes"][:1]}
+        assert len(run_sweep(short, str(tmp_path))) == 1
+
+
 def test_readme_scenario_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme[readme.index("## Scenario files"):]
@@ -240,6 +283,19 @@ def test_montecarlo_rejects_single_trial(capsys, tmp_path):
                      "--trials", "1", "--out", str(tmp_path)])
     assert rc == 1
     assert "trials" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_montecarlo_rejects_unknown_keys(capsys, tmp_path):
+    preset = load_preset("variance_validation")
+    for scenario, key in (
+            ({**preset, "trails": 5}, "'trails'"),
+            ({**preset, "template": {**preset["template"], "vs": 0.5}}, "'vs'")):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert main_entry(["montecarlo", "--scenario", str(path),
+                           "--trials", "2", "--out", str(tmp_path)]) == 1
+        assert f"unknown key {key}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

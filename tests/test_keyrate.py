@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvqkd import (
     ChannelParams,
@@ -35,7 +36,8 @@ from cvqkd import (
     OptimizationProblem,
     optimize_key_rate,
 )
-from cvqkd.keyrate import optimal_asymptotic_rate
+from cvqkd.keyrate import (NU_TOLERANCE, SQUEEZING_LIMIT_VS,
+                           _thermal_entropy_bits, optimal_asymptotic_rate)
 
 
 def _g(x):
@@ -311,6 +313,62 @@ def test_finite_key_rate_clamps_corner_into_physical_range():
     report = finite_key_rate(protocol, ch, bounds)
     assert report.T_eval == 0.0 and report.veps_eval == 0.0
     assert math.isfinite(report.K)
+
+
+# --------------------------------------------------------------------------
+# the scalar Holevo kernel against the matrix route it replaces
+
+
+def _holevo_reference(channel, source, v_mod_x, v_mod_p):
+    gamma = build_eb_covariance(channel, source, v_mod_x, v_mod_p)
+    s_joint = von_neumann_entropy(symplectic_eigenvalues(gamma))
+    e = gamma.entries
+    mu, b_x, c_x = e[0, 0], e[2, 2], e[0, 2]
+    if not b_x > 0.0:
+        raise ValueError("receiver x variance must be positive")
+    det_cond = (mu - c_x * c_x / b_x) * mu
+    if not det_cond >= -NU_TOLERANCE:
+        raise ValueError("conditional state is not bona fide")
+    nu_cond = math.sqrt(max(det_cond, 0.0))
+    return s_joint - _thermal_entropy_bits((nu_cond - 1.0) / 2.0)
+
+
+def _same_outcome(T, v_eps, v_s, v_mod_x, v_mod_p):
+    args = (ChannelParams(T, v_eps), SourceParams(v_s), v_mod_x, v_mod_p)
+    outcomes = []
+    for f in (holevo_bound, _holevo_reference):
+        try:
+            outcomes.append(f(*args))
+        except ValueError:
+            outcomes.append(ValueError)
+    assert outcomes[0] == outcomes[1], (args, outcomes)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(T=st.floats(0.0, 1.0), v_eps=st.floats(0.0, 0.5),
+       v_s=st.floats(1e-7, 10.0), v_mod_x=st.floats(0.0, 1e3),
+       v_mod_p=st.floats(0.0, 1e3))
+def test_scalar_holevo_equals_matrix_reference(T, v_eps, v_s, v_mod_x, v_mod_p):
+    _same_outcome(T, v_eps, v_s, v_mod_x, v_mod_p)
+
+
+def test_scalar_holevo_equals_matrix_reference_at_edges():
+    for T in (0.0, 1.0, 0.5):
+        for v_eps in (0.0, 0.01, 0.5):
+            for v_s in (SQUEEZING_LIMIT_VS, 1.0, 10.0):
+                for v_mod_x in (0.0, 3.0, 1e3):
+                    for v_mod_p in (0.0, 3.0, 1e3):
+                        _same_outcome(T, v_eps, v_s, v_mod_x, v_mod_p)
+    # beyond the float range both routes refuse the state: an entry whose
+    # double overflows, and invariants that overflow
+    for v_mod_x in (1e308, 1e160):
+        _same_outcome(1.0, 0.0, 1.0, v_mod_x, 0.0)
+        with pytest.raises(ValueError):
+            holevo_bound(ChannelParams(1.0, 0.0), SourceParams(1.0), v_mod_x, 0.0)
+    # nothing leaks when the receiver gets nothing (T = 0) or nothing is
+    # sent (no modulation of a coherent source)
+    assert holevo_bound(ChannelParams(0.0, 0.0), SourceParams(1.0), 3.0, 3.0) == 0.0
+    assert holevo_bound(ChannelParams(1.0, 0.0), SourceParams(1.0), 0.0, 0.0) == 0.0
 
 
 # --------------------------------------------------------------------------
