@@ -13,18 +13,21 @@ subcommands of one ``cvqkd`` executable:
     cvqkd presets
 
 Sweeps and Monte Carlo runs are driven by scenario files, JSON objects
-with the shape shipped under ``presets/``:
+shaped like the ones under ``presets/``. Keys marked * are required, "="
+gives a default, and the others are optional:
 
-    {"name": ..., "command": "sweep" | "montecarlo",
-     "fiber": {"attenuation_db_per_km": .., "eps_ratio": ..},
-     "sweep": {"variable": "d" | "T" | "N", "min": .., "max": ..,
-               "points": .., "spacing": "linear" | "log"},
-     "channel": {"T": ..},          # fixed channel for N-axis sweeps
-     "N": .., "beta": .., "delta": .., "delta_star": ..,
-     "schemes": [{"kind": "single", "v_s": 1.0}, ...],
-     "template": {...}, "t_grid": {...}, "trials": .., "seed": ..}
+    a sweep       command*=sweep, name=sweep, description, seed, fiber, sweep*,
+                  N, channel, beta=0.95, delta=1e-10, delta_star=1e-10, schemes*
+    a montecarlo  command*=montecarlo, name=montecarlo, description, seed*,
+                  fiber, t_grid*, template*, trials*, schemes=all three kinds
+    fiber         attenuation_db_per_km=0.2, eps_ratio=0.01
+    sweep (axis)  variable* (d, T or N), min*, max*, points*, spacing=linear|log
+    t_grid        as the axis, without variable;  channel: T*, v_eps=eps_ratio*T
+    template      N*, r*, v_s=1, v*, v1*, v2*;  a schemes entry: kind*, v_s=1
 
-A key outside this shape, at any level, is rejected by name.
+A d or T axis needs N, an N axis a channel. Numbers must be JSON numbers,
+not strings or bools, and N, points, trials and seed whole ones. Any other
+key, at any level, is rejected by name.
 
 Every output file starts with a manifest line identifying the tool
 version, a digest of the scenario that produced it, and the seed.  The
@@ -44,7 +47,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from importlib import resources
 
 import numpy as np
@@ -69,16 +72,6 @@ _SWEEP_COLUMNS = ("axis_value", "K", "K_inf", "I_AB", "chi", "Delta",
 _MC_COLUMNS = ("scheme", "T", "samples", "s_analytic", "s_empirical",
                "rel_err_s", "sigma_analytic", "sigma_empirical",
                "rel_err_sigma", "veps_th")
-
-# the keys a scenario may hold; a misspelt one would otherwise be ignored
-# and the run would silently use a default
-_SWEEP_KEYS = ("name", "description", "command", "seed", "fiber", "sweep",
-               "channel", "N", "beta", "delta", "delta_star", "schemes")
-_MC_KEYS = ("name", "description", "command", "seed", "fiber", "t_grid",
-            "template", "trials", "schemes")
-_TEMPLATE_KEYS = ("N", "r", "v_s", "v", "v1", "v2")
-_AXIS_KEYS = ("variable", "min", "max", "points", "spacing")
-
 
 # ------------------------------------------------------------------
 # manifest and rendering
@@ -105,12 +98,6 @@ class RunManifest:
         return (f"# cvqkd {self.tool_version} "
                 f"scenario={self.scenario_digest} seed={seed}")
 
-    def as_dict(self) -> dict:
-        return {"tool_version": self.tool_version,
-                "scenario_digest": self.scenario_digest,
-                "seed": self.seed,
-                "timestamp": self.timestamp}
-
 
 def make_manifest(scenario: dict, seed: int | None) -> RunManifest:
     stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -135,92 +122,140 @@ def _write_csv(path: str, manifest: RunManifest, columns, rows) -> None:
 # scenario handling
 # ------------------------------------------------------------------
 
+_PRESETS = resources.files("cvqkd") / "presets"
+
+
 def preset_names() -> list[str]:
-    root = resources.files("cvqkd") / "presets"
-    return sorted(entry.name[:-5] for entry in root.iterdir()
+    return sorted(entry.name[:-5] for entry in _PRESETS.iterdir()
                   if entry.name.endswith(".json"))
 
 
 def load_preset(name: str) -> dict:
-    root = resources.files("cvqkd") / "presets"
-    entry = root / f"{name}.json"
+    entry = _PRESETS / f"{name}.json"
     _require(entry.is_file(), f"unknown preset {name!r}; try 'cvqkd presets'")
     return json.loads(entry.read_text())
 
 
 def load_scenario(args) -> dict:
-    if getattr(args, "scenario", None):
+    if args.scenario:
         with open(args.scenario) as handle:
             scenario = json.load(handle)
         _require(isinstance(scenario, dict), "a scenario must be a JSON object")
         return scenario
-    _require(getattr(args, "preset", None) is not None,
-             "need --preset NAME or --scenario FILE")
+    _require(args.preset is not None, "need --preset NAME or --scenario FILE")
     return load_preset(args.preset)
 
 
-def _check_keys(spec, allowed: tuple[str, ...], where: str) -> None:
-    """Reject a ``spec`` that is not an object or holds a key outside
-    ``allowed``, naming the key."""
+def _check(test, what: str, convert=lambda x: x):
+    """A converter: ``convert(x)`` if ``test(x)``, else TypeError(what)."""
+    def converter(x):
+        if not test(x):
+            raise TypeError(what)
+        return convert(x)
+    return converter
+
+
+def _one_of(*choices):
+    return _check(lambda x: x in choices, " or ".join(map(repr, choices)))
+
+
+def _object(schema: dict, where: str, build=dict):
+    return lambda spec: build(**_read(spec, schema, where))
+
+
+# a JSON number: a bool (an int subclass to Python) or a string is refused
+_number = _check(lambda x: type(x) in (int, float), "a number", float)
+_count = _check(lambda x: type(x) is int or type(x) is float and x.is_integer(),
+                "a whole number", int)
+_text = _check(lambda x: isinstance(x, str), "a string")
+_list = _check(lambda x: isinstance(x, list), "a list")
+_kinds = _check(lambda x: isinstance(x, list) and all(k in KINDS for k in x),
+                "a list of " + " or ".join(map(repr, KINDS)))
+
+# One table per scenario object: key -> (converter, default or _REQUIRED,
+# label). Defaults are converted values; README "Scenario files" lists them.
+_REQUIRED = object()
+_T_GRID = {"min": (_number, _REQUIRED, "lower end"),
+           "max": (_number, _REQUIRED, "upper end"),
+           "points": (_count, _REQUIRED, "point count"),
+           "spacing": (_one_of("linear", "log"), "linear", "spacing")}
+_AXIS = {"variable": (_one_of("d", "T", "N"), _REQUIRED, "swept variable"), **_T_GRID}
+_FIBER = {"attenuation_db_per_km": (_number, FiberModel.attenuation_db_per_km,
+                                    "attenuation"),
+          "eps_ratio": (_number, FiberModel.eps_ratio, "excess-noise ratio")}
+_CHANNEL = {"T": (_number, _REQUIRED, "transmittance"),
+            "v_eps": (_number, None, "excess noise")}  # None: eps_ratio * T
+_SCHEME = {"kind": (_one_of(*KINDS), _REQUIRED, "scheme kind"),
+           "v_s": (_number, SourceParams.v_s, "source variance")}
+_TEMPLATE = {"N": (_count, _REQUIRED, "block size"),
+             "r": (_number, _REQUIRED, "disclosed fraction"),
+             "v_s": (_number, SourceParams.v_s, "source variance"),
+             "v": (_number, _REQUIRED, "single-scheme variance"),
+             "v1": (_number, _REQUIRED, "key variance"),
+             "v2": (_number, _REQUIRED, "probe variance")}
+_COMMON = {"description": (_text, None, "description"),
+           "fiber": (_object(_FIBER, "'fiber'", FiberModel), FiberModel(), "fiber")}
+# "command" leads, so that a scenario of the other kind is refused by it
+_SWEEP = {"command": (_one_of("sweep"), _REQUIRED, "command"), **_COMMON,
+          "name": (_text, "sweep", "name"),
+          "seed": (_count, None, "seed"),
+          "sweep": (_object(_AXIS, "'sweep'"), _REQUIRED, "axis"),
+          "channel": (_object(_CHANNEL, "'channel'"), None, "fixed channel"),
+          "N": (_count, None, "block size"),
+          "beta": (_number, DEFAULT_BETA, "reconciliation efficiency"),
+          "delta": (_number, DEFAULT_DELTA, "confidence budget"),
+          "delta_star": (_number, DEFAULT_DELTA_STAR, "penalty budget"),
+          "schemes": (lambda x: list(map(_object(_SCHEME, "a 'schemes' entry"), _list(x))),
+                      _REQUIRED, "scheme list")}
+_MONTECARLO = {"command": (_one_of("montecarlo"), _REQUIRED, "command"), **_COMMON,
+               "name": (_text, "montecarlo", "name"),
+               "seed": (_count, _REQUIRED, "seed"),
+               "t_grid": (_object(_T_GRID, "'t_grid'"), _REQUIRED, "grid"),
+               "template": (_object(_TEMPLATE, "'template'"), _REQUIRED, "template"),
+               "trials": (_count, _REQUIRED, "trial count"),
+               "schemes": (_kinds, KINDS, "scheme list")}
+
+
+def _read(spec, schema: dict, where: str) -> dict:
+    """The converted values of the object ``spec`` under ``schema``, with
+    its defaults filled in; every refusal names the key and ``where``."""
     _require(isinstance(spec, dict), f"{where} must be a JSON object")
+    values = {}
+    for key, (convert, default, label) in schema.items():
+        _require(key in spec or default is not _REQUIRED,
+                 f"{where} needs the {label} {key!r}")
+        try:
+            values[key] = convert(spec[key]) if key in spec else default
+        except TypeError as exc:
+            raise ValueError(f"the {label} {key!r} in {where} must be {exc}, "
+                             f"got {spec[key]!r}") from None
     for key in spec:
-        _require(key in allowed,
-                 f"unknown key {key!r} in {where}; expected "
-                 f"{', '.join(map(repr, allowed))}")
+        _require(key in schema, f"unknown key {key!r} in {where}; expected "
+                                f"{', '.join(map(repr, schema))}")
+    return values
 
 
 def _axis_values(axis: dict) -> np.ndarray:
-    _check_keys(axis, _AXIS_KEYS, "the sweep axis")
-    for key in ("variable", "min", "max", "points"):
-        _require(key in axis, f"sweep axis needs a {key!r} entry")
-    _require(axis["variable"] in ("d", "T", "N"),
-             f"sweep variable must be d, T or N, got {axis['variable']!r}")
-    points = int(axis["points"])
-    _require(points >= 2, "a sweep needs at least 2 points")
-    lo, hi = float(axis["min"]), float(axis["max"])
-    _require(hi > lo > 0.0, "sweep range must be increasing and positive")
-    spacing = axis.get("spacing", "linear")
-    if spacing == "log":
-        return np.geomspace(lo, hi, points)
-    _require(spacing == "linear", f"spacing must be linear or log, got {spacing!r}")
-    return np.linspace(lo, hi, points)
+    _require(axis["points"] >= 2, "a sweep needs at least 2 points")
+    _require(axis["max"] > axis["min"] > 0.0,
+             "sweep range must be increasing and positive")
+    space = np.geomspace if axis["spacing"] == "log" else np.linspace
+    return space(axis["min"], axis["max"], axis["points"])
 
 
-def _fiber_from(scenario: dict) -> FiberModel:
-    spec = scenario.get("fiber", {})
-    _check_keys(spec, ("attenuation_db_per_km", "eps_ratio"), "'fiber'")
-    return FiberModel(**spec)
-
-
-def _scenario_channel(scenario: dict, fiber: FiberModel) -> ChannelParams:
-    spec = scenario.get("channel")
-    _require(spec is not None, "an N-axis sweep needs a fixed 'channel' entry")
-    _check_keys(spec, ("T", "v_eps"), "'channel'")
-    _require("T" in spec, "an N-axis sweep needs the transmittance 'T' "
-                          "in its 'channel' entry")
-    if "v_eps" in spec:
-        return ChannelParams(float(spec["T"]), float(spec["v_eps"]))
-    T = float(spec["T"])
-    return ChannelParams(T, fiber.eps_ratio * T)
-
-
-def _point_channel(variable: str, value: float, scenario: dict,
-                   fiber: FiberModel) -> tuple[ChannelParams, int]:
+def _sweep_points(s: dict) -> list[tuple]:
+    """``(axis value, channel, block size)`` at each point of a read sweep."""
+    fiber, variable, values = s["fiber"], s["sweep"]["variable"], _axis_values(s["sweep"])
     if variable == "N":
-        return _scenario_channel(scenario, fiber), int(round(float(value)))
-    _require("N" in scenario, "a sweep over d or T needs the block size 'N'")
-    n_block = int(round(float(scenario["N"])))
+        _require(s["channel"] is not None, "an N-axis sweep needs a fixed 'channel' entry")
+        T, v_eps = s["channel"]["T"], s["channel"]["v_eps"]
+        channel = ChannelParams(T, fiber.eps_ratio * T if v_eps is None else v_eps)
+        return [(x, channel, int(round(float(x)))) for x in values]
+    _require(s["N"] is not None, "a sweep over d or T needs the block size 'N'")
     if variable == "d":
-        return channel_at_distance(float(value), fiber), n_block
-    T = float(value)
-    return ChannelParams(T, fiber.eps_ratio * T), n_block
-
-
-def _scheme_entry(spec: dict) -> tuple[str, SourceParams]:
-    """The scheme kind and the source of one ``schemes`` entry of a sweep."""
-    _check_keys(spec, ("kind", "v_s"), f"scheme entry {spec!r}")
-    _require("kind" in spec, f"scheme entry {spec!r} needs a 'kind'")
-    return spec["kind"], SourceParams(v_s=float(spec.get("v_s", 1.0)))
+        return [(x, channel_at_distance(float(x), fiber), s["N"]) for x in values]
+    return [(x, ChannelParams(float(x), fiber.eps_ratio * float(x)), s["N"])
+            for x in values]
 
 
 # ------------------------------------------------------------------
@@ -229,28 +264,19 @@ def _scheme_entry(spec: dict) -> tuple[str, SourceParams]:
 
 def run_sweep(scenario: dict, out_dir: str) -> list[str]:
     """One CSV per scheme entry; returns the paths written."""
-    _require(scenario.get("command") == "sweep",
-             f"scenario {scenario.get('name')!r} is not a sweep")
-    _check_keys(scenario, _SWEEP_KEYS, "a sweep scenario")
-    fiber = _fiber_from(scenario)
-    axis = scenario["sweep"]
-    values = _axis_values(axis)
-    beta = float(scenario.get("beta", DEFAULT_BETA))
-    delta = float(scenario.get("delta", DEFAULT_DELTA))
-    delta_star = float(scenario.get("delta_star", DEFAULT_DELTA_STAR))
-    manifest = make_manifest(scenario, scenario.get("seed"))
-    name = scenario.get("name", "sweep")
+    s = _read(scenario, _SWEEP, "a sweep scenario")
+    points = _sweep_points(s)
+    beta, delta, delta_star = s["beta"], s["delta"], s["delta_star"]
+    manifest = make_manifest(scenario, s["seed"])
 
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for spec in scenario["schemes"]:
-        kind, source = _scheme_entry(spec)
+    for entry in s["schemes"]:
+        kind, source = entry["kind"], SourceParams(entry["v_s"])
         # v and r are searched; 0.0 only holds their place
         protocol = Protocol(kind, v=0.0)
         rows = []
-        for value in values:
-            channel, n_block = _point_channel(axis["variable"], value,
-                                              scenario, fiber)
+        for value, channel, n_block in points:
             problem = OptimizationProblem(channel, source, n_block, protocol,
                                           beta, delta, delta_star)
             result = optimize_key_rate(problem)
@@ -263,7 +289,7 @@ def run_sweep(scenario: dict, out_dir: str) -> list[str]:
                          report.chi_BE, report.Delta_n, report.T_low,
                          report.veps_up, result.point["v"],
                          result.point.get("r", 0.0), k_th, k_legacy))
-        path = os.path.join(out_dir, f"{name}_{kind}_vs{source.v_s:g}.csv")
+        path = os.path.join(out_dir, f"{s['name']}_{kind}_vs{source.v_s:g}.csv")
         _write_csv(path, manifest, _SWEEP_COLUMNS, rows)
         paths.append(path)
     return paths
@@ -277,36 +303,23 @@ def _mc_protocol(kind: str, tpl: dict) -> Protocol:
     """The protocol of one scheme of the validation table: the single
     scheme sends the template's ``v``, the others ``v1`` and ``v2``."""
     if kind == SINGLE:
-        return Protocol(SINGLE, float(tpl["v"]), r=float(tpl["r"]))
-    r = float(tpl["r"]) if kind == MODIFIED else 0.0
-    return Protocol(kind, float(tpl["v1"]), float(tpl["v2"]), r)
+        return Protocol(SINGLE, tpl["v"], r=tpl["r"])
+    return Protocol(kind, tpl["v1"], tpl["v2"], tpl["r"] if kind == MODIFIED else 0.0)
 
 
 def run_montecarlo(scenario: dict, out_dir: str,
                    threads: int | None = None) -> tuple[str, list]:
     """Variance-model validation table; returns (path, rows)."""
-    _require(scenario.get("command") == "montecarlo",
-             f"scenario {scenario.get('name')!r} is not a montecarlo run")
-    _check_keys(scenario, _MC_KEYS, "a montecarlo scenario")
-    fiber = _fiber_from(scenario)
-    t_grid = scenario["t_grid"]
-    _check_keys(t_grid, ("min", "max", "points", "spacing"), "'t_grid'")
-    grid = _axis_values({"variable": "T", **t_grid})
-    tpl = scenario["template"]
-    _check_keys(tpl, _TEMPLATE_KEYS, "the montecarlo 'template'")
-    seed = int(scenario["seed"])
-    protocols = [_mc_protocol(kind, tpl) for kind in scenario.get("schemes", KINDS)]
+    s = _read(scenario, _MONTECARLO, "a montecarlo scenario")
+    tpl = s["template"]
     rows = validate_variance_models(
-        grid, protocols, SourceParams(v_s=float(tpl.get("v_s", 1.0))),
-        int(round(float(tpl["N"]))), int(scenario["trials"]), seed,
-        fiber=fiber, threads=threads)
-    manifest = make_manifest(scenario, seed)
+        _axis_values(s["t_grid"]), [_mc_protocol(kind, tpl) for kind in s["schemes"]],
+        SourceParams(tpl["v_s"]), tpl["N"], s["trials"], s["seed"],
+        fiber=s["fiber"], threads=threads)
+    manifest = make_manifest(scenario, s["seed"])
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{scenario.get('name', 'montecarlo')}.csv")
-    table = [(row.scheme, row.T, row.samples, row.s_analytic, row.s_empirical,
-              row.rel_err_s, row.sigma_analytic, row.sigma_empirical,
-              row.rel_err_sigma, row.veps_th) for row in rows]
-    _write_csv(path, manifest, _MC_COLUMNS, table)
+    path = os.path.join(out_dir, f"{s['name']}.csv")
+    _write_csv(path, manifest, _MC_COLUMNS, [astuple(row) for row in rows])
     return path, rows
 
 
@@ -379,7 +392,9 @@ def _inputs_dict(args, channel: ChannelParams) -> dict:
             "corner_search": bool(getattr(args, "corner_search", False))}
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
+def _emit_json(inputs: dict, out: str | None, **sections) -> None:
+    payload = {"manifest": asdict(make_manifest(inputs, None)), "inputs": inputs,
+               **sections}
     text = json.dumps(payload, indent=2, sort_keys=True, default=float)
     print(text)
     if out:
@@ -393,41 +408,29 @@ def cmd_keyrate(args) -> int:
     inputs = _inputs_dict(args, channel)
     pinned = _pinned(args)
 
-    optimum = None
-    if args.ideal_bounds:
-        # estimation is bypassed, so r defaults to 0 and only the
-        # modulation variance itself must be pinned
-        _require("v" in pinned,
-                 "--ideal-bounds needs --v (single) or --v1 (double/modified)")
-        report = _direct_report(args, channel, source)
-    elif all(name in pinned for name in FREE[args.scheme]):
+    sections = {}
+    # with --ideal-bounds estimation is bypassed, so r defaults to 0 and
+    # only the modulation variance itself must be pinned
+    _require(not args.ideal_bounds or "v" in pinned,
+             "--ideal-bounds needs --v (single) or --v1 (double/modified)")
+    if args.ideal_bounds or all(name in pinned for name in FREE[args.scheme]):
         report = _direct_report(args, channel, source)
     else:
         result, point = _optimize(args, channel, source)
         report = result.report
-        optimum = {"point": point, "status": result.status,
-                   "evaluations": result.evaluations}
-
-    payload = {"manifest": make_manifest(inputs, None).as_dict(),
-               "inputs": inputs,
-               "report": report.as_dict()}
-    if optimum is not None:
-        payload["optimum"] = optimum
-    _emit_json(payload, args.out)
+        sections["optimum"] = {"point": point, "status": result.status,
+                               "evaluations": result.evaluations}
+    _emit_json(inputs, args.out, report=report.as_dict(), **sections)
     return EXIT_OK if report.K > 0.0 else EXIT_INSECURE
 
 
 def cmd_optimize(args) -> int:
     channel = _channel_from_args(args)
     result, point = _optimize(args, channel, SourceParams(v_s=args.vs))
-    inputs = _inputs_dict(args, channel)
-    payload = {"manifest": make_manifest(inputs, None).as_dict(),
-               "inputs": inputs,
-               "optimum": {"point": point, "K": result.K,
-                           "status": result.status,
-                           "evaluations": result.evaluations},
-               "report": result.report.as_dict()}
-    _emit_json(payload, args.out)
+    _emit_json(_inputs_dict(args, channel), args.out,
+               optimum={"point": point, "K": result.K, "status": result.status,
+                        "evaluations": result.evaluations},
+               report=result.report.as_dict())
     return EXIT_OK if result.status == "ok" else EXIT_INSECURE
 
 
@@ -449,21 +452,15 @@ def cmd_maxdist(args) -> int:
               "eps_ratio": args.eps_ratio, "d_min": args.d_min, "d_max": args.d_max,
               "points": args.points, "N": list(args.N),
               "delta_star": args.delta_star}
-    payload = {"manifest": make_manifest(inputs, None).as_dict(),
-               "inputs": inputs,
-               "fit": {"a": fit.a, "kappa": fit.kappa,
-                       "residual": fit.residual,
-                       "fit_range_km": list(fit.fit_range)},
-               "km_per_decade": 0.5 / fit.kappa,
-               "d_max": table}
-    _emit_json(payload, args.out)
+    _emit_json(inputs, args.out,
+               fit={"a": fit.a, "kappa": fit.kappa, "residual": fit.residual,
+                    "fit_range_km": list(fit.fit_range)},
+               km_per_decade=0.5 / fit.kappa, d_max=table)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    scenario = load_scenario(args)
-    paths = run_sweep(scenario, args.out)
-    for path in paths:
+    for path in run_sweep(load_scenario(args), args.out):
         print(path)
     return EXIT_OK
 
@@ -518,7 +515,7 @@ def _add_channel_flags(sub) -> None:
 
 def _add_protocol_flags(sub) -> None:
     sub.add_argument("--scheme", choices=list(KINDS), default=SINGLE)
-    sub.add_argument("--vs", type=float, default=1.0,
+    sub.add_argument("--vs", type=float, default=SourceParams.v_s,
                      help="source quadrature variance (1 = coherent)")
     sub.add_argument("--v", type=float, help="single-scheme modulation variance")
     sub.add_argument("--v1", type=float, help="key modulation variance")
@@ -609,10 +606,7 @@ def main_entry(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (SystemExit2, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -205,6 +205,9 @@ def _eb_entries(channel: ChannelParams, source: SourceParams,
     vx = source.v_s + v_mod_x
     vp = 1.0 / source.v_s + v_mod_p
     mu = math.sqrt(vx * vp)
+    # an infinite mu would zero t below and divide by it
+    _require(math.isfinite(mu), "modulation variance too large: mu overflows at "
+             f"v_mod_x={v_mod_x!r}, v_mod_p={v_mod_p!r}")
     _require(mu >= 1.0 - 1e-9,
              "prepared ensemble violates the uncertainty bound (mu < 1)")
     T, veps = channel.T, channel.v_eps

@@ -136,6 +136,7 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
     since the pure double scheme is operationally simpler.
     """
     evaluations = 0
+    free = problem.free
 
     def objective(point: dict) -> float:
         nonlocal evaluations
@@ -143,9 +144,10 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
         try:
             return evaluate_point(problem, point).K
         except ValueError:
+            if not free:  # the one point there is: its fault is the answer
+                raise
             return -math.inf
 
-    free = problem.free
     grids = {name: _coordinate_grid(problem, name) for name in free}
 
     best_point: dict = {}

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from cvqkd import FiberModel, cli
+from cvqkd.model import KINDS
 from cvqkd.cli import (main_entry, scenario_digest, preset_names, load_preset,
                        run_sweep)
 
@@ -98,6 +100,18 @@ def test_optimize_with_every_flag_pinned_reports_the_pinned_point(capsys):
     assert payload["report"]["n"] == 0.7e6
     assert main_entry(["keyrate"] + flags) == 0
     assert payload["optimum"]["K"] == _json_out(capsys)["report"]["K"]
+
+
+def test_optimize_with_every_flag_pinned_names_why_the_point_fails(capsys):
+    rc = main_entry(["optimize", "--T", "0.3", "--v", "3", "--r", "0", "--N", "1e6"])
+    assert rc == 1
+    assert "sample count must be > 0" in capsys.readouterr().err
+
+
+def test_keyrate_refuses_an_overflowing_modulation_variance(capsys):
+    rc = main_entry(["keyrate", "--T", "0.5", "--v", "1e308", "--r", "0.5"])
+    assert rc == 1
+    assert "modulation variance" in capsys.readouterr().err
 
 
 def test_keyrate_insecure_exit_code(capsys):
@@ -218,6 +232,54 @@ def test_n_axis_sweep_channel_without_transmittance_names_it(capsys, tmp_path):
                 "sweep": {"variable": "N", "min": 1e5, "max": 1e6, "points": 2}}
     assert main_entry(_sweep_argv(tmp_path, scenario)) == 1
     assert "transmittance 'T'" in capsys.readouterr().err
+
+
+def _without(scenario, key):
+    return {name: x for name, x in scenario.items() if name != key}
+
+
+_MC = load_preset("variance_validation")
+_AXIS = _TINY_SWEEP["sweep"]
+
+
+@pytest.mark.parametrize("scenario, message", [
+    (_without(_TINY_SWEEP, "schemes"), "a sweep scenario needs the scheme list 'schemes'"),
+    (_without(_MC, "trials"), "a montecarlo scenario needs the trial count 'trials'"),
+    (_without(_MC, "seed"), "a montecarlo scenario needs the seed 'seed'"),
+    (_without(_MC, "template"), "a montecarlo scenario needs the template 'template'"),
+    ({**_TINY_SWEEP, "sweep": {**_AXIS, "points": "two"}},
+     "the point count 'points' in 'sweep' must be a whole number, got 'two'"),
+    ({**_TINY_SWEEP, "sweep": {**_AXIS, "points": "2"}},
+     "the point count 'points' in 'sweep' must be a whole number, got '2'"),
+    ({**_TINY_SWEEP, "sweep": {**_AXIS, "points": 2.5}},
+     "the point count 'points' in 'sweep' must be a whole number, got 2.5"),
+    ({**_TINY_SWEEP, "beta": True},
+     "the reconciliation efficiency 'beta' in a sweep scenario must be a number, got True"),
+    ({**_TINY_SWEEP, "N": "1e6"},
+     "the block size 'N' in a sweep scenario must be a whole number, got '1e6'"),
+    ({**_TINY_SWEEP, "schemes": {"kind": "single"}},
+     "the scheme list 'schemes' in a sweep scenario must be a list"),
+    ({**_TINY_SWEEP, "sweep": [10.0, 30.0]}, "'sweep' must be a JSON object"),
+], ids=["no-schemes", "no-trials", "no-seed", "no-template", "points-word",
+        "points-string", "points-fraction", "beta-bool", "N-string",
+        "schemes-object", "axis-list"])
+def test_scenario_reader_names_the_bad_key(capsys, tmp_path, scenario, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main_entry([scenario["command"], "--scenario", str(path),
+                       "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_montecarlo_preset_reads_whole_counts_and_defaults():
+    read = cli._read(_MC, cli._MONTECARLO, "a montecarlo scenario")
+    assert (read["trials"], read["seed"], read["template"]["N"]) == (1000, 20140902, 100000)
+    assert all(type(n) is int for n in (read["trials"], read["template"]["N"]))
+    assert read["schemes"] == ["single", "double", "modified"]
+    assert read["fiber"] == FiberModel() and read["t_grid"]["spacing"] == "log"
+    default = cli._read(_without(_without(_MC, "schemes"), "fiber"), cli._MONTECARLO, "")
+    assert tuple(default["schemes"]) == KINDS and default["fiber"] == FiberModel()
 
 
 def test_shipped_sweep_presets_pass_the_key_checks(tmp_path):
