@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .model import (
     DEFAULT_DELTA,
@@ -178,6 +177,16 @@ def variance_single(channel: ChannelParams, source: SourceParams,
     return VarianceModel(sigma_sq, s_sq)
 
 
+def _withheld_gain(protocol: Protocol, source: SourceParams) -> float:
+    """``(v + v_s - 1)**2``: how far the transmittance uncertainty moves the
+    excess-noise estimate when the key displacement stays hidden."""
+    try:
+        return (protocol.v + source.v_s - 1.0) ** 2
+    except OverflowError:  # a float ** raises where numpy would return inf
+        raise ValueError("key variance too large: (v + v_s - 1)**2 overflows "
+                         f"at v={protocol.v!r}") from None
+
+
 def variance_double(channel: ChannelParams, source: SourceParams,
                     protocol: Protocol, N: float) -> VarianceModel:
     """Estimator variances when the public probe displacement on all ``N``
@@ -186,7 +195,7 @@ def variance_double(channel: ChannelParams, source: SourceParams,
     T = channel.T
     vns = aggregated_noise_variance(channel, source, protocol.v)
     sigma_sq = (4.0 / N) * (2.0 * T * T + T * vns / protocol.v2)
-    s_sq = (2.0 / N) * vns * vns + (protocol.v + source.v_s - 1.0) ** 2 * sigma_sq
+    s_sq = (2.0 / N) * vns * vns + _withheld_gain(protocol, source) * sigma_sq
     return VarianceModel(sigma_sq, s_sq)
 
 
@@ -223,7 +232,7 @@ def modified_double_arms(channel: ChannelParams, source: SourceParams,
         sigma_sq = opt_combine(sigma_a_sq, sigma_b_sq)
     else:
         sigma_sq = 0.0  # only at T = 0, where both arms vanish
-    s_a_sq = (2.0 / na) * vns * vns + (protocol.v + source.v_s - 1.0) ** 2 * sigma_sq
+    s_a_sq = (2.0 / na) * vns * vns + _withheld_gain(protocol, source) * sigma_sq
     s_b_sq = (2.0 / nb) * vn * vn + (1.0 - source.v_s) ** 2 * sigma_sq
     s_sq = opt_combine(s_a_sq, s_b_sq)
     return sigma_a_sq, sigma_b_sq, sigma_sq, s_a_sq, s_b_sq, s_sq
@@ -255,14 +264,70 @@ def confidence_coefficient(delta: float) -> float:
     leaves total tail probability ``delta``."""
     _require(_finite(delta) and 0.0 < delta < 1.0,
              f"delta must lie in (0, 1), got {delta!r}")
-    return _two_sided_quantile(delta)
+    return _two_sided_quantile(float(delta))
 
 
-# an optimisation asks for the same delta hundreds of times; typed, so that
-# a numpy scalar gets the value scipy gives for its own type
-@functools.lru_cache(maxsize=64, typed=True)
+# an optimisation asks for the same delta hundreds of times
+@functools.lru_cache(maxsize=64)
 def _two_sided_quantile(delta: float) -> float:
-    return float(norm.isf(delta / 2.0))
+    return -_ndtri(delta / 2.0)
+
+
+# Lower half of the cephes normal quantile ``ndtri`` (Moshier), transcribed
+# operation for operation: scipy's ``norm.isf(q)`` is ``-ndtri(q)``, so z
+# keeps scipy's bits and every output stays byte-identical without scipy.
+# ``statistics.NormalDist`` (Wichura's AS241) differs by an ulp or two and
+# would move published outputs, so switching to it is a re-baselining
+# decision of its own.
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+# Each Q has cephes' implicit leading 1 written out: 1.0 * x + c is x + c
+# exactly, so ``_polevl`` also computes cephes ``p1evl``.
+# central branch, exp(-2) < y <= 1 - exp(-2)
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+# tail on x = sqrt(-2 ln y) in [2, 8), i.e. exp(-32) < y <= exp(-2)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# far tail, x >= 8
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """Horner's rule from the leading coefficient, as cephes ``polevl``."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y: float) -> float:
+    """Standard normal quantile for ``0 <= y <= 1 - exp(-2)``; cephes
+    reflects larger ``y`` into the lower tail, which z never needs."""
+    if y == 0.0:
+        return -math.inf
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    return -(x0 - z * _polevl(z, p) / _polevl(z, q))
 
 
 def confidence_bounds(t_hat: float, veps_hat: float, model: VarianceModel,

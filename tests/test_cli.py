@@ -114,6 +114,23 @@ def test_keyrate_refuses_an_overflowing_modulation_variance(capsys):
     assert "modulation variance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", [["--scheme", "double"],
+                                    ["--scheme", "modified", "--r", "0.3"]])
+def test_keyrate_refuses_an_overflowing_key_variance(capsys, scheme):
+    rc = main_entry(["keyrate", "--T", "0.5", "--v1", "1e308", *scheme])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "key variance too large" in err and "v=1e+308" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cvqkd.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_keyrate_insecure_exit_code(capsys):
     rc = main_entry(["keyrate", "--T", "0.03", "--veps", "0.1", "--v", "3",
                      "--r", "0.5", "--N", "1e4"])
