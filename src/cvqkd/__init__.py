@@ -7,7 +7,7 @@ The package is organised bottom-up:
 ``estimation``
     channel estimators, their analytic variance models, confidence bounds
 ``keyrate``
-    covariance construction, Holevo bound, asymptotic and finite-size rates
+    Holevo bound, asymptotic and finite-size rates
 ``montecarlo``
     sampled transmissions validating the analytic variance models
 ``optimizer``
@@ -50,11 +50,8 @@ from .estimation import (
     ideal_bounds,
 )
 from .keyrate import (
-    CovarianceMatrix2Mode,
     SymplecticSpectrum,
     KeyRateReport,
-    build_eb_covariance,
-    symplectic_eigenvalues,
     von_neumann_entropy,
     mutual_information,
     holevo_bound,
@@ -89,4 +86,27 @@ from .optimizer import (
     max_distance,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names the README's "Python API" section lists, module by module
+__all__ = [
+    "ChannelParams", "SourceParams", "Protocol", "ProtocolParams",
+    "FiberModel", "SINGLE", "DOUBLE", "MODIFIED",
+    "aggregated_noise_variance", "distance_to_transmittance",
+    "transmittance_to_distance", "excess_noise_from_fiber",
+    "channel_at_distance",
+    "SampleSet", "VarianceModel", "ConfidenceBounds", "estimate_covariance",
+    "estimate_T", "estimate_Veps", "variance_single", "variance_double",
+    "variance_modified_double", "opt_combine", "confidence_coefficient",
+    "confidence_bounds", "expected_bounds", "ideal_bounds",
+    "SymplecticSpectrum", "KeyRateReport", "von_neumann_entropy",
+    "mutual_information", "holevo_bound", "asymptotic_key_rate",
+    "finite_size_correction", "finite_key_rate", "worst_case_corner",
+    "theoretical_noise_limit", "theoretical_key_rate_limit",
+    "veps_up_approx",
+    "TrialConfig", "EmpiricalStats", "ValidationRow",
+    "simulate_transmission", "run_trials", "validate_variance_models",
+    "OptimizationProblem", "OptimizationResult", "ExponentialFit",
+    "PowerLawFit", "optimize_key_rate", "evaluate_point", "fit_power_law",
+    "fit_exponential_decay", "optimal_ratio_curve",
+    "optimal_ratio_zero_crossing", "fit_exponential_keyrate",
+    "max_distance",
+]

@@ -348,8 +348,14 @@ def _key_name(kind: str) -> str:
 
 
 def _pinned(args) -> dict:
-    """The :class:`Protocol` fields the flags pin."""
-    pinned = {"v": getattr(args, _key_name(args.scheme)), "v2": args.v2, "r": args.r}
+    """The :class:`Protocol` fields the flags pin; the other scheme's
+    key-variance flag is refused, not ignored."""
+    key = _key_name(args.scheme)
+    other, owner = ("v1", "double/modified") if key == "v" else ("v", "single")
+    _require(getattr(args, other) is None,
+             f"--{other} is the {owner}-scheme variance; the {args.scheme} "
+             f"scheme takes --{key}")
+    pinned = {"v": getattr(args, key), "v2": args.v2, "r": args.r}
     return {name: x for name, x in pinned.items() if x is not None}
 
 
@@ -420,7 +426,7 @@ def cmd_keyrate(args) -> int:
         report = result.report
         sections["optimum"] = {"point": point, "status": result.status,
                                "evaluations": result.evaluations}
-    _emit_json(inputs, args.out, report=report.as_dict(), **sections)
+    _emit_json(inputs, args.out, report=asdict(report), **sections)
     return EXIT_OK if report.K > 0.0 else EXIT_INSECURE
 
 
@@ -430,7 +436,7 @@ def cmd_optimize(args) -> int:
     _emit_json(_inputs_dict(args, channel), args.out,
                optimum={"point": point, "K": result.K, "status": result.status,
                         "evaluations": result.evaluations},
-               report=result.report.as_dict())
+               report=asdict(result.report))
     return EXIT_OK if result.status == "ok" else EXIT_INSECURE
 
 

@@ -1,11 +1,13 @@
-"""Covariance construction, Holevo bound, asymptotic and finite-size rates.
+"""Holevo bound, asymptotic and finite-size rates.
 
 Security is evaluated against Gaussian collective attacks in the
 entanglement-based picture: the prepare-and-measure modulation is replaced
 by an equivalent two-mode state shared between sender and channel input,
 the eavesdropper is given the channel purification, and the Holevo bound
 is computed from symplectic spectra of the joint and conditional
-covariance matrices.
+covariance matrices. The kernel works on the distinct entries of those
+matrices in scalars; the 4x4 matrix route it reproduces bit for bit lives
+beside its tests, in ``tests/matrix_reference.py``.
 
 The finite-size rate prices in two effects on top of the asymptotic
 formula: the channel parameters are only known inside a confidence box, so
@@ -18,8 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import numeric
 from .estimation import ConfidenceBounds
@@ -55,48 +55,6 @@ def _thermal_entropy_bits(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class CovarianceMatrix2Mode:
-    """4x4 quadrature covariance matrix in mode order (A_x, A_p, B_x, B_p)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=np.float64)  # defensive copy
-        _require(m.shape == (4, 4), "a two-mode covariance matrix must be 4x4")
-        _require(bool(np.all(np.isfinite(m))), "covariance entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        _require(bool(np.allclose(m, m.T, rtol=0.0, atol=1e-9 * scale)),
-                 "covariance matrix must be symmetric")
-        m = 0.5 * (m + m.T)
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-    @classmethod
-    def from_xp_blocks(cls, a_x: float, a_p: float, b_x: float, b_p: float,
-                       c_x: float, c_p: float) -> "CovarianceMatrix2Mode":
-        """Build a matrix whose x and p sectors are uncoupled, which is the
-        case for every state this package constructs."""
-        m = np.zeros((4, 4))
-        m[0, 0] = a_x
-        m[1, 1] = a_p
-        m[2, 2] = b_x
-        m[3, 3] = b_p
-        m[0, 2] = m[2, 0] = c_x
-        m[1, 3] = m[3, 1] = c_p
-        return cls(m)
-
-    def sector_split(self):
-        """Return the (x, p) 2x2 sector matrices when the two quadrature
-        sectors are exactly uncoupled, else None."""
-        m = self.entries
-        if m[0, 1] == 0.0 and m[0, 3] == 0.0 and m[1, 2] == 0.0 and m[2, 3] == 0.0:
-            gx = np.array([[m[0, 0], m[0, 2]], [m[0, 2], m[2, 2]]])
-            gp = np.array([[m[1, 1], m[1, 3]], [m[1, 3], m[3, 3]]])
-            return gx, gp
-        return None
-
-
-@dataclass(frozen=True)
 class SymplecticSpectrum:
     """Symplectic eigenvalues of a bona fide covariance matrix."""
 
@@ -108,52 +66,6 @@ class SymplecticSpectrum:
             _require(_finite(nu), "symplectic eigenvalues must be finite")
             _require(nu >= 1.0 - NU_TOLERANCE,
                      f"symplectic eigenvalue {nu!r} below 1; state is not bona fide")
-
-
-def _det2(m: np.ndarray) -> float:
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
-def symplectic_eigenvalues(gamma) -> SymplecticSpectrum:
-    """Symplectic spectrum of a one- or two-mode covariance matrix.
-
-    Accepts a :class:`CovarianceMatrix2Mode` or a symmetric 2x2 / 4x4
-    array. For two-mode input with uncoupled x/p sectors the two invariants
-    are evaluated from the product of the sector matrices, whose
-    discriminant stays numerically exact when the state is pure; the
-    generic determinant formula loses that cancellation and is only used
-    as the fallback for coupled input.
-    """
-    if isinstance(gamma, CovarianceMatrix2Mode):
-        cov = gamma
-    else:
-        m = np.asarray(gamma, dtype=np.float64)
-        if m.shape == (2, 2):
-            _require(bool(np.allclose(m, m.T, rtol=0.0,
-                                      atol=1e-9 * max(1.0, float(np.max(np.abs(m)))))),
-                     "covariance matrix must be symmetric")
-            det = _det2(m)
-            _require(det >= 0.0, "single-mode covariance has negative determinant")
-            return SymplecticSpectrum((math.sqrt(det),))
-        cov = CovarianceMatrix2Mode(m)
-
-    split = cov.sector_split()
-    if split is not None:
-        gx, gp = split
-        # invariants of M = gx @ gp, whose eigenvalues are the nu^2
-        m11 = gx[0, 0] * gp[0, 0] + gx[0, 1] * gp[1, 0]
-        m12 = gx[0, 0] * gp[0, 1] + gx[0, 1] * gp[1, 1]
-        m21 = gx[1, 0] * gp[0, 0] + gx[1, 1] * gp[1, 0]
-        m22 = gx[1, 0] * gp[0, 1] + gx[1, 1] * gp[1, 1]
-        delta = m11 + m22
-        disc = (m11 - m22) ** 2 + 4.0 * m12 * m21
-        det_gamma = max(_det2(gx), 0.0) * max(_det2(gp), 0.0)
-    else:
-        e = cov.entries
-        delta = _det2(e[:2, :2]) + _det2(e[2:, 2:]) + 2.0 * _det2(e[:2, 2:])
-        det_gamma = float(np.linalg.det(e))
-        disc = delta * delta - 4.0 * det_gamma
-    return SymplecticSpectrum(_symplectic_pair(delta, disc, det_gamma))
 
 
 def _symplectic_pair(delta: float, disc: float,
@@ -179,25 +91,13 @@ def von_neumann_entropy(spectrum: SymplecticSpectrum) -> float:
     return sum(_thermal_entropy_bits((nu - 1.0) / 2.0) for nu in spectrum.nus)
 
 
-def build_eb_covariance(channel: ChannelParams, source: SourceParams,
-                        v_mod_x: float, v_mod_p: float) -> CovarianceMatrix2Mode:
-    """Entanglement-based covariance matrix equivalent to modulating the
-    source with independent Gaussian displacements of the given variances
-    and sending it through the channel.
-
-    The sender-side mode is isotropic with variance
-    ``mu = sqrt((v_s + v_mod_x) * (1/v_s + v_mod_p))``; the asymmetry of
-    the prepared ensemble moves into the cross correlations.
-    """
-    mu, b_x, b_p, c_x, c_p = _eb_entries(channel, source, v_mod_x, v_mod_p)
-    return CovarianceMatrix2Mode.from_xp_blocks(a_x=mu, a_p=mu, b_x=b_x,
-                                                b_p=b_p, c_x=c_x, c_p=c_p)
-
-
 def _eb_entries(channel: ChannelParams, source: SourceParams,
                 v_mod_x: float, v_mod_p: float) -> tuple[float, ...]:
-    """The distinct entries ``(mu, b_x, b_p, c_x, c_p)`` of
-    :func:`build_eb_covariance`."""
+    """The distinct entries ``(mu, b_x, b_p, c_x, c_p)`` of the
+    entanglement-based covariance matrix: the sender's isotropic variance
+    ``mu``, the receiver's x and p variances and the x and p correlations.
+    ``build_eb_covariance`` in ``tests/matrix_reference.py`` lays them out
+    as the 4x4 matrix."""
     _require(_finite(v_mod_x) and v_mod_x >= 0.0,
              f"x modulation variance must be >= 0, got {v_mod_x!r}")
     _require(_finite(v_mod_p) and v_mod_p >= 0.0,
@@ -238,16 +138,17 @@ def holevo_bound(channel: ChannelParams, source: SourceParams,
     state, so those entropies coincide with the eavesdropper's.
 
     Evaluated in scalars with the checks and the floating-point operations
-    of :func:`build_eb_covariance`, :func:`symplectic_eigenvalues` and
-    :func:`von_neumann_entropy`, which give the same value through the
-    matrix and stay as its reference.
+    of the 4x4 matrix route in ``tests/matrix_reference.py``
+    (``build_eb_covariance``, ``symplectic_eigenvalues``) followed by
+    :func:`von_neumann_entropy`; the tests require the two to agree with
+    ``==``.
     """
     mu, b_x, b_p, c_x, c_p = _eb_entries(channel, source, v_mod_x, v_mod_p)
     # the matrix symmetrises as 0.5 * (m + m.T), which overflows beyond
     # half the largest float
     for x in (mu, b_x, b_p, c_x, c_p):
         _require(math.isfinite(x + x), "covariance entries must be finite")
-    # invariants of the x/p sector product, as in symplectic_eigenvalues
+    # invariants of the x/p sector product, as in the matrix reference
     m11 = mu * mu + c_x * c_p
     m12 = mu * c_p + c_x * b_p
     m21 = c_x * mu + b_x * c_p
@@ -255,7 +156,7 @@ def holevo_bound(channel: ChannelParams, source: SourceParams,
     delta = m11 + m22
     try:
         disc = (m11 - m22) ** 2 + 4.0 * m12 * m21
-    except OverflowError:  # numpy's inf, which the spectrum rejects
+    except OverflowError:  # the reference's numpy inf, which its spectrum rejects
         raise ValueError("symplectic invariants overflow") from None
     det_gamma = max(mu * b_x - c_x * c_x, 0.0) * max(mu * b_p - c_p * c_p, 0.0)
     spectrum = SymplecticSpectrum(_symplectic_pair(delta, disc, det_gamma))
@@ -346,23 +247,6 @@ class KeyRateReport:
     m: float
     N: int
     corner_agrees: bool = True
-
-    def as_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "K_inf": self.K_inf,
-            "I_AB": self.I_AB,
-            "chi_BE": self.chi_BE,
-            "Delta_n": self.Delta_n,
-            "T_low": self.T_low,
-            "veps_up": self.veps_up,
-            "T_eval": self.T_eval,
-            "veps_eval": self.veps_eval,
-            "n": self.n,
-            "m": self.m,
-            "N": self.N,
-            "corner_agrees": self.corner_agrees,
-        }
 
 
 def finite_key_rate(params: ProtocolParams, channel: ChannelParams,

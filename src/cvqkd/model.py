@@ -40,6 +40,11 @@ def _finite(x) -> bool:
     return math.isfinite(x)
 
 
+def _require_beta(beta) -> None:
+    _require(_finite(beta) and 0.0 < beta <= 1.0,
+             f"reconciliation efficiency must lie in (0, 1], got {beta!r}")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Lossy bosonic channel: transmittance plus additive excess noise."""
@@ -117,8 +122,7 @@ class ProtocolParams:
     def __post_init__(self):
         _require(isinstance(self.N, int) and self.N >= 2,
                  f"block size N must be an integer >= 2, got {self.N!r}")
-        _require(_finite(self.beta) and 0.0 < self.beta <= 1.0,
-                 f"reconciliation efficiency must lie in (0, 1], got {self.beta!r}")
+        _require_beta(self.beta)
         _require(_finite(self.delta) and 0.0 < self.delta < 1.0,
                  f"confidence budget delta must lie in (0, 1), got {self.delta!r}")
         _require(_finite(self.delta_star) and 0.0 < self.delta_star < 1.0,

@@ -40,6 +40,7 @@ from .model import (
     SourceParams,
     _finite,
     _require,
+    _require_beta,
     channel_at_distance,
 )
 
@@ -353,6 +354,7 @@ def fit_exponential_keyrate(fiber: FiberModel = FiberModel(),
     the source defaults to the strong-squeezing limit. The fitted decay
     constant feeds :func:`max_distance`.
     """
+    _require_beta(beta)
     _require(points >= 2, "a fit needs at least 2 points")
     _require(d_range[1] > d_range[0] > 0.0, "distance window must be increasing and positive")
     ds = np.linspace(d_range[0], d_range[1], points)
@@ -376,5 +378,6 @@ def max_distance(fit: ExponentialFit, N: float,
     """
     _require(fit.kappa > 0.0, "the fitted rate must decay with distance")
     _require(_finite(N) and N >= 1.0, f"block size must be >= 1, got {N!r}")
-    c = 7.0 * math.sqrt(math.log2(2.0 / delta_star))
+    # the penalty at n = 1 is the numerator 7 sqrt(log2(2/delta_star))
+    c = finite_size_correction(1.0, delta_star)
     return (0.5 / fit.kappa) * math.log10(N) - (1.0 / fit.kappa) * math.log10(c / fit.a)

@@ -123,6 +123,21 @@ def test_keyrate_refuses_an_overflowing_key_variance(capsys, scheme):
     assert "key variance too large" in err and "v=1e+308" in err
 
 
+@pytest.mark.parametrize("command", ["keyrate", "optimize"])
+@pytest.mark.parametrize("flags, message", [
+    (["--scheme", "double", "--v", "3"],
+     "--v is the single-scheme variance; the double scheme takes --v1"),
+    (["--scheme", "modified", "--v", "3", "--r", "0.3"],
+     "--v is the single-scheme variance; the modified scheme takes --v1"),
+    (["--scheme", "single", "--v1", "7", "--r", "0.3"],
+     "--v1 is the double/modified-scheme variance; the single scheme takes --v"),
+], ids=["double-v", "modified-v", "single-v1"])
+def test_other_schemes_key_variance_flag_is_refused(capsys, command, flags, message):
+    assert main_entry([command, "--T", "0.5", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, cvqkd.cli; print('scipy' in sys.modules)"],
@@ -415,6 +430,19 @@ def test_maxdist_with_injected_fit(capsys):
 def test_maxdist_rejects_lone_fit_flag(capsys):
     assert main_entry(["maxdist", "--fit-a", "1.2"]) == 1
     assert "together" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--fit-a", "1.2", "--fit-kappa", "0.02", "--delta-star", "0"],
+     "delta_star must lie in (0, 1), got 0.0"),
+    (["--fit-a", "1.2", "--fit-kappa", "0.02", "--delta-star", "2"],
+     "delta_star must lie in (0, 1), got 2.0"),
+    (["--beta", "2"], "reconciliation efficiency must lie in (0, 1], got 2.0"),
+], ids=["delta_star-0", "delta_star-2", "beta-2"])
+def test_maxdist_refuses_out_of_range_budgets(capsys, flags, message):
+    assert main_entry(["maxdist", "--N", "1e6", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 # --------------------------------------------------------------------------

@@ -17,10 +17,7 @@ from cvqkd import (
     Protocol,
     ProtocolParams,
     ConfidenceBounds,
-    CovarianceMatrix2Mode,
     SymplecticSpectrum,
-    build_eb_covariance,
-    symplectic_eigenvalues,
     von_neumann_entropy,
     mutual_information,
     holevo_bound,
@@ -39,6 +36,8 @@ from cvqkd import (
 )
 from cvqkd.keyrate import (NU_TOLERANCE, SQUEEZING_LIMIT_VS,
                            _thermal_entropy_bits, optimal_asymptotic_rate)
+from matrix_reference import (CovarianceMatrix2Mode, build_eb_covariance,
+                              symplectic_eigenvalues)
 
 
 def _g(x):

@@ -1,9 +1,14 @@
 """Parameter containers and the loss/noise algebra of the link."""
 
 import math
+import re
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import cvqkd
 
 from cvqkd import (
     ChannelParams,
@@ -168,3 +173,22 @@ def test_fiber_model_validation():
         FiberModel(attenuation_db_per_km=0.0)
     with pytest.raises(ValueError):
         FiberModel(eps_ratio=-0.01)
+
+
+# --------------------------------------------------------------------------
+# package exports
+
+
+def test_all_names_resolve_to_non_module_objects():
+    assert len(set(cvqkd.__all__)) == len(cvqkd.__all__)
+    for name in cvqkd.__all__:
+        assert not isinstance(getattr(cvqkd, name), types.ModuleType), name
+
+
+def test_all_is_the_readme_api_list():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    api = readme.split("## Python API", 1)[1].split("\n## ", 1)[0]
+    listed = []
+    for item in re.findall(r"^- `\w+`:(.*?)(?=^- |\Z)", api, re.M | re.S):
+        listed += re.findall(r"`(\w+)`", item)
+    assert listed == cvqkd.__all__

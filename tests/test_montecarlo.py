@@ -11,13 +11,13 @@ from cvqkd import (
     SourceParams,
     Protocol,
     TrialConfig,
-    build_eb_covariance,
     run_trials,
     simulate_transmission,
     validate_variance_models,
     variance_single,
 )
 from cvqkd.montecarlo import _resolve_threads
+from matrix_reference import build_eb_covariance
 
 
 def _single_cfg(T=0.1, veps=0.001, v=3.0, r=1.0, N=100000, trials=1, seed=11):
