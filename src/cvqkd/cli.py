@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -265,8 +266,16 @@ def _sweep_points(s: dict) -> list[tuple]:
 def run_sweep(scenario: dict, out_dir: str) -> list[str]:
     """One CSV per scheme entry; returns the paths written."""
     s = _read(scenario, _SWEEP, "a sweep scenario")
-    points = _sweep_points(s)
     beta, delta, delta_star = s["beta"], s["delta"], s["delta_star"]
+    # the two benchmark columns depend on the point, not on the scheme; a
+    # bad budget is refused here, before any output exists
+    points = []
+    for value, channel, n_block in _sweep_points(s):
+        legacy = ProtocolParams(SourceParams(v_s=1.0), LEGACY, n_block, beta,
+                                delta, delta_star)
+        points.append((value, channel, n_block,
+                       theoretical_key_rate_limit(channel, n_block, beta, delta_star),
+                       evaluate_point(OptimizationProblem(channel, legacy), {}).K))
     manifest = make_manifest(scenario, s["seed"])
 
     os.makedirs(out_dir, exist_ok=True)
@@ -276,15 +285,10 @@ def run_sweep(scenario: dict, out_dir: str) -> list[str]:
         # v and r are searched; 0.0 only holds their place
         protocol = Protocol(kind, v=0.0)
         rows = []
-        for value, channel, n_block in points:
-            problem = OptimizationProblem(channel, source, n_block, protocol,
-                                          beta, delta, delta_star)
-            result = optimize_key_rate(problem)
+        for value, channel, n_block, k_th, k_legacy in points:
+            params = ProtocolParams(source, protocol, n_block, beta, delta, delta_star)
+            result = optimize_key_rate(OptimizationProblem(channel, params))
             report = result.report
-            k_th = theoretical_key_rate_limit(channel, n_block, beta, delta_star)
-            legacy = OptimizationProblem(channel, SourceParams(v_s=1.0), n_block,
-                                         LEGACY, beta, delta, delta_star)
-            k_legacy = evaluate_point(legacy, {}).K
             rows.append((value, report.K, report.K_inf, report.I_AB,
                          report.chi_BE, report.Delta_n, report.T_low,
                          report.veps_up, result.point["v"],
@@ -328,8 +332,13 @@ def run_montecarlo(scenario: dict, out_dir: str,
 # ------------------------------------------------------------------
 
 def _parse_count(text: str) -> int:
-    value = float(text)
-    _require(value >= 2, f"block size must be a count >= 2, got {text!r}")
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # refused below, under the block size's own name
+    if not (math.isfinite(value) and value >= 2):
+        # argparse shows this error's message, but not a ValueError's
+        raise argparse.ArgumentTypeError(f"block size must be a count >= 2, got {text!r}")
     return int(round(value))
 
 
@@ -355,19 +364,21 @@ def _pinned(args) -> dict:
     _require(getattr(args, other) is None,
              f"--{other} is the {owner}-scheme variance; the {args.scheme} "
              f"scheme takes --{key}")
+    _require(args.scheme != SINGLE or args.v2 is None,
+             "--v2 is the double/modified-scheme probe variance; the single "
+             "scheme sends no probe")
     pinned = {"v": getattr(args, key), "v2": args.v2, "r": args.r}
     return {name: x for name, x in pinned.items() if x is not None}
 
 
 def _direct_report(args, channel: ChannelParams, source: SourceParams):
     """Evaluate the key rate at fully specified protocol parameters."""
-    protocol = Protocol(args.scheme, **_pinned(args))
-    params = ProtocolParams(source, protocol, args.N, args.beta, args.delta,
-                            args.delta_star)
+    params = ProtocolParams(source, Protocol(args.scheme, **_pinned(args)),
+                            args.N, args.beta, args.delta, args.delta_star)
     if args.ideal_bounds:
         bounds = ideal_bounds(channel)
     else:
-        bounds = expected_bounds(channel, source, protocol, args.N, args.delta)
+        bounds = expected_bounds(channel, params)
     return finite_key_rate(params, channel, bounds,
                            corner_search=args.corner_search,
                            with_correction=not args.ideal_bounds)
@@ -379,10 +390,9 @@ def _optimize(args, channel: ChannelParams, source: SourceParams) -> tuple:
     pinned = _pinned(args)
     free = tuple(name for name in FREE[args.scheme] if name not in pinned)
     # a free key variance is the optimizer's to choose; 0.0 holds its place
-    protocol = Protocol(args.scheme, **{"v": 0.0, **pinned})
-    result = optimize_key_rate(OptimizationProblem(
-        channel, source, args.N, protocol, args.beta, args.delta,
-        args.delta_star, free=free))
+    params = ProtocolParams(source, Protocol(args.scheme, **{"v": 0.0, **pinned}),
+                            args.N, args.beta, args.delta, args.delta_star)
+    result = optimize_key_rate(OptimizationProblem(channel, params, free=free))
     point = {(_key_name(args.scheme) if name == "v" else name): x
              for name, x in result.point.items()}
     return result, point

@@ -34,6 +34,7 @@ from .model import (
     SINGLE,
     ChannelParams,
     Protocol,
+    ProtocolParams,
     SourceParams,
     _finite,
     _require,
@@ -358,13 +359,12 @@ def ideal_bounds(channel: ChannelParams) -> ConfidenceBounds:
                             T_up=channel.T, veps_low=channel.v_eps)
 
 
-def expected_bounds(channel: ChannelParams, source: SourceParams,
-                    protocol: Protocol, N: float,
-                    delta: float = DEFAULT_DELTA) -> ConfidenceBounds:
+def expected_bounds(channel: ChannelParams, params: ProtocolParams) -> ConfidenceBounds:
     """Planning-mode bounds: the confidence box a typical run will produce,
     built from the true parameters and the analytic variance model."""
+    protocol = params.protocol
     if protocol.kind == SINGLE:
-        model = variance_single(channel, source, protocol.v, protocol.r * N)
+        model = variance_single(channel, params.source, protocol.v, params.m)
     else:
-        model = variance_modified_double(channel, source, protocol, N)
-    return confidence_bounds(channel.T, channel.v_eps, model, delta)
+        model = variance_modified_double(channel, params.source, protocol, float(params.N))
+    return confidence_bounds(channel.T, channel.v_eps, model, params.delta)

@@ -4,9 +4,10 @@ The objective is always the planning-mode finite-size key rate: expected
 confidence bounds from the analytic variance models, no sampling. That
 makes every optimization deterministic, cheap, and exactly reproducible.
 
-The search is deliberately simple: a coarse geometric grid locates the
-basin, then cyclic per-coordinate golden-section refinement polishes the
-optimum to the requested tolerance. Points where the rate is undefined
+The search is deliberately simple: a coarse geometric grid over each free
+variable's fixed range locates the basin, then cyclic per-coordinate
+golden-section refinement polishes the optimum until a sweep gains less
+than a fixed relative tolerance. Points where the rate is undefined
 (for example a disclosed fraction too small to estimate from) score
 negative infinity and are simply never selected.
 """
@@ -14,7 +15,7 @@ negative infinity and are simply never selected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .keyrate import (
 )
 from .model import (
     DEFAULT_BETA,
-    DEFAULT_DELTA,
     DEFAULT_DELTA_STAR,
     DOUBLE,
     MODIFIED,
@@ -37,7 +37,6 @@ from .model import (
     FiberModel,
     Protocol,
     ProtocolParams,
-    SourceParams,
     _finite,
     _require,
     _require_beta,
@@ -52,6 +51,9 @@ _GRID_R = 12
 FREE = {SINGLE: ("v", "r"), DOUBLE: ("v",), MODIFIED: ("v", "r")}
 # search ranges; r stays below 1 so both subsets remain usable
 _BOX = {"v": (0.01, 100.0), "v2": (0.1, 50.0), "r": (0.0, 0.9)}
+# relative tolerance: refinement stops once a sweep gains less than this
+# share of the best rate, and a modified optimum this close to r = 0 snaps there
+_TOL = 1e-4
 # classic single-modulation working point
 LEGACY = Protocol(SINGLE, v=1.5, r=0.5)
 
@@ -60,28 +62,18 @@ LEGACY = Protocol(SINGLE, v=1.5, r=0.5)
 class OptimizationProblem:
     """Key-rate maximisation over a subset of the protocol parameters.
 
-    ``protocol`` is the fixed point: its scheme, and the values of every
-    field that is not free. ``free`` names the :class:`Protocol` fields to
-    search and defaults to the scheme's entry in :data:`FREE`; ``box``
-    overrides a field's search range.
+    ``params`` is the fixed point: the source, block size and budgets, the
+    scheme, and the value of every :class:`Protocol` field that is not
+    free. ``free`` names the fields to search and defaults to the
+    scheme's entry in :data:`FREE`.
     """
 
     channel: ChannelParams
-    source: SourceParams
-    N: int
-    protocol: Protocol
-    beta: float = DEFAULT_BETA
-    delta: float = DEFAULT_DELTA
-    delta_star: float = DEFAULT_DELTA_STAR
+    params: ProtocolParams
     free: tuple[str, ...] | None = None
-    box: dict = field(default_factory=dict)
-    tol: float = 1e-4
 
     def __post_init__(self):
-        kind = self.protocol.kind
-        _require(isinstance(self.N, int) and self.N >= 2,
-                 f"block size N must be an integer >= 2, got {self.N!r}")
-        _require(_finite(self.tol) and self.tol > 0.0, "tol must be > 0")
+        kind = self.params.protocol.kind
         free = self.free if self.free is not None else FREE[kind]
         allowed = ("v", "r") if kind == SINGLE else ("v", "v2", "r")
         for name in free:
@@ -90,10 +82,6 @@ class OptimizationProblem:
         _require(kind != DOUBLE or "r" not in free,
                  "the double scheme has no disclosed fraction to optimise")
         object.__setattr__(self, "free", tuple(free))
-
-    def variable_box(self, name: str) -> tuple[float, float]:
-        lo, hi = self.box.get(name, _BOX[name])
-        return float(lo), float(hi)
 
 
 @dataclass(frozen=True)
@@ -108,22 +96,16 @@ class OptimizationResult:
 def evaluate_point(problem: OptimizationProblem, point: dict) -> KeyRateReport:
     """Planning-mode finite-size rate at one parameter point: ``point``
     maps :class:`Protocol` fields to values that replace the fixed ones."""
-    protocol = replace(problem.protocol, **point)
-    bounds = expected_bounds(problem.channel, problem.source, protocol,
-                             float(problem.N), problem.delta)
-    params = ProtocolParams(problem.source, protocol, problem.N, problem.beta,
-                            problem.delta, problem.delta_star)
-    return finite_key_rate(params, problem.channel, bounds)
+    params = replace(problem.params, protocol=replace(problem.params.protocol, **point))
+    return finite_key_rate(params, problem.channel, expected_bounds(problem.channel, params))
 
 
 def _coordinate_grid(problem: OptimizationProblem, name: str) -> list[float]:
-    lo, hi = problem.variable_box(name)
+    lo, hi = _BOX[name]
     if name == "r":
-        r_min = max(lo, 2.0 / problem.N, 1e-6)
-        grid = numeric.log_grid(r_min, hi, _GRID_R)
-        if problem.protocol.kind == MODIFIED and lo == 0.0:
-            grid = [0.0] + grid
-        return grid
+        # r = 0 leaves the single scheme nothing to estimate from
+        grid = numeric.log_grid(max(2.0 / problem.params.N, 1e-6), hi, _GRID_R)
+        return [0.0] + grid if problem.params.protocol.kind == MODIFIED else grid
     return numeric.log_grid(lo, hi, _GRID_V)
 
 
@@ -138,6 +120,7 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
     """
     evaluations = 0
     free = problem.free
+    kind = problem.params.protocol.kind
 
     def objective(point: dict) -> float:
         nonlocal evaluations
@@ -171,11 +154,8 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
         del point[name]
 
     scan(list(free), {})
-    if problem.protocol.kind == SINGLE and all(n in free for n in ("v", "r")):
-        lo_v, hi_v = problem.variable_box("v")
-        lo_r, hi_r = problem.variable_box("r")
-        if lo_v <= LEGACY.v <= hi_v and lo_r <= LEGACY.r <= hi_r:
-            consider({"v": LEGACY.v, "r": LEGACY.r})
+    if kind == SINGLE and all(n in free for n in ("v", "r")):
+        consider({"v": LEGACY.v, "r": LEGACY.r})
     # with nothing free, {} is the one point and a valid one
     _require(best_value > -math.inf,
              "every grid point was infeasible; check the channel and block size")
@@ -201,13 +181,13 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
             if f_ref > best_value:
                 best_point[name] = x_ref
                 best_value = f_ref
-        if best_value - improved <= problem.tol * scale:
+        if best_value - improved <= _TOL * scale:
             break
 
-    if problem.protocol.kind == MODIFIED and "r" in free and best_point.get("r", 0.0) > 0.0:
+    if kind == MODIFIED and "r" in free and best_point.get("r", 0.0) > 0.0:
         at_zero = dict(best_point)
         at_zero["r"] = 0.0
-        if objective(at_zero) >= best_value - problem.tol * scale:
+        if objective(at_zero) >= best_value - _TOL * scale:
             best_point = at_zero
             best_value = objective(at_zero)
 
@@ -280,11 +260,11 @@ def optimal_ratio_curve(problem_template: OptimizationProblem,
     """
     points: list[tuple[float, float]] = []
     for n_val in n_values:
-        problem = replace(problem_template, N=int(round(float(n_val))))
-        result = optimize_key_rate(problem)
+        params = replace(problem_template.params, N=int(round(float(n_val))))
+        result = optimize_key_rate(replace(problem_template, params=params))
         r_opt = result.point.get("r", 0.0)
         if result.status == "ok" and r_opt > 0.0:
-            points.append((float(problem.N), float(r_opt)))
+            points.append((float(params.N), float(r_opt)))
     _require(len(points) >= 2, "fewer than 2 usable block sizes; cannot fit")
     fit = fit_power_law([p[0] for p in points], [p[1] for p in points])
     return fit, points
@@ -305,7 +285,7 @@ def optimal_ratio_zero_crossing(problem_template: OptimizationProblem,
     The channel's excess noise follows the template's ratio of excess
     noise to transmittance.
     """
-    _require(problem_template.protocol.kind == MODIFIED,
+    _require(problem_template.params.protocol.kind == MODIFIED,
              "the zero crossing is a property of the modified scheme")
     base = problem_template.channel
     eps_ratio = base.v_eps / base.T if base.T > 0.0 else 0.0

@@ -17,6 +17,7 @@ from cvqkd import (
     ChannelParams,
     SourceParams,
     Protocol,
+    ProtocolParams,
     SampleSet,
     FiberModel,
     channel_at_distance,
@@ -140,8 +141,8 @@ def test_criterion_05_distance_fit_slope():
 
 
 def test_criterion_06_optimal_ratio_power_law():
-    template = OptimizationProblem(ChannelParams(0.03, 0.0003),
-                                   SourceParams(1.0), 1000, Protocol("single", 1.0))
+    template = OptimizationProblem(ChannelParams(0.03, 0.0003), ProtocolParams(
+        SourceParams(1.0), Protocol("single", 1.0), 1000))
     fit, points = optimal_ratio_curve(template, np.logspace(5, 9, 9))
     print(f"gamma={fit.gamma:.4f} from {len(points)} live points")
     assert abs(fit.gamma - (-0.35)) < 0.10
@@ -158,12 +159,12 @@ def test_criterion_07_scheme_ordering():
         for vs in (0.1, 0.5, 1.0):
             src = SourceParams(vs)
             k_single[vs] = optimize_key_rate(OptimizationProblem(
-                channel, src, 10**6, Protocol("single", 1.0))).K
+                channel, ProtocolParams(src, Protocol("single", 1.0), 10**6))).K
             k_mod[vs] = optimize_key_rate(OptimizationProblem(
-                channel, src, 10**6, Protocol("modified", 1.0))).K
+                channel, ProtocolParams(src, Protocol("modified", 1.0), 10**6))).K
             k_legacy = evaluate_point(
-                OptimizationProblem(channel, SourceParams(1.0), 10**6,
-                                    Protocol("single", 1.0), free=()),
+                OptimizationProblem(channel, ProtocolParams(
+                    SourceParams(1.0), Protocol("single", 1.0), 10**6), free=()),
                 {"v": 1.5, "r": 0.5}).K
             rows += 1
             if k_single[vs] > 0 and k_legacy > 0 and \
@@ -186,8 +187,8 @@ def test_criterion_07_scheme_ordering():
 
 
 def test_criterion_08_disclosure_zero_crossing():
-    template = OptimizationProblem(ChannelParams(0.5, 0.005),
-                                   SourceParams(0.1), 10**6, Protocol("modified", 1.0))
+    template = OptimizationProblem(ChannelParams(0.5, 0.005), ProtocolParams(
+        SourceParams(0.1), Protocol("modified", 1.0), 10**6))
     t_star = optimal_ratio_zero_crossing(template)
     print(f"T* = {t_star:.5f}")
     assert 0.1 <= t_star <= 0.3
@@ -195,8 +196,8 @@ def test_criterion_08_disclosure_zero_crossing():
 
 def test_criterion_09_noise_bound_reaches_statistical_floor():
     channel = ChannelParams(1e-4, 0.01 * 1e-4)
-    bounds = expected_bounds(channel, SourceParams(1.0),
-                             Protocol("double", 3.0, 10.0), 1e6)
+    bounds = expected_bounds(channel, ProtocolParams(
+        SourceParams(1.0), Protocol("double", 3.0, 10.0), 10**6))
     z = confidence_coefficient(DEFAULT_DELTA)
     ratio = (bounds.veps_up - channel.v_eps) / (
         z * theoretical_noise_limit(channel, 1e6))
@@ -271,17 +272,17 @@ def test_headline_claim():
     # T=0.03: the tuned modified scheme at N=1e7 is claimed to beat the
     # legacy coherent baseline at N=1e8 by >= 5x
     channel = ChannelParams(0.03, 0.0003)
-    k_mod_1e7 = optimize_key_rate(OptimizationProblem(
-        channel, SourceParams(0.1), 10**7, Protocol("modified", 1.0))).K
+    k_mod_1e7 = optimize_key_rate(OptimizationProblem(channel, ProtocolParams(
+        SourceParams(0.1), Protocol("modified", 1.0), 10**7))).K
     k_leg_1e8 = evaluate_point(
-        OptimizationProblem(channel, SourceParams(1.0), 10**8, Protocol("single", 1.0),
-                            free=()),
+        OptimizationProblem(channel, ProtocolParams(
+            SourceParams(1.0), Protocol("single", 1.0), 10**8), free=()),
         {"v": 1.5, "r": 0.5}).K
-    k_mod_1e8 = optimize_key_rate(OptimizationProblem(
-        channel, SourceParams(0.1), 10**8, Protocol("modified", 1.0))).K
+    k_mod_1e8 = optimize_key_rate(OptimizationProblem(channel, ProtocolParams(
+        SourceParams(0.1), Protocol("modified", 1.0), 10**8))).K
     k_leg_1e9 = evaluate_point(
-        OptimizationProblem(channel, SourceParams(1.0), 10**9, Protocol("single", 1.0),
-                            free=()),
+        OptimizationProblem(channel, ProtocolParams(
+            SourceParams(1.0), Protocol("single", 1.0), 10**9), free=()),
         {"v": 1.5, "r": 0.5}).K
     message = (
         f"modified(N=1e7)={k_mod_1e7:+.6f}, legacy(N=1e8)={k_leg_1e8:+.6f}; "

@@ -131,11 +131,32 @@ def test_keyrate_refuses_an_overflowing_key_variance(capsys, scheme):
      "--v is the single-scheme variance; the modified scheme takes --v1"),
     (["--scheme", "single", "--v1", "7", "--r", "0.3"],
      "--v1 is the double/modified-scheme variance; the single scheme takes --v"),
-], ids=["double-v", "modified-v", "single-v1"])
+    (["--scheme", "single", "--v2", "5"],
+     "--v2 is the double/modified-scheme probe variance; the single scheme sends no probe"),
+], ids=["double-v", "modified-v", "single-v1", "single-v2"])
 def test_other_schemes_key_variance_flag_is_refused(capsys, command, flags, message):
     assert main_entry([command, "--T", "0.5", *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["optimize", "--beta", "2"], "reconciliation efficiency must lie in (0, 1], got 2.0"),
+    (["optimize", "--delta", "0"], "confidence budget delta must lie in (0, 1), got 0.0"),
+    (["optimize", "--delta-star", "1.5"],
+     "penalty budget delta_star must lie in (0, 1), got 1.5"),
+    (["keyrate", "--beta", "2"], "reconciliation efficiency must lie in (0, 1], got 2.0"),
+], ids=["optimize-beta", "optimize-delta", "optimize-delta_star", "keyrate-beta"])
+def test_out_of_range_budgets_are_refused_by_name(capsys, argv, message):
+    assert main_entry([*argv, "--T", "0.3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("count", ["inf", "nan", "1"])
+def test_block_size_flag_refuses_a_non_count(capsys, count):
+    assert main_entry(["keyrate", "--T", "0.3", "--N", count]) == 1
+    assert f"block size must be a count >= 2, got {count!r}" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -253,6 +274,16 @@ def test_sweep_rejects_unknown_top_level_key(capsys, tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_sweep_refuses_an_out_of_range_budget_before_writing(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**_TINY_SWEEP, "beta": 1.5}))
+    out = tmp_path / "out"
+    assert main_entry(["sweep", "--scenario", str(path), "--out", str(out)]) == 1
+    assert ("reconciliation efficiency must lie in (0, 1], got 1.5"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_sweep_rejects_unknown_fiber_key(capsys, tmp_path):
     scenario = {**_TINY_SWEEP, "fiber": {"attenuation": 0.2}}
     assert main_entry(_sweep_argv(tmp_path, scenario)) == 1
@@ -333,6 +364,15 @@ def test_readme_scenario_runs(tmp_path):
         "short_distance_single_vs1.csv", "short_distance_modified_vs0.1.csv"]
     for path in paths:
         assert len(Path(path).read_text().splitlines()) == 2 + 3
+
+
+def test_readme_python_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Python API"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(code, {})
+    quoted = re.search(r"# (K = .*)", code).group(1)
+    assert capsys.readouterr().out.strip() == quoted
 
 
 def test_sweep_presets_have_expected_geometry():

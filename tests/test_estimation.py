@@ -10,6 +10,7 @@ from cvqkd import (
     ChannelParams,
     SourceParams,
     Protocol,
+    ProtocolParams,
     SampleSet,
     VarianceModel,
     estimate_covariance,
@@ -348,32 +349,32 @@ def test_expected_bounds_match_scheme_models():
     ch, src = ChannelParams(0.2, 0.002), SourceParams(1.0)
     z = confidence_coefficient(1e-10)
 
-    got = expected_bounds(ch, src, Protocol("single", 3.0, r=0.5), 1e5)
+    got = expected_bounds(ch, ProtocolParams(src, Protocol("single", 3.0, r=0.5), 10**5))
     ref = variance_single(ch, src, 3.0, 0.5e5)
     assert got.T_low == pytest.approx(ch.T - z * ref.sigma, rel=1e-12)
     assert got.veps_up == pytest.approx(ch.v_eps + z * ref.s, rel=1e-12)
 
     mod_d = Protocol("double", 3.0, 10.0)
-    got = expected_bounds(ch, src, mod_d, 1e5)
+    got = expected_bounds(ch, ProtocolParams(src, mod_d, 10**5))
     ref = variance_double(ch, src, mod_d, 1e5)
     assert got.veps_up == pytest.approx(ch.v_eps + z * ref.s, rel=1e-12)
 
     mod_m = Protocol("modified", 3.0, 10.0, 0.3)
-    got = expected_bounds(ch, src, mod_m, 1e5)
+    got = expected_bounds(ch, ProtocolParams(src, mod_m, 10**5))
     ref = variance_modified_double(ch, src, mod_m, 1e5)
     assert got.veps_up == pytest.approx(ch.v_eps + z * ref.s, rel=1e-12)
 
 
 def test_expected_bounds_tighten_with_block_size():
     ch, src = ChannelParams(0.1, 0.001), SourceParams(1.0)
-    b = expected_bounds(ch, src, Protocol("double", 3.0, 10.0), 1e14)
+    b = expected_bounds(ch, ProtocolParams(src, Protocol("double", 3.0, 10.0), 10**14))
     assert b.T_low == pytest.approx(ch.T, abs=1e-5)
     assert b.veps_up == pytest.approx(ch.v_eps, abs=1e-5)
 
 
 def test_expected_bounds_double_low_transmittance_margin():
     ch, src = ChannelParams(1e-9, 0.01), SourceParams(1.0)
-    b = expected_bounds(ch, src, Protocol("double", 3.0, 10.0), 1e6)
+    b = expected_bounds(ch, ProtocolParams(src, Protocol("double", 3.0, 10.0), 10**6))
     z = confidence_coefficient(1e-10)
     assert b.veps_up - ch.v_eps == pytest.approx(
         z * math.sqrt(2.0 / 1e6) * 1.01, rel=1e-6)
@@ -383,7 +384,7 @@ def test_expected_bounds_double_beats_single_at_low_transmittance():
     # hiding the key displacement keeps the whole block usable for
     # estimation, which wins clearly in the deep-loss regime
     ch, src = ChannelParams(0.03, 0.0003), SourceParams(1.0)
-    single = expected_bounds(ch, src, Protocol("single", 3.0, r=0.5), 1e6)
-    double = expected_bounds(ch, src, Protocol("double", 3.0, 10.0), 1e6)
+    single = expected_bounds(ch, ProtocolParams(src, Protocol("single", 3.0, r=0.5), 10**6))
+    double = expected_bounds(ch, ProtocolParams(src, Protocol("double", 3.0, 10.0), 10**6))
     assert double.veps_up < single.veps_up
 

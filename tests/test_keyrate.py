@@ -410,8 +410,8 @@ def test_key_rate_never_exceeds_theoretical_limit(T, v_eps, v_s, kind, v, v2, r,
     channel, N = ChannelParams(T, v_eps), int(round(10.0 ** log10_N))
     protocol = Protocol(kind, v, v2, 0.0 if kind == "double" else r)
     try:
-        K = evaluate_point(OptimizationProblem(channel, SourceParams(v_s), N,
-                                               protocol), {}).K
+        K = evaluate_point(OptimizationProblem(
+            channel, ProtocolParams(SourceParams(v_s), protocol, N)), {}).K
     except ValueError:  # infeasible, as the optimizer scores it
         return
     if K > 0.0:
@@ -471,7 +471,7 @@ def test_double_modulation_rate_at_76km_small_block():
     # penalty (0.0409 at N = 1e6) exceeds the best achievable asymptotic
     # rate (about 0.030) at this loss, so the assembled rate is negative.
     channel = channel_at_distance(76.0)
-    problem = OptimizationProblem(channel=channel, source=SourceParams(0.1),
-                                  N=10**6, protocol=Protocol("double", 1.0))
+    problem = OptimizationProblem(channel=channel, params=ProtocolParams(
+        SourceParams(0.1), Protocol("double", 1.0), 10**6))
     result = optimize_key_rate(problem)
     assert result.K > 0.0

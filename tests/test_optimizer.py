@@ -33,6 +33,10 @@ def _channel(T):
     return ChannelParams(T, 0.01 * T)
 
 
+def _params(v_s, kind, N, v=1.0):
+    return ProtocolParams(SourceParams(v_s), Protocol(kind, v), N)
+
+
 # --------------------------------------------------------------------------
 # curve fitting
 
@@ -103,30 +107,31 @@ def test_max_distance_validation():
 
 
 def test_optimize_lossless_channel_prefers_strongest_modulation():
-    problem = OptimizationProblem(ChannelParams(1.0, 0.0), SourceParams(1.0),
-                                  10**8, Protocol("single", 1.0, r=0.5),
-                                  beta=1.0, free=("v",))
+    problem = OptimizationProblem(ChannelParams(1.0, 0.0),
+                                  ProtocolParams(SourceParams(1.0),
+                                                 Protocol("single", 1.0, r=0.5),
+                                                 10**8, beta=1.0),
+                                  free=("v",))
     result = optimize_key_rate(problem)
     assert result.status == "ok"
     assert result.point["v"] == 100.0  # box ceiling: rate is monotone here
 
 
 def test_optimize_deterministic():
-    problem = OptimizationProblem(_channel(0.2), SourceParams(0.5), 10**7,
-                                  Protocol("modified", 1.0))
+    problem = OptimizationProblem(_channel(0.2), _params(0.5, "modified", 10**7))
     a = optimize_key_rate(problem)
     b = optimize_key_rate(problem)
     assert a.point == b.point and a.K == b.K and a.evaluations == b.evaluations
 
 
 def test_evaluate_point_matches_direct_assembly():
-    problem = OptimizationProblem(_channel(0.2), SourceParams(1.0), 10**6,
-                                  Protocol("single", 3.0), free=())
+    problem = OptimizationProblem(_channel(0.2), _params(1.0, "single", 10**6, 3.0),
+                                  free=())
     point = {"v": 1.5, "r": 0.5}
     report = evaluate_point(problem, point)
     protocol = Protocol("single", 1.5, r=0.5)
-    bounds = expected_bounds(problem.channel, problem.source, protocol, 1e6)
-    params = ProtocolParams(problem.source, protocol, 10**6)
+    params = ProtocolParams(problem.params.source, protocol, 10**6)
+    bounds = expected_bounds(problem.channel, params)
     expected = finite_key_rate(params, problem.channel, bounds)
     assert report.K == expected.K
 
@@ -134,10 +139,9 @@ def test_evaluate_point_matches_direct_assembly():
 def test_optimized_beats_fixed_operating_point():
     channel = channel_at_distance(20.0)
     src = SourceParams(1.0)
-    tuned = optimize_key_rate(OptimizationProblem(channel, src, 10**6,
-                                                  Protocol("single", 1.0)))
-    fixed = evaluate_point(OptimizationProblem(channel, src, 10**6,
-                                               Protocol("single", 1.0), free=()),
+    params = ProtocolParams(src, Protocol("single", 1.0), 10**6)
+    tuned = optimize_key_rate(OptimizationProblem(channel, params))
+    fixed = evaluate_point(OptimizationProblem(channel, params, free=()),
                            {"v": 1.5, "r": 0.5})
     assert tuned.K >= fixed.K - 1e-12
 
@@ -145,17 +149,13 @@ def test_optimized_beats_fixed_operating_point():
 def test_modified_subsumes_double():
     # r = 0 is inside the modified search box, so its optimum cannot lose
     channel = _channel(0.2)
-    src = SourceParams(0.5)
-    k_mod = optimize_key_rate(OptimizationProblem(channel, src, 10**7,
-                                                  Protocol("modified", 1.0))).K
-    k_dbl = optimize_key_rate(OptimizationProblem(channel, src, 10**7,
-                                                  Protocol("double", 1.0))).K
+    k_mod = optimize_key_rate(OptimizationProblem(channel, _params(0.5, "modified", 10**7))).K
+    k_dbl = optimize_key_rate(OptimizationProblem(channel, _params(0.5, "double", 10**7))).K
     assert k_mod >= k_dbl - 1e-9
 
 
 def test_optimize_reports_dead_channel():
-    problem = OptimizationProblem(_channel(0.03), SourceParams(1.0), 10**5,
-                                  Protocol("single", 1.0))
+    problem = OptimizationProblem(_channel(0.03), _params(1.0, "single", 10**5))
     result = optimize_key_rate(problem)
     assert result.status == "no_positive_rate"
     assert result.K <= 0.0
@@ -166,7 +166,7 @@ def test_first_positive_block_discloses_about_half():
     # positive-rate block; right there the best split reveals about half
     def tuned(N):
         return optimize_key_rate(OptimizationProblem(
-            _channel(0.03), SourceParams(1.0), int(N), Protocol("single", 1.0)))
+            _channel(0.03), _params(1.0, "single", int(N))))
 
     lo, hi = 1e8, 3e8
     assert tuned(lo).status == "no_positive_rate"
@@ -185,8 +185,7 @@ def test_first_positive_block_discloses_about_half():
 
 
 def test_ratio_curve_power_law_moderate_loss():
-    template = OptimizationProblem(_channel(0.3), SourceParams(1.0), 1000,
-                                   Protocol("single", 1.0))
+    template = OptimizationProblem(_channel(0.3), _params(1.0, "single", 1000))
     fit, points = optimal_ratio_curve(template, np.logspace(5, 9, 9))
     assert len(points) >= 5
     assert -0.45 < fit.gamma < -0.25
@@ -195,8 +194,7 @@ def test_ratio_curve_power_law_moderate_loss():
 
 
 def test_ratio_curve_needs_live_points():
-    template = OptimizationProblem(_channel(0.03), SourceParams(1.0), 1000,
-                                   Protocol("single", 1.0))
+    template = OptimizationProblem(_channel(0.03), _params(1.0, "single", 1000))
     with pytest.raises(ValueError):
         optimal_ratio_curve(template, [1e5, 3e5])
 
@@ -209,7 +207,7 @@ def test_zero_crossing_bracket_probes():
     # frozen from a full crossing run at v_s = 0.1: T* close to 0.288
     def probe(T):
         return optimize_key_rate(OptimizationProblem(
-            _channel(T), SourceParams(0.1), 10**6, Protocol("modified", 1.0)))
+            _channel(T), _params(0.1, "modified", 10**6)))
 
     above = probe(0.36)
     assert above.status == "ok" and above.point.get("r", 0.0) > 1e-3
@@ -218,8 +216,8 @@ def test_zero_crossing_bracket_probes():
 
 
 def test_zero_crossing_beta_sensitivity():
-    template = OptimizationProblem(_channel(0.5), SourceParams(0.1), 10**6,
-                                   Protocol("modified", 1.0), beta=0.8)
+    template = OptimizationProblem(_channel(0.5), ProtocolParams(
+        SourceParams(0.1), Protocol("modified", 1.0), 10**6, beta=0.8))
     t_star = optimal_ratio_zero_crossing(template, iterations=8)
     assert 0.05 < t_star < 0.5
 
@@ -227,15 +225,14 @@ def test_zero_crossing_beta_sensitivity():
 def test_zero_crossing_requires_modified_scheme():
     with pytest.raises(ValueError):
         optimal_ratio_zero_crossing(OptimizationProblem(
-            _channel(0.5), SourceParams(0.1), 10**6, Protocol("single", 1.0)))
+            _channel(0.5), _params(0.1, "single", 10**6)))
 
 
 def test_zero_crossing_found_for_each_squeezing():
     # claimed for every squeezing strength; the coherent boundary case
     # never discloses at any live transmittance, so this raises instead
     for vs in (1.0, 0.5, 0.1):
-        template = OptimizationProblem(_channel(0.5), SourceParams(vs), 10**6,
-                                       Protocol("modified", 1.0))
+        template = OptimizationProblem(_channel(0.5), _params(vs, "modified", 10**6))
         t_star = optimal_ratio_zero_crossing(template, iterations=8)
         assert 0.01 < t_star < 1.0
 
@@ -252,7 +249,7 @@ def test_fitted_reach_bounds_the_pipeline():
         lo, hi = 10.0, 220.0
         def alive(d):
             problem = OptimizationProblem(channel_at_distance(d, fiber),
-                                          SourceParams(0.1), int(N), Protocol(kind, 1.0))
+                                          _params(0.1, kind, int(N)))
             return optimize_key_rate(problem).status == "ok"
         assert alive(lo)
         for _ in range(22):
@@ -281,17 +278,14 @@ def test_fit_exponential_keyrate_rejects_dead_window():
 
 
 def test_optimization_problem_validation():
-    ch, src = _channel(0.2), SourceParams(1.0)
+    ch = _channel(0.2)
     with pytest.raises(ValueError):
-        OptimizationProblem(ch, src, 10**6, Protocol("triple", 1.0))
+        OptimizationProblem(ch, _params(1.0, "triple", 10**6))
     with pytest.raises(ValueError):
-        OptimizationProblem(ch, src, 1e6, Protocol("single", 1.0))  # N not an int
+        OptimizationProblem(ch, _params(1.0, "single", 1e6))  # N not an int
     with pytest.raises(ValueError):
-        OptimizationProblem(ch, src, 10**6, Protocol("single", 1.0), free=("v2",))
+        OptimizationProblem(ch, _params(1.0, "single", 10**6), free=("v2",))
     with pytest.raises(ValueError):
-        OptimizationProblem(ch, src, 10**6, Protocol("double", 1.0), free=("v", "r"))
-    problem = OptimizationProblem(ch, src, 10**6, Protocol("modified", 1.0),
-                                  box={"v": (0.5, 2.0)})
-    assert problem.variable_box("v") == (0.5, 2.0)
-    assert problem.variable_box("v2") == (0.1, 50.0)
-    assert problem.protocol.v2 == 10.0
+        OptimizationProblem(ch, _params(1.0, "double", 10**6), free=("v", "r"))
+    problem = OptimizationProblem(ch, _params(1.0, "modified", 10**6))
+    assert problem.params.protocol.v2 == 10.0
