@@ -40,10 +40,8 @@ from .estimation import (
     estimate_covariance,
     estimate_T,
     estimate_Veps,
-    variance_single,
-    variance_double,
-    variance_modified_double,
-    opt_combine,
+    estimation_arms,
+    variance_model,
     confidence_coefficient,
     confidence_bounds,
     expected_bounds,
@@ -61,7 +59,6 @@ from .keyrate import (
     worst_case_corner,
     theoretical_noise_limit,
     theoretical_key_rate_limit,
-    veps_up_approx,
 )
 from .montecarlo import (
     TrialConfig,
@@ -94,14 +91,13 @@ __all__ = [
     "transmittance_to_distance", "excess_noise_from_fiber",
     "channel_at_distance",
     "SampleSet", "VarianceModel", "ConfidenceBounds", "estimate_covariance",
-    "estimate_T", "estimate_Veps", "variance_single", "variance_double",
-    "variance_modified_double", "opt_combine", "confidence_coefficient",
-    "confidence_bounds", "expected_bounds", "ideal_bounds",
+    "estimate_T", "estimate_Veps", "estimation_arms", "variance_model",
+    "confidence_coefficient", "confidence_bounds", "expected_bounds",
+    "ideal_bounds",
     "SymplecticSpectrum", "KeyRateReport", "von_neumann_entropy",
     "mutual_information", "holevo_bound", "asymptotic_key_rate",
     "finite_size_correction", "finite_key_rate", "worst_case_corner",
     "theoretical_noise_limit", "theoretical_key_rate_limit",
-    "veps_up_approx",
     "TrialConfig", "EmpiricalStats", "ValidationRow",
     "simulate_transmission", "run_trials", "validate_variance_models",
     "OptimizationProblem", "OptimizationResult", "ExponentialFit",

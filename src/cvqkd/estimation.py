@@ -1,24 +1,26 @@
 """Channel estimators, their analytic variance models, confidence bounds.
 
 The receiver regresses its quadrature record against publicly revealed
-modulation data to estimate the transmittance and the excess noise. Three
-disclosure schemes are covered:
+modulation data to estimate the transmittance and the excess noise. Each
+scheme splits its block of ``N`` into estimation arms
+``(samples, revealed variance, withheld variance)``:
 
 ``single``
-    a fraction ``r`` of the block reveals its (only) modulation and is
-    burned for estimation;
+    ``[(r N, v, 0)]``: a fraction ``r`` of the block reveals its only
+    displacement and is burned for estimation;
 ``double``
-    every sample carries an extra probe displacement that is always
-    public, so the whole block estimates the channel and the whole block
-    keeps its key displacement secret;
+    ``[(N, v2, v)]``: a public probe displacement on every sample
+    estimates the channel while the key displacement stays hidden;
 ``modified``
-    double modulation where the first ``r * N`` samples additionally
-    reveal the key displacement, and the two sub-estimates are merged by
-    inverse-variance weighting.
+    ``[((1 - r) N, v2, v), (r N, v + v2, 0)]``: the double scheme that
+    also reveals the key displacement on ``r N`` samples, leaving out an
+    arm of zero size.
 
-The analytic standard deviations returned here are leading order in
-``1/m``. They are the planning counterpart of the sampled estimators in
-:mod:`cvqkd.montecarlo`, which validates them.
+The arms' sub-estimates merge by inverse-variance weighting. The analytic
+standard deviations returned here are leading order in ``1/m`` (Leverrier,
+Grosshans & Grangier, PRA 81, 062343, 2010). They are the planning
+counterpart of the sampled estimators in :mod:`cvqkd.montecarlo`, which
+validates them on the same arms.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ class VarianceModel:
 
     sigma_sq: float  # variance of the transmittance estimator
     s_sq: float      # variance of the excess-noise estimator
+    per_arm: tuple = ()  # (sigma_sq, s_sq) of each arm before combination
 
     def __post_init__(self):
         _require(_finite(self.sigma_sq) and self.sigma_sq >= 0.0,
@@ -160,100 +163,68 @@ def estimate_Veps(samples: SampleSet, t_hat: float, source: SourceParams) -> flo
 # --------------------------------------------------------------------------
 # analytic variance models
 #
-# The transmittance terms are kept in the factored form
+# An arm is ``(samples, revealed, withheld)``: ``samples`` pairs regressed
+# against a public displacement of variance ``revealed`` while a
+# displacement of variance ``withheld`` stays hidden in the noise. The
+# transmittance terms are kept in the factored form
 # (4/m) * (2 T^2 + T * V_noise / V_revealed), which stays finite as T -> 0.
 
 
-def variance_single(channel: ChannelParams, source: SourceParams,
-                    v: float, m: float) -> VarianceModel:
-    """Estimator variances when ``m`` disclosed samples of modulation
-    variance ``v`` estimate the channel."""
-    _require(channel.T > 0.0, "single-modulation estimation is degenerate at T = 0")
-    _require(_finite(v) and v > 0.0, f"modulation variance must be > 0, got {v!r}")
-    _require(_finite(m) and m > 0.0, f"sample count must be > 0, got {m!r}")
-    T = channel.T
-    vn = aggregated_noise_variance(channel, source)
-    sigma_sq = (4.0 / m) * (2.0 * T * T + T * vn / v)
-    s_sq = (2.0 / m) * vn * vn + (1.0 - source.v_s) ** 2 * sigma_sq
-    return VarianceModel(sigma_sq, s_sq)
+def estimation_arms(protocol: Protocol, kept: float,
+                    disclosed: float) -> tuple[tuple[float, float, float], ...]:
+    """The arms of ``protocol`` on a block split into ``kept`` samples
+    whose key displacement stays secret and ``disclosed`` samples that
+    reveal it; a probe-carrying scheme leaves out an arm of zero size."""
+    if protocol.kind == SINGLE:
+        return ((disclosed, protocol.v, 0.0),)
+    arms = ((kept, protocol.v2, protocol.v),
+            (disclosed, protocol.v + protocol.v2, 0.0))
+    return tuple(arm for arm in arms if arm[0] != 0.0)
 
 
-def _withheld_gain(protocol: Protocol, source: SourceParams) -> float:
-    """``(v + v_s - 1)**2``: how far the transmittance uncertainty moves the
-    excess-noise estimate when the key displacement stays hidden."""
-    try:
-        return (protocol.v + source.v_s - 1.0) ** 2
-    except OverflowError:  # a float ** raises where numpy would return inf
-        raise ValueError("key variance too large: (v + v_s - 1)**2 overflows "
-                         f"at v={protocol.v!r}") from None
+def _inverse_variance(variances: list[float]) -> float:
+    """Variance of the inverse-variance combination of unbiased estimators;
+    one estimator passes through unchanged."""
+    total = variances[0]
+    for w in variances[1:]:
+        if not (_finite(total) and total > 0.0 and _finite(w) and w > 0.0):
+            raise ValueError(f"arm variances must be finite and > 0, got {variances!r}")
+        total = total * w / (total + w)
+    return total
 
 
-def variance_double(channel: ChannelParams, source: SourceParams,
-                    protocol: Protocol, N: float) -> VarianceModel:
-    """Estimator variances when the public probe displacement on all ``N``
-    samples estimates the channel while the key displacement stays hidden."""
-    _require(_finite(N) and N > 0.0, f"sample count must be > 0, got {N!r}")
-    T = channel.T
-    vns = aggregated_noise_variance(channel, source, protocol.v)
-    sigma_sq = (4.0 / N) * (2.0 * T * T + T * vns / protocol.v2)
-    s_sq = (2.0 / N) * vns * vns + _withheld_gain(protocol, source) * sigma_sq
-    return VarianceModel(sigma_sq, s_sq)
+def variance_model(channel: ChannelParams, source: SourceParams, arms) -> VarianceModel:
+    """Estimator variances of a block estimated on ``arms``.
 
-
-def opt_combine(w1: float, w2: float) -> float:
-    """Variance of the inverse-variance combination of two unbiased
-    estimators with variances ``w1`` and ``w2``."""
-    _require(_finite(w1) and w1 > 0.0, f"w1 must be > 0, got {w1!r}")
-    _require(_finite(w2) and w2 > 0.0, f"w2 must be > 0, got {w2!r}")
-    return w1 * w2 / (w1 + w2)
-
-
-def modified_double_arms(channel: ChannelParams, source: SourceParams,
-                         protocol: Protocol, N: float):
-    """Per-subset estimator variances for the split double-modulation block.
-
-    Subset ``b`` is the first ``r * N`` samples with both displacements
-    revealed; subset ``a`` is the remainder with only the probe revealed.
-    Returns ``(sigma_a_sq, sigma_b_sq, sigma_sq, s_a_sq, s_b_sq, s_sq)``
-    where the unsuffixed values are the combined variances. The combined
-    transmittance variance feeds both noise arms, because each residual fit
-    uses the merged transmittance estimate.
+    Per arm, ``sigma_i^2 = (4/m) (2 T^2 + T vn / revealed)`` and
+    ``s_i^2 = (2/m) vn^2 + (withheld + v_s - 1)^2 sigma^2``, where ``vn``
+    is the noise the arm's regression sees and ``sigma^2`` the combined
+    transmittance variance: each residual fit uses the merged estimate.
+    Both combine by inverse variance over the arms. Revealing every
+    displacement is degenerate at T = 0, so only a block with a withheld
+    displacement is accepted there.
     """
-    r = protocol.r
-    _require(_finite(N) and N > 0.0, f"sample count must be > 0, got {N!r}")
-    _require(0.0 < r < 1.0, f"the split needs 0 < r < 1, got {r!r}")
+    _require(len(arms) > 0, "an estimation needs at least one arm")
     T = channel.T
-    vn = aggregated_noise_variance(channel, source)
-    vns = aggregated_noise_variance(channel, source, protocol.v)
-    na = (1.0 - r) * N
-    nb = r * N
-    sigma_a_sq = (4.0 / na) * (2.0 * T * T + T * vns / protocol.v2)
-    sigma_b_sq = (4.0 / nb) * (2.0 * T * T + T * vn / (protocol.v + protocol.v2))
-    if sigma_a_sq > 0.0 and sigma_b_sq > 0.0:
-        sigma_sq = opt_combine(sigma_a_sq, sigma_b_sq)
-    else:
-        sigma_sq = 0.0  # only at T = 0, where both arms vanish
-    s_a_sq = (2.0 / na) * vns * vns + _withheld_gain(protocol, source) * sigma_sq
-    s_b_sq = (2.0 / nb) * vn * vn + (1.0 - source.v_s) ** 2 * sigma_sq
-    s_sq = opt_combine(s_a_sq, s_b_sq)
-    return sigma_a_sq, sigma_b_sq, sigma_sq, s_a_sq, s_b_sq, s_sq
-
-
-def variance_modified_double(channel: ChannelParams, source: SourceParams,
-                             protocol: Protocol, N: float) -> VarianceModel:
-    """Estimator variances for the split double-modulation scheme.
-
-    ``r = 0``, which includes the double scheme, reduces to
-    :func:`variance_double`; ``r = 1`` reveals both displacements
-    everywhere, which is single-modulation estimation with the summed
-    variance.
-    """
-    if protocol.r == 0.0:
-        return variance_double(channel, source, protocol, N)
-    if protocol.r == 1.0:
-        return variance_single(channel, source, protocol.v + protocol.v2, N)
-    _, _, sigma_sq, _, _, s_sq = modified_double_arms(channel, source, protocol, N)
-    return VarianceModel(sigma_sq, s_sq)
+    _require(T > 0.0 or any(withheld > 0.0 for _, _, withheld in arms),
+             "estimation that reveals every displacement is degenerate at T = 0")
+    sigmas, noises, gains = [], [], []
+    for m, revealed, withheld in arms:
+        _require(_finite(revealed) and revealed > 0.0,
+                 f"modulation variance must be > 0, got {revealed!r}")
+        _require(_finite(m) and m > 0.0, f"sample count must be > 0, got {m!r}")
+        vn = aggregated_noise_variance(channel, source, withheld)
+        sigmas.append((4.0 / m) * (2.0 * T * T + T * vn / revealed))
+        noises.append((2.0 / m) * vn * vn)
+        try:  # a float ** raises where numpy would return inf
+            gains.append((withheld + source.v_s - 1.0) ** 2)
+        except OverflowError:
+            raise ValueError("key variance too large: (v + v_s - 1)**2 overflows "
+                             f"at v={withheld!r}, v_s={source.v_s!r}") from None
+    # zero only at T = 0, where every arm vanishes
+    sigma_sq = _inverse_variance(sigmas) if min(sigmas) > 0.0 else 0.0
+    s_arms = [noise + gain * sigma_sq for noise, gain in zip(noises, gains)]
+    return VarianceModel(sigma_sq, _inverse_variance(s_arms), tuple(zip(sigmas, s_arms)))
 
 
 # --------------------------------------------------------------------------
@@ -363,8 +334,6 @@ def expected_bounds(channel: ChannelParams, params: ProtocolParams) -> Confidenc
     """Planning-mode bounds: the confidence box a typical run will produce,
     built from the true parameters and the analytic variance model."""
     protocol = params.protocol
-    if protocol.kind == SINGLE:
-        model = variance_single(channel, params.source, protocol.v, params.m)
-    else:
-        model = variance_modified_double(channel, params.source, protocol, float(params.N))
+    arms = estimation_arms(protocol, params.n, protocol.r * params.N)
+    model = variance_model(channel, params.source, arms)
     return confidence_bounds(channel.T, channel.v_eps, model, params.delta)

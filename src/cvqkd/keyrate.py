@@ -303,19 +303,6 @@ def theoretical_noise_limit(channel: ChannelParams, N: float) -> float:
     return math.sqrt(2.0) * (1.0 + channel.v_eps - channel.T) / math.sqrt(N)
 
 
-def veps_up_approx(channel: ChannelParams, source: SourceParams,
-                   v_withheld: float, m: float) -> float:
-    """Leading-order excess-noise uncertainty of an ``m``-sample
-    estimation that keeps ``v_withheld`` of modulation variance hidden
-    inside the noise. Approaches :func:`theoretical_noise_limit` when the
-    withheld variance and the source variance are negligible."""
-    _require(_finite(m) and m >= 1.0, f"sample count must be >= 1, got {m!r}")
-    _require(_finite(v_withheld) and v_withheld >= 0.0,
-             f"withheld variance must be >= 0, got {v_withheld!r}")
-    vn = aggregated_noise_variance(channel, source, v_withheld)
-    return math.sqrt(2.0) * vn / math.sqrt(m)
-
-
 def optimal_asymptotic_rate(channel: ChannelParams, beta: float = DEFAULT_BETA,
                             v_s: float | None = None) -> tuple[float, float]:
     """Asymptotic rate maximised over the modulation variance.
@@ -336,21 +323,14 @@ def optimal_asymptotic_rate(channel: ChannelParams, beta: float = DEFAULT_BETA,
 
 def theoretical_key_rate_limit(channel: ChannelParams, N: float,
                                beta: float = DEFAULT_BETA,
-                               delta_star: float = DEFAULT_DELTA_STAR,
-                               v_s: float | None = None,
-                               v_mod: float | None = None) -> float:
+                               delta_star: float = DEFAULT_DELTA_STAR) -> float:
     """Upper benchmark on any finite-size rate from a block of ``N``.
 
     Parameter uncertainty is reduced to its statistical floor: the excess
     noise is evaluated at the larger of its true value and the noise
-    limit, the transmittance is taken as known. Defaults correspond to an
-    arbitrarily strongly squeezed source with optimised modulation.
+    limit, the transmittance is taken as known. The source is arbitrarily
+    strongly squeezed and the modulation optimised.
     """
     veps_eval = max(channel.v_eps, theoretical_noise_limit(channel, N))
-    ch = ChannelParams(channel.T, veps_eval)
-    if v_mod is None:
-        k_inf, _ = optimal_asymptotic_rate(ch, beta, v_s)
-    else:
-        source = SourceParams(SQUEEZING_LIMIT_VS if v_s is None else v_s)
-        k_inf, _, _ = asymptotic_key_rate(ch, source, v_mod, beta)
+    k_inf, _ = optimal_asymptotic_rate(ChannelParams(channel.T, veps_eval), beta)
     return k_inf - finite_size_correction(N, delta_star)

@@ -28,9 +28,8 @@ from .estimation import (
     VarianceModel,
     estimate_T,
     estimate_Veps,
-    modified_double_arms,
-    variance_modified_double,
-    variance_single,
+    estimation_arms,
+    variance_model,
 )
 from .keyrate import theoretical_noise_limit
 from .model import (
@@ -140,11 +139,12 @@ def _lean_buffers(config: TrialConfig) -> list[np.ndarray]:
 
 
 def _simulate_lean(config: TrialConfig, trial_index: int,
-                   buffers: list[np.ndarray]):
+                   buffers: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Distribution-identical transmission that only materialises what the
     estimators read: unseen displacements are folded into the noise draw,
     cutting the raw normals per trial by up to a third. Draw order is
-    fixed: revealed displacements first, then noise."""
+    fixed: revealed displacements first, then noise. Returns the
+    ``(revealed, received)`` records of the estimation arms, in arm order."""
     rng = _trial_rng(config.seed, trial_index)
     st = _DTYPE(math.sqrt(config.channel.T))
     p = config.scheme
@@ -153,23 +153,24 @@ def _simulate_lean(config: TrialConfig, trial_index: int,
         m_arr = _draw_scaled(rng, math.sqrt(p.v), m_buf)
         b_arr = _draw_scaled(rng, _noise_sd(config), b_buf)
         b_arr += st * m_arr
-        return m_arr, None, b_arr
+        return [(m_arr, b_arr)]
     # the probe regression never sees the key displacement; it acts as noise
     if p.kind == DOUBLE:
         m2_buf, b_buf = buffers
         m2 = _draw_scaled(rng, math.sqrt(p.v2), m2_buf)
         b_arr = _draw_scaled(rng, _noise_sd(config, p.v), b_buf)
         b_arr += st * m2
-        return m2, None, b_arr
+        return [(m2, b_arr)]
     m2_buf, m1b_buf, b_buf = buffers
     mc = m1b_buf.size
     m2 = _draw_scaled(rng, math.sqrt(p.v2), m2_buf)
-    m1b = _draw_scaled(rng, math.sqrt(p.v), m1b_buf)
+    shown = _draw_scaled(rng, math.sqrt(p.v), m1b_buf)
     _draw_scaled(rng, _noise_sd(config), b_buf[:mc])
     _draw_scaled(rng, _noise_sd(config, p.v), b_buf[mc:])
-    b_buf[:mc] += st * (m1b + m2[:mc])
+    shown += m2[:mc]  # both displacements of the disclosed samples
+    b_buf[:mc] += st * shown
     b_buf[mc:] += st * m2[mc:]
-    return m2, m1b, b_buf
+    return [(m2[mc:], b_buf[mc:]), (shown, b_buf[:mc])]
 
 
 def _simulate_into(config: TrialConfig, trial_index: int,
@@ -215,64 +216,26 @@ def simulate_transmission(config: TrialConfig, trial_index: int):
     return _simulate_into(config, trial_index, buffers)
 
 
+def _weights(variances) -> tuple[float, ...]:
+    """Normalised inverse-variance weights; one arm gets weight 1 without
+    dividing, so a vanishing variance (T = 0) is fine there."""
+    if len(variances) == 1:
+        return (1.0,)
+    inverse = [1.0 / w for w in variances]
+    total = sum(inverse)
+    return tuple(w / total for w in inverse)
+
+
 def _one_trial(config: TrialConfig, trial_index: int, buffers: list[np.ndarray],
-               scratch: dict) -> tuple[float, float]:
-    m_rev, m1b, b_arr = _simulate_lean(config, trial_index, buffers)
-    p = config.scheme
-    if p.kind == SINGLE:
-        samples = SampleSet(m_rev, b_arr)
-        t_hat = estimate_T(samples, p.v)
-        v_hat = estimate_Veps(samples, t_hat, config.source)
-        return t_hat, v_hat
-    if p.kind == DOUBLE:
-        samples = SampleSet(m_rev, b_arr)
-        t_hat = estimate_T(samples, p.v2)
-        v_hat = estimate_Veps(samples, t_hat, scratch["source_eff"])
-        return t_hat, v_hat
-    mc = scratch["mc"]
-    both = SampleSet(m1b + m_rev[:mc], b_arr[:mc])
-    probe_only = SampleSet(m_rev[mc:], b_arr[mc:])
-    t_b = estimate_T(both, p.v + p.v2)
-    t_a = estimate_T(probe_only, p.v2)
-    w_a, w_b = scratch["t_weights"]
-    t_hat = t_a * w_a + t_b * w_b
-    v_a = estimate_Veps(probe_only, t_hat, scratch["source_eff"])
-    v_b = estimate_Veps(both, t_hat, config.source)
-    u_a, u_b = scratch["v_weights"]
-    return t_hat, v_a * u_a + v_b * u_b
-
-
-def _trial_scratch(config: TrialConfig) -> dict:
-    """Per-config constants shared by every trial."""
-    scratch: dict = {}
-    if config.scheme.kind in (DOUBLE, MODIFIED):
-        # everything the probe-only regression cannot see acts as source noise
-        scratch["source_eff"] = SourceParams(config.source.v_s + config.scheme.v)
-    if config.scheme.kind == MODIFIED:
-        scratch["mc"] = round(config.scheme.r * config.N)
-        sig_a, sig_b, _, s_a, s_b, _ = modified_double_arms(
-            config.channel, config.source, config.scheme, float(config.N))
-        # inverse-variance weights from the analytic model at the true
-        # parameters; normalised once here
-        wa, wb = 1.0 / sig_a, 1.0 / sig_b
-        scratch["t_weights"] = (wa / (wa + wb), wb / (wa + wb))
-        ua, ub = 1.0 / s_a, 1.0 / s_b
-        scratch["v_weights"] = (ua / (ua + ub), ub / (ua + ub))
-    return scratch
-
-
-def analytic_model(config: TrialConfig) -> VarianceModel:
-    """Analytic variance model matching the trial setup.
-
-    The same models :func:`cvqkd.estimation.expected_bounds` plans with,
-    except that the single scheme discloses the whole number
-    ``round(r * N)`` of samples the sampler draws.
-    """
-    p = config.scheme
-    if p.kind == SINGLE:
-        return variance_single(config.channel, config.source, p.v,
-                               float(round(p.r * config.N)))
-    return variance_modified_double(config.channel, config.source, p, float(config.N))
+               estimators, t_weights, v_weights) -> tuple[float, float]:
+    """Merged estimates of one trial; ``estimators`` pairs the revealed
+    variance of each arm with the source its residual fit sees."""
+    samples = [SampleSet(m, b) for m, b in _simulate_lean(config, trial_index, buffers)]
+    t_hat = sum(estimate_T(s, revealed) * w
+                for s, (revealed, _), w in zip(samples, estimators, t_weights))
+    v_hat = sum(estimate_Veps(s, t_hat, source) * u
+                for s, (_, source), u in zip(samples, estimators, v_weights))
+    return t_hat, v_hat
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -291,14 +254,24 @@ def run_trials(config: TrialConfig, threads: int | None = None) -> EmpiricalStat
     index-ordered arrays.
     """
     threads = _resolve_threads(threads)
-    scratch = _trial_scratch(config)
+    # the sampler draws whole counts: round(r * N) disclosed, the rest kept
+    shown = round(config.scheme.r * config.N)
+    arms = estimation_arms(config.scheme, config.N - shown, shown)
+    # the model at the true parameters weights the arms' sub-estimates
+    model = variance_model(config.channel, config.source, arms)
+    sigmas, noises = zip(*model.per_arm)
+    # everything an arm's regression cannot see acts as source noise
+    estimators = [(revealed, SourceParams(config.source.v_s + withheld))
+                  for _, revealed, withheld in arms]
+    t_weights, v_weights = _weights(sigmas), _weights(noises)
     t_hat = np.empty(config.trials, dtype=np.float64)
     v_hat = np.empty(config.trials, dtype=np.float64)
 
     def worker(index_range) -> None:
         buffers = _lean_buffers(config)
         for k in index_range:
-            t_hat[k], v_hat[k] = _one_trial(config, k, buffers, scratch)
+            t_hat[k], v_hat[k] = _one_trial(config, k, buffers, estimators,
+                                            t_weights, v_weights)
 
     if threads == 1 or config.trials == 1:
         worker(range(config.trials))
@@ -311,7 +284,6 @@ def run_trials(config: TrialConfig, threads: int | None = None) -> EmpiricalStat
             for future in [pool.submit(worker, rg) for rg in ranges]:
                 future.result()
 
-    model = analytic_model(config)
     mean_t = float(np.mean(t_hat))
     mean_v = float(np.mean(v_hat))
     if config.trials >= 2:

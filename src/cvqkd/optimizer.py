@@ -81,6 +81,10 @@ class OptimizationProblem:
                      f"{name!r} is not a free variable of the {kind} scheme")
         _require(kind != DOUBLE or "r" not in free,
                  "the double scheme has no disclosed fraction to optimise")
+        # the r grid starts at 2/N, which must stay below the box ceiling
+        _require("r" not in free or 2.0 / self.params.N < _BOX["r"][1],
+                 f"block size N = {self.params.N} is too small to search the "
+                 f"disclosed fraction r (at most {_BOX['r'][1]}); pin r")
         object.__setattr__(self, "free", tuple(free))
 
 

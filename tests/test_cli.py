@@ -159,6 +159,23 @@ def test_block_size_flag_refuses_a_non_count(capsys, count):
     assert f"block size must be a count >= 2, got {count!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["optimize", "--T", "0.3", "--N", "2"],
+                                  ["keyrate", "--T", "0.3", "--N", "2.5"]])
+def test_block_too_small_to_search_r_asks_to_pin_it(capsys, argv):
+    # the r grid would start at 2/N = 1, above the search box
+    assert main_entry(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "block size N = 2" in captured.err and "pin r" in captured.err
+
+
+def test_smallest_block_still_optimizes_the_double_scheme(capsys):
+    rc = main_entry(["optimize", "--T", "0.3", "--scheme", "double", "--N", "2"])
+    payload = _json_out(capsys)
+    assert rc == 2 and payload["optimum"]["status"] == "no_positive_rate"
+    assert payload["report"]["N"] == 2
+
+
 def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, cvqkd.cli; print('scipy' in sys.modules)"],

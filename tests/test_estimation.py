@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvqkd import (
     ChannelParams,
@@ -16,16 +17,14 @@ from cvqkd import (
     estimate_covariance,
     estimate_T,
     estimate_Veps,
-    variance_single,
-    variance_double,
-    variance_modified_double,
-    opt_combine,
+    estimation_arms,
+    variance_model,
     confidence_coefficient,
     confidence_bounds,
     expected_bounds,
     ideal_bounds,
 )
-from cvqkd.estimation import _ndtri, modified_double_arms
+from cvqkd.estimation import _ndtri
 
 
 def _z_oracle(delta):
@@ -109,11 +108,28 @@ def test_estimation_scheme_validation():
 
 
 # --------------------------------------------------------------------------
-# analytic variance models
+# analytic variance models: arms (samples, revealed, withheld)
+
+
+def _scheme(ch, src, protocol, N):
+    """The planning model of ``protocol`` on a block of ``N``."""
+    arms = estimation_arms(protocol, (1.0 - protocol.r) * N, protocol.r * N)
+    return variance_model(ch, src, arms)
+
+
+def test_estimation_arms_of_the_three_schemes():
+    assert estimation_arms(Protocol("single", 3.0, r=0.5), 5e4, 5e4) == ((5e4, 3.0, 0.0),)
+    assert estimation_arms(Protocol("double", 3.0, 10.0), 1e5, 0.0) == ((1e5, 10.0, 3.0),)
+    modified = Protocol("modified", 3.0, 10.0, 0.3)
+    assert estimation_arms(modified, 7e4, 3e4) == ((7e4, 10.0, 3.0), (3e4, 13.0, 0.0))
+    # an empty arm is left out, except the single scheme's only one
+    assert estimation_arms(modified, 0.0, 1e5) == ((1e5, 13.0, 0.0),)
+    assert estimation_arms(modified, 1e5, 0.0) == ((1e5, 10.0, 3.0),)
+    assert estimation_arms(Protocol("single", 3.0), 1e5, 0.0) == ((0.0, 3.0, 0.0),)
 
 
 def test_variance_single_reference_point():
-    model = variance_single(ChannelParams(0.1, 0.0), SourceParams(1.0), 3.0, 1e5)
+    model = variance_model(ChannelParams(0.1, 0.0), SourceParams(1.0), ((1e5, 3.0, 0.0),))
     assert model.sigma_sq == pytest.approx(2.1333333333333334e-06, rel=1e-12)
     assert model.s_sq == pytest.approx(2e-05, rel=1e-12)
 
@@ -123,30 +139,48 @@ def test_variance_single_coherent_noise_term_is_channel_free():
     # 2 (1 + veps)^2 / m, independent of both T and the modulation variance
     for T in (0.05, 0.3, 0.9):
         for v in (0.5, 3.0, 20.0):
-            model = variance_single(ChannelParams(T, 0.02), SourceParams(1.0), v, 1e4)
+            model = variance_model(ChannelParams(T, 0.02), SourceParams(1.0), ((1e4, v, 0.0),))
             assert model.s_sq == pytest.approx(2.0 * 1.02**2 / 1e4, rel=1e-12)
 
 
 def test_variance_single_sample_scaling():
     ch, src = ChannelParams(0.2, 0.002), SourceParams(0.5)
-    a = variance_single(ch, src, 3.0, 1e4)
-    b = variance_single(ch, src, 3.0, 4e4)
+    a = variance_model(ch, src, ((1e4, 3.0, 0.0),))
+    b = variance_model(ch, src, ((4e4, 3.0, 0.0),))
     assert a.sigma / b.sigma == pytest.approx(2.0, rel=1e-12)
     assert a.s / b.s == pytest.approx(2.0, rel=1e-12)
 
 
 def test_variance_single_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
-        variance_single(ChannelParams(0.0, 0.0), SourceParams(1.0), 3.0, 100.0)
+        variance_model(ChannelParams(0.0, 0.0), SourceParams(1.0), ((100.0, 3.0, 0.0),))
     with pytest.raises(ValueError):
-        variance_single(ChannelParams(0.5, 0.0), SourceParams(1.0), 0.0, 100.0)
+        variance_model(ChannelParams(0.5, 0.0), SourceParams(1.0), ((100.0, 0.0, 0.0),))
     with pytest.raises(ValueError):
-        variance_single(ChannelParams(0.5, 0.0), SourceParams(1.0), 3.0, 0.0)
+        variance_model(ChannelParams(0.5, 0.0), SourceParams(1.0), ((0.0, 3.0, 0.0),))
+    with pytest.raises(ValueError):
+        variance_model(ChannelParams(0.5, 0.0), SourceParams(1.0), ())
+
+
+def test_arm_model_refusals():
+    src, ok = SourceParams(1.0), ChannelParams(0.5, 0.005)
+    opaque = ChannelParams(0.0, 0.0)
+    refused = [
+        (opaque, Protocol("single", 3.0, r=0.5), "degenerate at T = 0"),
+        (ok, Protocol("single", 0.0, r=0.5), "modulation variance must be > 0"),
+        (ok, Protocol("single", 3.0, r=0.0), "sample count must be > 0"),
+        (opaque, Protocol("modified", 3.0, 10.0, 1.0), "degenerate at T = 0"),
+        (ok, Protocol("double", 1e308, 10.0), "key variance too large"),
+    ]
+    for channel, protocol, message in refused:
+        with pytest.raises(ValueError, match=message):
+            _scheme(channel, src, protocol, 1e5)
+    # a withheld displacement keeps T = 0 estimable
+    assert _scheme(opaque, src, Protocol("modified", 3.0, 10.0, 0.5), 1e5).sigma_sq == 0.0
 
 
 def test_variance_double_reference_point():
-    mod = Protocol("double", 3.0, 10.0)
-    model = variance_double(ChannelParams(0.1, 0.001), SourceParams(1.0), mod, 1e5)
+    model = _scheme(ChannelParams(0.1, 0.001), SourceParams(1.0), Protocol("double", 3.0, 10.0), 1e5)
     assert model.sigma_sq == pytest.approx(1.3204e-06, rel=1e-12)
     assert model.s_sq == pytest.approx(4.5735620000000004e-05, rel=1e-12)
 
@@ -154,7 +188,7 @@ def test_variance_double_reference_point():
 def test_variance_double_low_transmittance_limit():
     # as T -> 0 the noise uncertainty floors at sqrt(2/N) (1 + veps)
     mod = Protocol("double", 3.0, 10.0)
-    model = variance_double(ChannelParams(1e-12, 0.01), SourceParams(1.0), mod, 1e6)
+    model = _scheme(ChannelParams(1e-12, 0.01), SourceParams(1.0), mod, 1e6)
     assert model.s == pytest.approx(math.sqrt(2.0 / 1e6) * 1.01, rel=1e-9)
 
 
@@ -162,65 +196,85 @@ def test_variance_double_probe_strength_helps():
     ch, src = ChannelParams(0.1, 0.001), SourceParams(1.0)
     prev = None
     for v2 in (1.0, 3.0, 10.0, 30.0, 100.0):
-        mod = Protocol("double", 3.0, v2)
-        sig = variance_double(ch, src, mod, 1e5).sigma_sq
+        sig = _scheme(ch, src, Protocol("double", 3.0, v2), 1e5).sigma_sq
         if prev is not None:
             assert sig < prev
         prev = sig
 
 
 def test_opt_combine_values():
-    assert opt_combine(2.0, 2.0) == pytest.approx(1.0, abs=1e-15)
-    assert opt_combine(1.0, 3.0) == pytest.approx(0.75, abs=1e-15)
-    assert opt_combine(1.0, 1e30) == pytest.approx(1.0, rel=1e-12)
+    # arms that differ only in size combine like one arm of their summed
+    # size; a coherent, fully revealed arm has s^2 = 2 vn^2 / m exactly
+    ch, src = ChannelParams(0.2, 0.002), SourceParams(1.0)
+    for sizes, total in (((1e4, 1e4), 2e4), ((1e4, 3e4), 4e4), ((1e4, 1e-26), 1e4)):
+        split = variance_model(ch, src, tuple((m, 3.0, 0.0) for m in sizes))
+        whole = variance_model(ch, src, ((total, 3.0, 0.0),))
+        assert split.sigma_sq == pytest.approx(whole.sigma_sq, rel=1e-12)
+        assert split.s_sq == pytest.approx(whole.s_sq, rel=1e-12)
 
 
 def test_opt_combine_dominated_by_smaller_input():
     rng = np.random.Generator(np.random.PCG64(5))
+    src = SourceParams(0.5)
     for _ in range(200):
-        w1, w2 = rng.uniform(1e-6, 1e3, size=2)
-        w = opt_combine(w1, w2)
-        assert w <= min(w1, w2)
-        assert w == pytest.approx(opt_combine(w2, w1), rel=1e-14)
+        T, m1, m2, v, v2 = rng.uniform((0.01, 1e2, 1e2, 0.1, 0.1), (1.0, 1e6, 1e6, 50.0, 50.0))
+        ch = ChannelParams(float(T), 0.01 * float(T))
+        arms = ((float(m1), float(v2), float(v)), (float(m2), float(v + v2), 0.0))
+        model = variance_model(ch, src, arms)
+        assert model.sigma_sq <= min(sig for sig, _ in model.per_arm)
+        assert model.s_sq <= min(s for _, s in model.per_arm)
+        swapped = variance_model(ch, src, arms[::-1])
+        assert (swapped.sigma_sq, swapped.s_sq) == (model.sigma_sq, model.s_sq)
 
 
 def test_opt_combine_rejects_nonpositive():
+    ch, src = ChannelParams(0.1, 0.001), SourceParams(1.0)
+    with pytest.raises(ValueError):   # an arm too small has infinite variance
+        variance_model(ch, src, ((1e5, 10.0, 3.0), (5e-324, 13.0, 0.0)))
     with pytest.raises(ValueError):
-        opt_combine(0.0, 1.0)
-    with pytest.raises(ValueError):
-        opt_combine(1.0, -2.0)
+        variance_model(ch, src, ((1e5, 10.0, 3.0), (-1.0, 13.0, 0.0)))
 
 
 def test_variance_modified_double_endpoints():
     ch, src = ChannelParams(0.1, 0.001), SourceParams(1.0)
-    mod = Protocol("modified", 3.0, 10.0, r=0.0)
-    at_zero = variance_modified_double(ch, src, mod, 1e5)
-    ref = variance_double(ch, src, Protocol("double", 3.0, 10.0), 1e5)
+    at_zero = _scheme(ch, src, Protocol("modified", 3.0, 10.0, r=0.0), 1e5)
+    ref = _scheme(ch, src, Protocol("double", 3.0, 10.0), 1e5)
     assert at_zero.sigma_sq == ref.sigma_sq and at_zero.s_sq == ref.s_sq
 
-    at_one = variance_modified_double(ch, src, Protocol("modified", 3.0, 10.0, 1.0), 1e5)
-    ref1 = variance_single(ch, src, 13.0, 1e5)
+    at_one = _scheme(ch, src, Protocol("modified", 3.0, 10.0, 1.0), 1e5)
+    ref1 = variance_model(ch, src, ((1e5, 13.0, 0.0),))
     assert at_one.sigma_sq == ref1.sigma_sq and at_one.s_sq == ref1.s_sq
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(T=st.floats(0.0, 1.0), v_eps=st.floats(0.0, 0.1), v_s=st.floats(1e-7, 10.0),
+       v=st.floats(0.01, 100.0), v2=st.floats(0.1, 50.0), log10_N=st.floats(0.3, 12.0))
+def test_modified_endpoints_are_the_pure_schemes(T, v_eps, v_s, v, v2, log10_N):
+    ch, src, N = ChannelParams(T, v_eps), SourceParams(v_s), float(round(10.0 ** log10_N))
+    at_zero = _scheme(ch, src, Protocol("modified", v, v2, 0.0), N)
+    assert at_zero == _scheme(ch, src, Protocol("double", v, v2), N)
+    if T > 0.0:  # revealing everything is refused at T = 0
+        at_one = _scheme(ch, src, Protocol("modified", v, v2, 1.0), N)
+        single = Protocol("single", v + v2, r=1.0)
+        assert at_one == _scheme(ch, src, single, N)
 
 
 def test_variance_modified_double_continuous_at_zero():
     ch, src = ChannelParams(0.1, 0.001), SourceParams(1.0)
-    near = variance_modified_double(ch, src, Protocol("modified", 3.0, 10.0, 1e-6), 1e5)
-    ref = variance_double(ch, src, Protocol("double", 3.0, 10.0), 1e5)
+    near = _scheme(ch, src, Protocol("modified", 3.0, 10.0, 1e-6), 1e5)
+    ref = _scheme(ch, src, Protocol("double", 3.0, 10.0), 1e5)
     assert near.sigma_sq == pytest.approx(ref.sigma_sq, rel=1e-5)
     assert near.s_sq == pytest.approx(ref.s_sq, rel=1e-5)
 
 
 def test_variance_modified_double_beats_both_constituents():
     ch, src = ChannelParams(0.05, 0.0005), SourceParams(1.0)
-    mod = Protocol("modified", 3.0, 10.0, r=0.5)
-    N = 1e5
-    sig_a, sig_b, sig, s_a, s_b, s = modified_double_arms(ch, src, mod, N)
-    assert sig <= min(sig_a, sig_b) + 1e-18
-    assert s <= min(s_a, s_b) + 1e-18
-    combined = variance_modified_double(ch, src, mod, N)
-    assert combined.sigma_sq == pytest.approx(sig, rel=1e-14)
-    assert combined.s_sq == pytest.approx(s, rel=1e-14)
+    combined = _scheme(ch, src, Protocol("modified", 3.0, 10.0, r=0.5), 1e5)
+    (sig_a, s_a), (sig_b, s_b) = combined.per_arm
+    assert combined.sigma_sq <= min(sig_a, sig_b) + 1e-18
+    assert combined.s_sq <= min(s_a, s_b) + 1e-18
+    assert combined.sigma_sq == pytest.approx(sig_a * sig_b / (sig_a + sig_b), rel=1e-14)
+    assert combined.s_sq == pytest.approx(s_a * s_b / (s_a + s_b), rel=1e-14)
 
 
 def test_variance_modified_double_below_pure_schemes_on_grid():
@@ -229,18 +283,20 @@ def test_variance_modified_double_below_pure_schemes_on_grid():
     mod = Protocol("modified", 3.0, 10.0, r)
     for T in np.logspace(-2, 0, 20):
         ch = ChannelParams(float(T), 0.01 * float(T))
-        s3 = variance_modified_double(ch, src, mod, N).s
-        s1 = variance_single(ch, src, 3.0, r * N).s
-        s2 = variance_double(ch, src, Protocol("double", 3.0, 10.0), N).s
+        s3 = _scheme(ch, src, mod, N).s
+        s1 = _scheme(ch, src, Protocol("single", 3.0, r=r), N).s
+        s2 = _scheme(ch, src, Protocol("double", 3.0, 10.0), N).s
         assert s3 <= min(s1, s2) * (1.0 + 1e-12)
 
 
 def test_variance_modified_double_rejects_bad_ratio():
     ch, src = ChannelParams(0.1, 0.001), SourceParams(1.0)
     with pytest.raises(ValueError):
-        variance_modified_double(ch, src, Protocol("modified", 3.0, 10.0, -0.1), 1e5)
+        _scheme(ch, src, Protocol("modified", 3.0, 10.0, -0.1), 1e5)
     with pytest.raises(ValueError):
-        variance_modified_double(ch, src, Protocol("modified", 3.0, 10.0, 1.1), 1e5)
+        _scheme(ch, src, Protocol("modified", 3.0, 10.0, 1.1), 1e5)
+    with pytest.raises(ValueError):   # the arms such a ratio would split into
+        variance_model(ch, src, ((-1e4, 10.0, 3.0), (1.1e5, 13.0, 0.0)))
 
 
 # --------------------------------------------------------------------------
@@ -350,18 +406,18 @@ def test_expected_bounds_match_scheme_models():
     z = confidence_coefficient(1e-10)
 
     got = expected_bounds(ch, ProtocolParams(src, Protocol("single", 3.0, r=0.5), 10**5))
-    ref = variance_single(ch, src, 3.0, 0.5e5)
+    ref = variance_model(ch, src, ((0.5e5, 3.0, 0.0),))
     assert got.T_low == pytest.approx(ch.T - z * ref.sigma, rel=1e-12)
     assert got.veps_up == pytest.approx(ch.v_eps + z * ref.s, rel=1e-12)
 
     mod_d = Protocol("double", 3.0, 10.0)
     got = expected_bounds(ch, ProtocolParams(src, mod_d, 10**5))
-    ref = variance_double(ch, src, mod_d, 1e5)
+    ref = variance_model(ch, src, ((1e5, 10.0, 3.0),))
     assert got.veps_up == pytest.approx(ch.v_eps + z * ref.s, rel=1e-12)
 
     mod_m = Protocol("modified", 3.0, 10.0, 0.3)
     got = expected_bounds(ch, ProtocolParams(src, mod_m, 10**5))
-    ref = variance_modified_double(ch, src, mod_m, 1e5)
+    ref = variance_model(ch, src, ((0.7e5, 10.0, 3.0), (0.3e5, 13.0, 0.0)))
     assert got.veps_up == pytest.approx(ch.v_eps + z * ref.s, rel=1e-12)
 
 

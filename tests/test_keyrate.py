@@ -27,8 +27,8 @@ from cvqkd import (
     finite_key_rate,
     ideal_bounds,
     theoretical_noise_limit,
-    veps_up_approx,
     theoretical_key_rate_limit,
+    variance_model,
     channel_at_distance,
     OptimizationProblem,
     optimize_key_rate,
@@ -423,21 +423,21 @@ def test_key_rate_never_exceeds_theoretical_limit(T, v_eps, v_s, kind, v, v2, r,
 
 
 def test_theoretical_noise_limit_and_approx():
-    ch = ChannelParams(0.5, 0.0)
-    got = veps_up_approx(ch, SourceParams(1.0), 0.0, 1e6)
-    assert got == pytest.approx(math.sqrt(2.0) / 1000.0, rel=1e-12)
-    # halving the usable samples must cost accuracy against the full-block floor
-    assert veps_up_approx(ch, SourceParams(1.0), 0.0, 5e5) > \
-        theoretical_noise_limit(ch, 1e6)
+    ch, N = ChannelParams(0.5, 0.0), 1e6
+    assert theoretical_noise_limit(ch, N) == pytest.approx(math.sqrt(2.0) * 0.5 / 1000.0,
+                                                           rel=1e-12)
+    # a disclosed arm of half the block cannot reach the full-block floor:
+    # its s leads with sqrt(2/m) vn
+    half = variance_model(ch, SourceParams(1.0), ((N / 2, 3.0, 0.0),))
+    assert half.s > theoretical_noise_limit(ch, N)
 
 
 def test_theoretical_key_rate_limit_assembly():
     ch, N = ChannelParams(0.5, 0.0), 1e6
     floor = theoretical_noise_limit(ch, N)
-    k_inf, _, _ = asymptotic_key_rate(ChannelParams(0.5, floor),
-                                      SourceParams(1.0), 3.0, beta=0.95)
-    got = theoretical_key_rate_limit(ch, N, beta=0.95, v_s=1.0, v_mod=3.0)
-    assert got == pytest.approx(k_inf - finite_size_correction(N), abs=1e-14)
+    k_inf, _ = optimal_asymptotic_rate(ChannelParams(0.5, floor), 0.95)
+    got = theoretical_key_rate_limit(ch, N, beta=0.95)
+    assert got == k_inf - finite_size_correction(N)
 
 
 def test_theoretical_key_rate_limit_monotone_in_noise():

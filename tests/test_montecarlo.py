@@ -10,11 +10,14 @@ from cvqkd import (
     ChannelParams,
     SourceParams,
     Protocol,
+    ProtocolParams,
     TrialConfig,
+    confidence_bounds,
+    expected_bounds,
     run_trials,
     simulate_transmission,
     validate_variance_models,
-    variance_single,
+    variance_model,
 )
 from cvqkd.montecarlo import _resolve_threads
 from matrix_reference import build_eb_covariance
@@ -155,6 +158,26 @@ def test_empirical_spread_matches_analytic_model():
         assert stats.rel_err_Veps < 0.10
 
 
+@pytest.mark.parametrize("protocol", [Protocol("single", 3.0, r=0.25),
+                                      Protocol("double", 3.0, 10.0),
+                                      Protocol("modified", 3.0, 10.0, 0.25)])
+def test_trial_model_is_the_planning_model(protocol):
+    # r * N is whole here, so the sampler's counts are the planned ones
+    ch, src, N = ChannelParams(0.2, 0.002), SourceParams(1.0), 4000
+    stats = run_trials(TrialConfig(ch, src, protocol, N, 2, 5), threads=1)
+    planned = expected_bounds(ch, ProtocolParams(src, protocol, N))
+    assert confidence_bounds(ch.T, ch.v_eps, stats.model, 1e-10) == planned
+
+
+def test_double_trials_run_at_zero_transmittance():
+    # one arm takes weight 1 without dividing by its vanishing variance
+    stats = run_trials(_double_cfg(T=0.0, veps=0.0, N=2000, trials=20, seed=24),
+                       threads=1)
+    assert stats.model.sigma_sq == 0.0 and stats.rel_err_T is None
+    assert stats.rel_err_Veps < 0.5
+    assert abs(stats.mean_T) < 1e-2
+
+
 def test_trial_spread_shrinks_with_more_trials():
     few = run_trials(_single_cfg(r=0.5, N=10000, trials=100, seed=15), threads=1)
     many = run_trials(_single_cfg(r=0.5, N=10000, trials=10000, seed=15), threads=1)
@@ -223,7 +246,7 @@ def test_validation_grid_structure():
         if row.scheme == "single":
             assert row.samples == pytest.approx(0.5 * N)
             ch = ChannelParams(row.T, 0.01 * row.T)
-            ref = variance_single(ch, src, 3.0, row.samples)
+            ref = variance_model(ch, src, ((row.samples, 3.0, 0.0),))
             assert row.s_analytic == pytest.approx(ref.s, rel=1e-12)
         else:
             assert row.samples == N

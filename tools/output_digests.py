@@ -1,0 +1,115 @@
+"""Print the sha256 of every published cvqkd output, one ``sha256  path`` line each.
+
+Runs, in this process and into a work directory, the five sweep presets,
+the ``variance_validation`` Monte Carlo preset at 40 trials, and a fixed
+set of ``keyrate``/``optimize``/``maxdist`` queries covering all three
+schemes, ``--ideal-bounds`` and ``--corner-search``. Paths are printed
+relative to the work directory, and the timestamp of each JSON manifest is
+blanked before hashing, so two trees print the same lines exactly when
+their outputs are byte-identical. Uses only the standard library and
+whichever ``cvqkd`` is importable, so one copy of this script can digest
+any checkout:
+
+    PYTHONPATH=old/src python3 tools/output_digests.py --work /tmp/old > old.txt
+    PYTHONPATH=src python3 tools/output_digests.py --work /tmp/new > new.txt
+    diff old.txt new.txt
+
+Exits 1 if any command fails (exit code 1); insecure verdicts (exit 2)
+still write their report and are digested.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import re
+import sys
+
+import cvqkd
+from cvqkd.cli import main_entry
+
+SWEEP_PRESETS = ("distance_sweep", "blocksize_sweep", "large_block_sweep",
+                 "noise_sweep", "reconciliation_sweep")
+MC_ARGS = ("montecarlo", "--preset", "variance_validation", "--trials", "40",
+           "--threads", "2")
+QUERIES = (
+    ("keyrate", "--T", "0.3"),
+    ("keyrate", "--d", "76", "--scheme", "double", "--vs", "0.1", "--N", "1e6"),
+    ("keyrate", "--T", "0.03", "--scheme", "modified", "--vs", "0.1", "--N", "1e7"),
+    ("keyrate", "--T", "0.2", "--v", "3", "--r", "0.5", "--N", "1e5",
+     "--corner-search"),
+    ("keyrate", "--T", "0.2", "--scheme", "modified", "--v1", "3", "--v2", "10",
+     "--r", "0.3", "--corner-search"),
+    ("keyrate", "--T", "0.05", "--scheme", "double", "--v1", "4", "--N", "1e9",
+     "--corner-search"),
+    ("keyrate", "--T", "1", "--veps", "0", "--vs", "1", "--v", "3", "--beta", "1",
+     "--ideal-bounds"),
+    ("keyrate", "--T", "0.5", "--scheme", "double", "--v1", "6", "--ideal-bounds"),
+    ("keyrate", "--T", "0.01", "--v", "3", "--r", "0.5", "--N", "1e4"),
+    ("keyrate", "--T", "0", "--scheme", "double", "--v1", "3"),
+    ("optimize", "--T", "0.03", "--scheme", "modified", "--vs", "0.1", "--N", "1e7"),
+    ("optimize", "--T", "0.6", "--scheme", "modified", "--N", "1e5"),
+    ("optimize", "--T", "0.1", "--scheme", "double", "--N", "1e8"),
+    ("optimize", "--d", "50", "--N", "1e5"),
+    ("optimize", "--T", "0.3", "--v", "3", "--r", "0.3", "--N", "1e6"),
+    ("optimize", "--T", "0.5", "--scheme", "modified", "--v2", "4", "--N", "1e9"),
+    ("maxdist", "--N", "1e6", "1e8", "1e10"),
+    ("maxdist", "--N", "1e6", "--fit-a", "1", "--fit-kappa", "0.02"),
+)
+_TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
+
+
+def _run(argv) -> bool:
+    """One command with its stdout swallowed; False if it exits 1."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main_entry(list(argv)) != 1
+
+
+def digest(path: str) -> str:
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if path.endswith(".json"):
+        data = _TIMESTAMP.sub(b'"timestamp": ""', data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def produce(work: str) -> tuple[list[str], list[str]]:
+    """Write every output under ``work``; returns (paths, failed commands)."""
+    failed = []
+    for name in SWEEP_PRESETS:
+        if not _run(("sweep", "--preset", name, "--out", os.path.join(work, "sweep"))):
+            failed.append(f"sweep --preset {name}")
+    if not _run(MC_ARGS + ("--out", os.path.join(work, "montecarlo"))):
+        failed.append(" ".join(MC_ARGS))
+    os.makedirs(os.path.join(work, "query"), exist_ok=True)
+    for index, argv in enumerate(QUERIES):
+        out = os.path.join(work, "query", f"{index:02d}_{argv[0]}.json")
+        if not _run(argv + ("--out", out)):
+            failed.append(" ".join(argv))
+    paths = sorted(os.path.join(root, name) for root, _, names in os.walk(work)
+                   for name in names)
+    return paths, failed
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--work", required=True,
+                        help="directory for the outputs (created; must be empty)")
+    args = parser.parse_args()
+    os.makedirs(args.work, exist_ok=True)
+    if os.listdir(args.work):
+        parser.error(f"{args.work} is not empty")
+    print(f"cvqkd from {os.path.dirname(cvqkd.__file__)}", file=sys.stderr)
+    paths, failed = produce(args.work)
+    for path in paths:
+        print(f"{digest(path)}  {os.path.relpath(path, args.work)}")
+    for command in failed:
+        print(f"error: cvqkd {command} failed", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
