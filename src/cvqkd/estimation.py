@@ -39,8 +39,8 @@ from .model import (
     ProtocolParams,
     SourceParams,
     _finite,
+    _noise_variance,
     _require,
-    aggregated_noise_variance,
 )
 
 
@@ -68,6 +68,13 @@ class SampleSet:
         return int(self.M.size)
 
 
+def _require_variances(sigma_sq: float, s_sq: float) -> None:
+    if not (_finite(sigma_sq) and sigma_sq >= 0.0):
+        raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq!r}")
+    if not (_finite(s_sq) and s_sq >= 0.0):
+        raise ValueError(f"s_sq must be >= 0, got {s_sq!r}")
+
+
 @dataclass(frozen=True)
 class VarianceModel:
     """Analytic variances of the transmittance and excess-noise estimators."""
@@ -77,10 +84,7 @@ class VarianceModel:
     per_arm: tuple = ()  # (sigma_sq, s_sq) of each arm before combination
 
     def __post_init__(self):
-        _require(_finite(self.sigma_sq) and self.sigma_sq >= 0.0,
-                 f"sigma_sq must be >= 0, got {self.sigma_sq!r}")
-        _require(_finite(self.s_sq) and self.s_sq >= 0.0,
-                 f"s_sq must be >= 0, got {self.s_sq!r}")
+        _require_variances(self.sigma_sq, self.s_sq)
 
     @property
     def sigma(self) -> float:
@@ -175,10 +179,14 @@ def estimation_arms(protocol: Protocol, kept: float,
     """The arms of ``protocol`` on a block split into ``kept`` samples
     whose key displacement stays secret and ``disclosed`` samples that
     reveal it; a probe-carrying scheme leaves out an arm of zero size."""
-    if protocol.kind == SINGLE:
-        return ((disclosed, protocol.v, 0.0),)
-    arms = ((kept, protocol.v2, protocol.v),
-            (disclosed, protocol.v + protocol.v2, 0.0))
+    return _arms(protocol.kind, protocol.v, protocol.v2, kept, disclosed)
+
+
+def _arms(kind: str, v: float, v2: float, kept: float,
+          disclosed: float) -> tuple[tuple[float, float, float], ...]:
+    if kind == SINGLE:
+        return ((disclosed, v, 0.0),)
+    arms = ((kept, v2, v), (disclosed, v + v2, 0.0))
     return tuple(arm for arm in arms if arm[0] != 0.0)
 
 
@@ -204,27 +212,37 @@ def variance_model(channel: ChannelParams, source: SourceParams, arms) -> Varian
     displacement is degenerate at T = 0, so only a block with a withheld
     displacement is accepted there.
     """
+    return VarianceModel(*_variance_model(channel.T, channel.v_eps, source.v_s, arms))
+
+
+def _variance_model(T: float, v_eps: float, v_s: float,
+                    arms) -> tuple[float, float, tuple]:
+    """``(sigma_sq, s_sq, per_arm)`` of :func:`variance_model`; it runs the
+    checks of :class:`VarianceModel` too, so it refuses what the wrapper
+    refuses."""
     _require(len(arms) > 0, "an estimation needs at least one arm")
-    T = channel.T
     _require(T > 0.0 or any(withheld > 0.0 for _, _, withheld in arms),
              "estimation that reveals every displacement is degenerate at T = 0")
     sigmas, noises, gains = [], [], []
     for m, revealed, withheld in arms:
-        _require(_finite(revealed) and revealed > 0.0,
-                 f"modulation variance must be > 0, got {revealed!r}")
-        _require(_finite(m) and m > 0.0, f"sample count must be > 0, got {m!r}")
-        vn = aggregated_noise_variance(channel, source, withheld)
+        if not (_finite(revealed) and revealed > 0.0):
+            raise ValueError(f"modulation variance must be > 0, got {revealed!r}")
+        if not (_finite(m) and m > 0.0):
+            raise ValueError(f"sample count must be > 0, got {m!r}")
+        vn = _noise_variance(T, v_eps, v_s, withheld)
         sigmas.append((4.0 / m) * (2.0 * T * T + T * vn / revealed))
         noises.append((2.0 / m) * vn * vn)
         try:  # a float ** raises where numpy would return inf
-            gains.append((withheld + source.v_s - 1.0) ** 2)
+            gains.append((withheld + v_s - 1.0) ** 2)
         except OverflowError:
             raise ValueError("key variance too large: (v + v_s - 1)**2 overflows "
-                             f"at v={withheld!r}, v_s={source.v_s!r}") from None
+                             f"at v={withheld!r}, v_s={v_s!r}") from None
     # zero only at T = 0, where every arm vanishes
     sigma_sq = _inverse_variance(sigmas) if min(sigmas) > 0.0 else 0.0
     s_arms = [noise + gain * sigma_sq for noise, gain in zip(noises, gains)]
-    return VarianceModel(sigma_sq, _inverse_variance(s_arms), tuple(zip(sigmas, s_arms)))
+    s_sq = _inverse_variance(s_arms)
+    _require_variances(sigma_sq, s_sq)
+    return sigma_sq, s_sq, tuple(zip(sigmas, s_arms))
 
 
 # --------------------------------------------------------------------------
@@ -311,16 +329,20 @@ def confidence_bounds(t_hat: float, veps_hat: float, model: VarianceModel,
     still be negative, and the evaluation layer clamps at use).
     """
     z = confidence_coefficient(delta)
-    t_margin = z * model.sigma
-    v_margin = z * model.s
-    return ConfidenceBounds(
-        T_low=max(0.0, t_hat - t_margin),
-        veps_up=veps_hat + v_margin,
-        z=z,
-        delta=delta,
-        T_up=t_hat + t_margin,
-        veps_low=veps_hat - v_margin,
-    )
+    T_low, veps_up, T_up, veps_low = _confidence_box(t_hat, veps_hat, model.sigma_sq,
+                                                     model.s_sq, z)
+    return ConfidenceBounds(T_low=T_low, veps_up=veps_up, z=z, delta=delta,
+                            T_up=T_up, veps_low=veps_low)
+
+
+def _confidence_box(t_hat: float, veps_hat: float, sigma_sq: float, s_sq: float,
+                    z: float) -> tuple[float, float, float, float]:
+    """``(T_low, veps_up, T_up, veps_low)``: margins of ``z`` standard
+    deviations around the estimates."""
+    t_margin = z * math.sqrt(sigma_sq)
+    v_margin = z * math.sqrt(s_sq)
+    return (max(0.0, t_hat - t_margin), veps_hat + v_margin,
+            t_hat + t_margin, veps_hat - v_margin)
 
 
 def ideal_bounds(channel: ChannelParams) -> ConfidenceBounds:

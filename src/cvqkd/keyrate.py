@@ -31,8 +31,8 @@ from .model import (
     ProtocolParams,
     SourceParams,
     _finite,
+    _noise_variance,
     _require,
-    aggregated_noise_variance,
 )
 
 _LOG2 = math.log(2.0)
@@ -62,10 +62,14 @@ class SymplecticSpectrum:
 
     def __post_init__(self):
         _require(len(self.nus) >= 1, "a spectrum cannot be empty")
-        for nu in self.nus:
-            _require(_finite(nu), "symplectic eigenvalues must be finite")
-            _require(nu >= 1.0 - NU_TOLERANCE,
-                     f"symplectic eigenvalue {nu!r} below 1; state is not bona fide")
+        _require_bona_fide(self.nus)
+
+
+def _require_bona_fide(nus) -> None:
+    for nu in nus:
+        _require(_finite(nu), "symplectic eigenvalues must be finite")
+        if nu < 1.0 - NU_TOLERANCE:
+            raise ValueError(f"symplectic eigenvalue {nu!r} below 1; state is not bona fide")
 
 
 def _symplectic_pair(delta: float, disc: float,
@@ -88,29 +92,33 @@ def _symplectic_pair(delta: float, disc: float,
 
 def von_neumann_entropy(spectrum: SymplecticSpectrum) -> float:
     """Entropy in bits of the Gaussian state with the given spectrum."""
-    return sum(_thermal_entropy_bits((nu - 1.0) / 2.0) for nu in spectrum.nus)
+    return _entropy_bits(spectrum.nus)
 
 
-def _eb_entries(channel: ChannelParams, source: SourceParams,
+def _entropy_bits(nus) -> float:
+    return sum(_thermal_entropy_bits((nu - 1.0) / 2.0) for nu in nus)
+
+
+def _eb_entries(T: float, veps: float, v_s: float,
                 v_mod_x: float, v_mod_p: float) -> tuple[float, ...]:
     """The distinct entries ``(mu, b_x, b_p, c_x, c_p)`` of the
     entanglement-based covariance matrix: the sender's isotropic variance
     ``mu``, the receiver's x and p variances and the x and p correlations.
     ``build_eb_covariance`` in ``tests/matrix_reference.py`` lays them out
     as the 4x4 matrix."""
-    _require(_finite(v_mod_x) and v_mod_x >= 0.0,
-             f"x modulation variance must be >= 0, got {v_mod_x!r}")
-    _require(_finite(v_mod_p) and v_mod_p >= 0.0,
-             f"p modulation variance must be >= 0, got {v_mod_p!r}")
-    vx = source.v_s + v_mod_x
-    vp = 1.0 / source.v_s + v_mod_p
+    if not (_finite(v_mod_x) and v_mod_x >= 0.0):
+        raise ValueError(f"x modulation variance must be >= 0, got {v_mod_x!r}")
+    if not (_finite(v_mod_p) and v_mod_p >= 0.0):
+        raise ValueError(f"p modulation variance must be >= 0, got {v_mod_p!r}")
+    vx = v_s + v_mod_x
+    vp = 1.0 / v_s + v_mod_p
     mu = math.sqrt(vx * vp)
     # an infinite mu would zero t below and divide by it
-    _require(math.isfinite(mu), "modulation variance too large: mu overflows at "
-             f"v_mod_x={v_mod_x!r}, v_mod_p={v_mod_p!r}")
+    if not math.isfinite(mu):
+        raise ValueError("modulation variance too large: mu overflows at "
+                         f"v_mod_x={v_mod_x!r}, v_mod_p={v_mod_p!r}")
     _require(mu >= 1.0 - 1e-9,
              "prepared ensemble violates the uncertainty bound (mu < 1)")
-    T, veps = channel.T, channel.v_eps
     corr = math.sqrt(T * max(mu * mu - 1.0, 0.0))
     t = math.sqrt(vx / mu)
     return (mu, T * vx + 1.0 - T + veps, T * vp + 1.0 - T + veps,
@@ -121,11 +129,15 @@ def mutual_information(channel: ChannelParams, source: SourceParams,
                        v_key: float) -> float:
     """Shannon information per symbol between the key displacement and the
     receiver's homodyne outcome, in bits."""
-    _require(_finite(v_key) and v_key >= 0.0,
-             f"key modulation variance must be >= 0, got {v_key!r}")
-    vn = aggregated_noise_variance(channel, source)
+    return _mutual_information(channel.T, channel.v_eps, source.v_s, v_key)
+
+
+def _mutual_information(T: float, v_eps: float, v_s: float, v_key: float) -> float:
+    if not (_finite(v_key) and v_key >= 0.0):
+        raise ValueError(f"key modulation variance must be >= 0, got {v_key!r}")
+    vn = _noise_variance(T, v_eps, v_s, 0.0)
     _require(vn > 0.0, "aggregated noise variance must be positive")
-    return 0.5 * math.log1p(channel.T * v_key / vn) / _LOG2
+    return 0.5 * math.log1p(T * v_key / vn) / _LOG2
 
 
 def holevo_bound(channel: ChannelParams, source: SourceParams,
@@ -143,11 +155,17 @@ def holevo_bound(channel: ChannelParams, source: SourceParams,
     :func:`von_neumann_entropy`; the tests require the two to agree with
     ``==``.
     """
-    mu, b_x, b_p, c_x, c_p = _eb_entries(channel, source, v_mod_x, v_mod_p)
+    return _holevo_bound(channel.T, channel.v_eps, source.v_s, v_mod_x, v_mod_p)
+
+
+def _holevo_bound(T: float, v_eps: float, v_s: float,
+                  v_mod_x: float, v_mod_p: float) -> float:
+    mu, b_x, b_p, c_x, c_p = _eb_entries(T, v_eps, v_s, v_mod_x, v_mod_p)
     # the matrix symmetrises as 0.5 * (m + m.T), which overflows beyond
     # half the largest float
-    for x in (mu, b_x, b_p, c_x, c_p):
-        _require(math.isfinite(x + x), "covariance entries must be finite")
+    if not (math.isfinite(mu + mu) and math.isfinite(b_x + b_x) and math.isfinite(b_p + b_p)
+            and math.isfinite(c_x + c_x) and math.isfinite(c_p + c_p)):
+        raise ValueError("covariance entries must be finite")
     # invariants of the x/p sector product, as in the matrix reference
     m11 = mu * mu + c_x * c_p
     m12 = mu * c_p + c_x * b_p
@@ -159,8 +177,9 @@ def holevo_bound(channel: ChannelParams, source: SourceParams,
     except OverflowError:  # the reference's numpy inf, which its spectrum rejects
         raise ValueError("symplectic invariants overflow") from None
     det_gamma = max(mu * b_x - c_x * c_x, 0.0) * max(mu * b_p - c_p * c_p, 0.0)
-    spectrum = SymplecticSpectrum(_symplectic_pair(delta, disc, det_gamma))
-    s_joint = von_neumann_entropy(spectrum)
+    nus = _symplectic_pair(delta, disc, det_gamma)
+    _require_bona_fide(nus)
+    s_joint = _entropy_bits(nus)
     _require(b_x > 0.0, "receiver x variance must be positive")
     # sender covariance conditioned on a homodyne x outcome at the receiver
     a_cond = mu - c_x * c_x / b_x
@@ -184,9 +203,14 @@ def asymptotic_key_rate(channel: ChannelParams, source: SourceParams,
     removes it, so it neither carries information nor strengthens the
     eavesdropper.
     """
-    v_mod_p = v_key if source.v_s >= 1.0 else 0.0
-    i_ab = mutual_information(channel, source, v_key)
-    chi = holevo_bound(channel, source, v_key, v_mod_p)
+    return _asymptotic_key_rate(channel.T, channel.v_eps, source.v_s, v_key, beta)
+
+
+def _asymptotic_key_rate(T: float, v_eps: float, v_s: float, v_key: float,
+                         beta: float) -> tuple[float, float, float]:
+    v_mod_p = v_key if v_s >= 1.0 else 0.0
+    i_ab = _mutual_information(T, v_eps, v_s, v_key)
+    chi = _holevo_bound(T, v_eps, v_s, v_key, v_mod_p)
     return beta * i_ab - chi, i_ab, chi
 
 
@@ -196,7 +220,16 @@ def finite_size_correction(n: float, delta_star: float = DEFAULT_DELTA_STAR) -> 
     _require(_finite(n) and n >= 1.0, f"usable block must have n >= 1, got {n!r}")
     _require(_finite(delta_star) and 0.0 < delta_star < 1.0,
              f"delta_star must lie in (0, 1), got {delta_star!r}")
-    return 7.0 * math.sqrt(math.log2(2.0 / delta_star) / n)
+    return _penalty(n, _penalty_log(delta_star))
+
+
+def _penalty_log(delta_star: float) -> float:
+    """``log2(2 / delta_star)``, the part of the penalty fixed by the budget."""
+    return math.log2(2.0 / delta_star)
+
+
+def _penalty(n: float, log_term: float) -> float:
+    return 7.0 * math.sqrt(log_term / n)
 
 
 def worst_case_corner(bounds: ConfidenceBounds, channel: ChannelParams,
@@ -273,23 +306,33 @@ def finite_key_rate(params: ProtocolParams, channel: ChannelParams,
     if corner_search:
         t_corner, v_corner, corner_agrees = worst_case_corner(
             bounds, channel, params.source, protocol.v, params.beta)
-    t_eval = min(max(float(t_corner), 0.0), 1.0)
-    veps_eval = max(float(v_corner), 0.0)
-    ch_eval = ChannelParams(t_eval, veps_eval)
-    k_inf, i_ab, chi = asymptotic_key_rate(ch_eval, params.source, protocol.v,
-                                           params.beta)
-    if n >= 1.0:
-        delta_n = finite_size_correction(n, params.delta_star) if with_correction else 0.0
-        key_rate = (n / params.N) * (k_inf - delta_n)
-    else:
-        # nothing left to distill from
-        delta_n = 0.0
-        key_rate = 0.0
+    log_term = _penalty_log(params.delta_star) if with_correction else None
+    key_rate, k_inf, i_ab, chi, delta_n, t_eval, veps_eval = _finite_key_rate(
+        t_corner, v_corner, params.source.v_s, protocol.v, params.beta, n, params.N,
+        log_term)
     return KeyRateReport(K=key_rate, K_inf=k_inf, I_AB=i_ab, chi_BE=chi,
                          Delta_n=delta_n, T_low=bounds.T_low,
                          veps_up=bounds.veps_up, T_eval=t_eval,
                          veps_eval=veps_eval, n=n, m=m, N=params.N,
                          corner_agrees=corner_agrees)
+
+
+def _finite_key_rate(t_corner: float, v_corner: float, v_s: float, v_key: float,
+                     beta: float, n: float, N: int, log_term: float | None) -> tuple:
+    """``(K, K_inf, I_AB, chi_BE, Delta_n, T_eval, veps_eval)`` of
+    :func:`finite_key_rate` at the corner ``(t_corner, v_corner)``;
+    ``log_term`` is ``log2(2 / delta_star)``, or None for no penalty."""
+    t_eval = min(max(float(t_corner), 0.0), 1.0)
+    veps_eval = max(float(v_corner), 0.0)
+    k_inf, i_ab, chi = _asymptotic_key_rate(t_eval, veps_eval, v_s, v_key, beta)
+    if n >= 1.0:
+        delta_n = _penalty(n, log_term) if log_term is not None else 0.0
+        key_rate = (n / N) * (k_inf - delta_n)
+    else:
+        # nothing left to distill from
+        delta_n = 0.0
+        key_rate = 0.0
+    return key_rate, k_inf, i_ab, chi, delta_n, t_eval, veps_eval
 
 
 # --------------------------------------------------------------------------
@@ -313,7 +356,7 @@ def optimal_asymptotic_rate(channel: ChannelParams, beta: float = DEFAULT_BETA,
     source = SourceParams(SQUEEZING_LIMIT_VS if v_s is None else v_s)
 
     def rate_of(v: float) -> float:
-        k, _, _ = asymptotic_key_rate(channel, source, v, beta)
+        k, _, _ = _asymptotic_key_rate(channel.T, channel.v_eps, source.v_s, v, beta)
         return k
 
     grid = numeric.log_grid(1e-2, 1e2, 25)

@@ -28,13 +28,17 @@ DEFAULT_BETA = 0.95
 
 
 def _require(condition: bool, message: str) -> None:
+    # an f-string message is formatted even when the condition holds, so the
+    # scalar rate cores, which run on every optimizer evaluation, raise
+    # directly wherever a message quotes a value
     if not condition:
         raise ValueError(message)
 
 
 def _finite(x) -> bool:
     # any real scalar, numpy's included, but not a bool; a float skips the
-    # slower abstract-class check, which runs dozens of times per rate
+    # slower abstract-class check, which the point checks of the scalar
+    # rate cores run on every optimizer evaluation
     if not isinstance(x, float) and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
         return False
     return math.isfinite(x)
@@ -131,7 +135,7 @@ class ProtocolParams:
     @property
     def n(self) -> float:
         """Samples left for key distillation."""
-        return (1.0 - self.protocol.r) * self.N
+        return _key_samples(self.protocol.r, self.N)
 
     @property
     def m(self) -> float:
@@ -164,6 +168,10 @@ class FiberModel:
 # noise algebra
 
 
+def _key_samples(r: float, N: int) -> float:
+    return (1.0 - r) * N
+
+
 def aggregated_noise_variance(channel: ChannelParams, source: SourceParams,
                               v_withheld: float = 0.0) -> float:
     """Receiver-side variance of everything except the revealed modulation.
@@ -173,7 +181,11 @@ def aggregated_noise_variance(channel: ChannelParams, source: SourceParams,
     (the key displacement when only the probe is revealed):
     ``1 + v_eps + T * (v_withheld + v_s - 1)``.
     """
-    return 1.0 + channel.v_eps + channel.T * (v_withheld + source.v_s - 1.0)
+    return _noise_variance(channel.T, channel.v_eps, source.v_s, v_withheld)
+
+
+def _noise_variance(T: float, v_eps: float, v_s: float, v_withheld: float) -> float:
+    return 1.0 + v_eps + T * (v_withheld + v_s - 1.0)
 
 
 def distance_to_transmittance(distance_km: float, fiber: FiberModel = FiberModel()) -> float:

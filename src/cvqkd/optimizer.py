@@ -4,25 +4,40 @@ The objective is always the planning-mode finite-size key rate: expected
 confidence bounds from the analytic variance models, no sampling. That
 makes every optimization deterministic, cheap, and exactly reproducible.
 
+It validates once per problem: each evaluation runs the scalar cores
+behind the public wrappers on the point's ``(v, v2, r)`` and builds no
+dataclass, with the rate and the refusals of :func:`evaluate_point`, the
+public reference that builds the final report.
+
 The search is deliberately simple: a coarse geometric grid over each free
 variable's fixed range locates the basin, then cyclic per-coordinate
 golden-section refinement polishes the optimum until a sweep gains less
 than a fixed relative tolerance. Points where the rate is undefined
 (for example a disclosed fraction too small to estimate from) score
-negative infinity and are simply never selected.
+negative infinity and are never selected; when no grid point is left,
+the error names the commonest reasons.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numeric
-from .estimation import expected_bounds
+from .estimation import (
+    _arms,
+    _confidence_box,
+    _variance_model,
+    confidence_coefficient,
+    expected_bounds,
+)
 from .keyrate import (
     KeyRateReport,
+    _finite_key_rate,
+    _penalty_log,
     finite_key_rate,
     finite_size_correction,
     optimal_asymptotic_rate,
@@ -38,6 +53,7 @@ from .model import (
     Protocol,
     ProtocolParams,
     _finite,
+    _key_samples,
     _require,
     _require_beta,
     channel_at_distance,
@@ -99,9 +115,35 @@ class OptimizationResult:
 
 def evaluate_point(problem: OptimizationProblem, point: dict) -> KeyRateReport:
     """Planning-mode finite-size rate at one parameter point: ``point``
-    maps :class:`Protocol` fields to values that replace the fixed ones."""
+    maps :class:`Protocol` fields to values that replace the fixed ones.
+
+    The reference for the optimizer's objective, which computes the same
+    ``K`` without building the report's dataclasses."""
     params = replace(problem.params, protocol=replace(problem.params.protocol, **point))
     return finite_key_rate(params, problem.channel, expected_bounds(problem.channel, params))
+
+
+def _planning_rate(problem: OptimizationProblem):
+    """``K`` of :func:`evaluate_point` as a function of ``(v, v2, r)``.
+
+    The problem's fields, z(delta) and log2(2/delta_star) are read once
+    here. The returned function runs the scalar cores with every check
+    that depends on the point and builds no dataclass. Points lie in the
+    search box, where the :class:`Protocol` checks it skips always hold.
+    """
+    channel, params = problem.channel, problem.params
+    T, v_eps, v_s = channel.T, channel.v_eps, params.source.v_s
+    kind, N, beta = params.protocol.kind, params.N, params.beta
+    z = confidence_coefficient(params.delta)
+    log_term = _penalty_log(params.delta_star)
+
+    def rate(v: float, v2: float, r: float) -> float:
+        n = _key_samples(r, N)
+        sigma_sq, s_sq, _ = _variance_model(T, v_eps, v_s, _arms(kind, v, v2, n, r * N))
+        t_low, veps_up, _, _ = _confidence_box(T, v_eps, sigma_sq, s_sq, z)
+        return _finite_key_rate(t_low, veps_up, v_s, v, beta, n, N, log_term)[0]
+
+    return rate
 
 
 def _coordinate_grid(problem: OptimizationProblem, name: str) -> list[float]:
@@ -124,16 +166,21 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
     """
     evaluations = 0
     free = problem.free
-    kind = problem.params.protocol.kind
+    fixed = problem.params.protocol
+    kind = fixed.kind
+    rate = _planning_rate(problem)
+    infeasible: Counter = Counter()
 
     def objective(point: dict) -> float:
         nonlocal evaluations
         evaluations += 1
         try:
-            return evaluate_point(problem, point).K
-        except ValueError:
+            return rate(point.get("v", fixed.v), point.get("v2", fixed.v2),
+                        point.get("r", fixed.r))
+        except ValueError as exc:
             if not free:  # the one point there is: its fault is the answer
                 raise
+            infeasible[str(exc)] += 1
             return -math.inf
 
     grids = {name: _coordinate_grid(problem, name) for name in free}
@@ -161,8 +208,15 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
     if kind == SINGLE and all(n in free for n in ("v", "r")):
         consider({"v": LEGACY.v, "r": LEGACY.r})
     # with nothing free, {} is the one point and a valid one
-    _require(best_value > -math.inf,
-             "every grid point was infeasible; check the channel and block size")
+    if best_value == -math.inf:
+        # the commonest reasons; a message that quotes the point differs at each
+        counts = infeasible.most_common()
+        reasons = [f"{reason} ({count} of {evaluations} points)"
+                   for reason, count in counts[:3]]
+        if len(counts) > 3:
+            reasons.append(f"{len(counts) - 3} other reasons")
+        raise ValueError("every grid point was infeasible; check the channel and "
+                         "block size" + (f": {'; '.join(reasons)}" if reasons else ""))
 
     scale = max(abs(best_value), 1e-12)
     for _ in range(30):

@@ -75,7 +75,8 @@ def build_eb_covariance(channel: ChannelParams, source: SourceParams,
     ``mu = sqrt((v_s + v_mod_x) * (1/v_s + v_mod_p))``; the asymmetry of
     the prepared ensemble moves into the cross correlations.
     """
-    mu, b_x, b_p, c_x, c_p = _eb_entries(channel, source, v_mod_x, v_mod_p)
+    mu, b_x, b_p, c_x, c_p = _eb_entries(channel.T, channel.v_eps, source.v_s,
+                                         v_mod_x, v_mod_p)
     m = np.zeros((4, 4))
     m[0, 0] = m[1, 1] = mu
     m[2, 2] = b_x

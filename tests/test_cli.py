@@ -108,6 +108,19 @@ def test_optimize_with_every_flag_pinned_names_why_the_point_fails(capsys):
     assert "sample count must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, reason", [
+    (["--T", "0.3", "--r", "0"], "sample count must be > 0, got 0.0 (13 of 13 points)"),
+    (["--T", "0"],
+     "estimation that reveals every displacement is degenerate at T = 0 (157 of 157 points)"),
+], ids=["r-zero", "T-zero"])
+def test_optimize_names_why_every_grid_point_fails(capsys, flags, reason):
+    assert main_entry(["optimize", "--scheme", "single", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == ("error: every grid point was infeasible; check the "
+                                    f"channel and block size: {reason}")
+
+
 def test_keyrate_refuses_an_overflowing_modulation_variance(capsys):
     rc = main_entry(["keyrate", "--T", "0.5", "--v", "1e308", "--r", "0.5"])
     assert rc == 1

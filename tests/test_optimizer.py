@@ -1,10 +1,12 @@
 """Parameter search, scaling fits and the block-size range bound."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cvqkd import (
     ChannelParams,
@@ -26,7 +28,11 @@ from cvqkd import (
     fit_exponential_keyrate,
     max_distance,
     ExponentialFit,
+    asymptotic_key_rate,
 )
+from cvqkd.estimation import ConfidenceBounds, VarianceModel
+from cvqkd.keyrate import KeyRateReport, SymplecticSpectrum, _asymptotic_key_rate
+from cvqkd.optimizer import _planning_rate
 
 
 def _channel(T):
@@ -134,6 +140,104 @@ def test_evaluate_point_matches_direct_assembly():
     bounds = expected_bounds(problem.channel, params)
     expected = finite_key_rate(params, problem.channel, bounds)
     assert report.K == expected.K
+
+
+# --------------------------------------------------------------------------
+# the objective's scalar core against the validating reference
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+_SOURCES = st.sampled_from((1e-7, 0.1, 1.0, 2.0))
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(("single", "double", "modified")), T=st.floats(0.0, 1.0),
+       v_eps=st.floats(0.0, 0.1), v_s=_SOURCES, v=st.floats(0.01, 100.0),
+       v2=st.floats(0.1, 50.0), r=st.floats(0.0, 0.9), N=st.integers(2, 10**10),
+       budgets=st.sampled_from(((0.95, 1e-10, 1e-10), (0.8, 1e-3, 1e-6))))
+@example(kind="single", T=0.3, v_eps=0.003, v_s=1.0, v=3.0, v2=10.0, r=0.0, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="single", T=0.0, v_eps=0.0, v_s=1.0, v=3.0, v2=10.0, r=0.5, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="single", T=0.3, v_eps=0.003, v_s=1.0, v=3.0, v2=10.0, r=0.9, N=3,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="modified", T=0.3, v_eps=0.003, v_s=0.1, v=3.0, v2=10.0, r=0.9, N=3,
+         budgets=(0.95, 1e-10, 1e-10))
+def test_planning_rate_equals_reference(kind, T, v_eps, v_s, v, v2, r, N, budgets):
+    # the same K, or the same refusal, as the public wrappers give; the
+    # problem's own protocol differs from the point on purpose
+    r = 0.0 if kind == "double" else r
+    channel, source = ChannelParams(T, v_eps), SourceParams(v_s)
+    params = ProtocolParams(source, Protocol(kind, v, v2, r), N, *budgets)
+    problem = OptimizationProblem(channel, replace(params, protocol=Protocol(kind, 1.0)),
+                                  free=())
+    core = _outcome(_planning_rate(problem), v, v2, r)
+    reference = _outcome(
+        lambda: finite_key_rate(params, channel, expected_bounds(channel, params)).K)
+    assert core == reference
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(T=st.floats(0.0, 1.0), v_eps=st.floats(0.0, 0.1), v_s=_SOURCES,
+       v=st.floats(0.01, 100.0), beta=st.floats(0.5, 1.0))
+def test_asymptotic_core_equals_reference(T, v_eps, v_s, v, beta):
+    core = _outcome(_asymptotic_key_rate, T, v_eps, v_s, v, beta)
+    reference = _outcome(asymptotic_key_rate, ChannelParams(T, v_eps), SourceParams(v_s),
+                         v, beta)
+    assert core == reference
+
+
+# every construction of these runs its class's checks
+_VALIDATED = (Protocol, ProtocolParams, ChannelParams, VarianceModel, ConfidenceBounds,
+              SymplecticSpectrum, KeyRateReport)
+
+
+def test_optimize_validates_once_per_problem(monkeypatch):
+    built = Counter()
+    for cls in _VALIDATED:
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    params = ProtocolParams(SourceParams(1.0), Protocol("single", 1.0, r=0.2), 10**7)
+    counts = []
+    for free in (("v",), ("v", "r")):
+        problem = OptimizationProblem(_channel(0.3), params, free=free)
+        built.clear()
+        result = optimize_key_rate(problem)
+        counts.append((result.evaluations, dict(built)))
+    (few, one), (many, two) = counts
+    assert many > 3 * few
+    assert one == two and one["KeyRateReport"] == 1
+
+
+# (channel T, source v_s, scheme, N) -> point, K and evaluations at the
+# time the objective moved to the scalar core; the modified problem at
+# T = 0.23 ends in the snap to r = 0
+_SEARCH_PINS = [
+    ((0.3, 1.0, "single", 10**7),
+     {"v": 10.092090317350147, "r": 0.15131908757161341}, 0.08265141962665241, 295),
+    ((0.1, 0.1, "double", 10**8), {"v": 4.288548343734831}, 0.09152916598182533, 83),
+    ((0.5, 0.1, "modified", 10**6),
+     {"v": 11.848273603960568, "r": 0.06661588940914186}, 0.5044440455808618, 303),
+    ((0.23, 0.5, "modified", 10**6),
+     {"v": 2.0486863244564577, "r": 0.0}, 0.048248051830546895, 294),
+]
+
+
+@pytest.mark.parametrize("problem, point, K, evaluations", _SEARCH_PINS,
+                         ids=["single", "double", "modified", "modified-snap"])
+def test_search_path_is_pinned(problem, point, K, evaluations):
+    T, v_s, kind, N = problem
+    result = optimize_key_rate(OptimizationProblem(_channel(T), _params(v_s, kind, N)))
+    assert (result.point, result.K, result.evaluations) == (point, K, evaluations)
+    assert result.report.K == K
 
 
 def test_optimized_beats_fixed_operating_point():
