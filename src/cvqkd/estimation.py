@@ -21,6 +21,10 @@ standard deviations returned here are leading order in ``1/m`` (Leverrier,
 Grosshans & Grangier, PRA 81, 062343, 2010). They are the planning
 counterpart of the sampled estimators in :mod:`cvqkd.montecarlo`, which
 validates them on the same arms.
+
+numpy is imported inside :class:`SampleSet` and the sample reductions, on
+first use, so the planning path (variance models and confidence bounds)
+never loads it.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import (
     DEFAULT_DELTA,
@@ -43,6 +46,9 @@ from .model import (
     _require,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -52,6 +58,8 @@ class SampleSet:
     B: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         m = np.asarray(self.M)
         b = np.asarray(self.B)
         _require(m.ndim == 1 and b.ndim == 1, "sample arrays must be one-dimensional")
@@ -128,6 +136,8 @@ class ConfidenceBounds:
 
 
 def _dot_mean(x: np.ndarray, y: np.ndarray) -> float:
+    import numpy as np
+
     return float(np.einsum("i,i->", x, y, dtype=np.float64) / x.size)
 
 

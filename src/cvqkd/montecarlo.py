@@ -12,16 +12,18 @@ precision, which sits orders of magnitude below the statistical
 tolerances validated here. Each trial derives its generator from
 ``(seed, trial_index)`` alone, so results are independent of how trials
 are distributed over worker threads.
+
+numpy and the thread pool are imported inside the functions that use
+them, so importing this module (and with it the package) loads neither;
+the first simulation does.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .estimation import (
     SampleSet,
@@ -45,7 +47,10 @@ from .model import (
     excess_noise_from_fiber,
 )
 
-_DTYPE = np.float32
+if TYPE_CHECKING:
+    import numpy as np
+
+_DTYPE = "float32"  # the dtype of the bulk draws, named so import needs no numpy
 
 
 @dataclass(frozen=True)
@@ -112,13 +117,17 @@ class ValidationRow:
 
 
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
+    import numpy as np
+
     ss = np.random.SeedSequence(seed, spawn_key=(trial_index,))
     return np.random.Generator(np.random.PCG64(ss))
 
 
 def _draw_scaled(rng: np.random.Generator, sd: float, out: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     rng.standard_normal(out=out, dtype=_DTYPE)
-    out *= _DTYPE(sd)
+    out *= np.float32(sd)
     return out
 
 
@@ -127,6 +136,8 @@ def _noise_sd(config: TrialConfig, v_withheld: float = 0.0) -> float:
 
 
 def _lean_buffers(config: TrialConfig) -> list[np.ndarray]:
+    import numpy as np
+
     if config.scheme.kind == SINGLE:
         m = round(config.scheme.r * config.N)
         return [np.empty(m, dtype=_DTYPE) for _ in range(2)]
@@ -145,8 +156,10 @@ def _simulate_lean(config: TrialConfig, trial_index: int,
     cutting the raw normals per trial by up to a third. Draw order is
     fixed: revealed displacements first, then noise. Returns the
     ``(revealed, received)`` records of the estimation arms, in arm order."""
+    import numpy as np
+
     rng = _trial_rng(config.seed, trial_index)
-    st = _DTYPE(math.sqrt(config.channel.T))
+    st = np.float32(math.sqrt(config.channel.T))
     p = config.scheme
     if p.kind == SINGLE:
         m_buf, b_buf = buffers
@@ -176,6 +189,8 @@ def _simulate_lean(config: TrialConfig, trial_index: int,
 def _simulate_into(config: TrialConfig, trial_index: int,
                    buffers: list[np.ndarray]):
     """Fill ``buffers`` with one transmission; see simulate_transmission."""
+    import numpy as np
+
     rng = _trial_rng(config.seed, trial_index)
     st = math.sqrt(config.channel.T)
     noise_sd = _noise_sd(config)
@@ -183,14 +198,14 @@ def _simulate_into(config: TrialConfig, trial_index: int,
         m_buf, b_buf = buffers
         m_arr = _draw_scaled(rng, math.sqrt(config.scheme.v), m_buf)
         b_arr = _draw_scaled(rng, noise_sd, b_buf)
-        b_arr += _DTYPE(st) * m_arr
+        b_arr += np.float32(st) * m_arr
         return SampleSet(m_arr, b_arr), None
     m1_buf, m2_buf, b_buf = buffers
     m1 = _draw_scaled(rng, math.sqrt(config.scheme.v), m1_buf)
     m2 = _draw_scaled(rng, math.sqrt(config.scheme.v2), m2_buf)
     b_arr = _draw_scaled(rng, noise_sd, b_buf)
     total = m1 + m2
-    total *= _DTYPE(st)
+    total *= np.float32(st)
     b_arr += total
     return SampleSet(m2, b_arr), m1
 
@@ -208,6 +223,8 @@ def simulate_transmission(config: TrialConfig, trial_index: int):
     Deterministic in ``(config.seed, trial_index)``: the draw order is
     fixed (modulations first, then the aggregated hidden noise).
     """
+    import numpy as np
+
     if config.scheme.kind == SINGLE:
         m = round(config.scheme.r * config.N)
         buffers = [np.empty(m, dtype=_DTYPE) for _ in range(2)]
@@ -239,10 +256,22 @@ def _one_trial(config: TrialConfig, trial_index: int, buffers: list[np.ndarray],
 
 
 def _resolve_threads(threads: int | None) -> int:
+    """The worker count: ``threads`` (the ``--threads`` flag), else
+    ``CVQKD_THREADS``, else the CPUs this process may run on. A count
+    that is not a whole number >= 1 is refused under its own name."""
+    name = "threads (--threads)"
     if threads is None:
-        env = os.environ.get("CVQKD_THREADS", "").strip()
-        threads = int(env) if env else len(os.sched_getaffinity(0))
-    return max(1, int(threads))
+        text = os.environ.get("CVQKD_THREADS", "").strip()
+        if not text:
+            return len(os.sched_getaffinity(0))
+        name = "CVQKD_THREADS"
+        try:
+            threads = int(text)
+        except ValueError:
+            threads = text  # refused below, under the variable's name
+    if isinstance(threads, bool) or not (isinstance(threads, int) and threads >= 1):
+        raise ValueError(f"{name} must be a whole number >= 1, got {threads!r}")
+    return threads
 
 
 def run_trials(config: TrialConfig, threads: int | None = None) -> EmpiricalStats:
@@ -253,6 +282,8 @@ def run_trials(config: TrialConfig, threads: int | None = None) -> EmpiricalStat
     a generator derived from its index, and the reduction runs over the
     index-ordered arrays.
     """
+    import numpy as np
+
     threads = _resolve_threads(threads)
     # the sampler draws whole counts: round(r * N) disclosed, the rest kept
     shown = round(config.scheme.r * config.N)
@@ -279,6 +310,8 @@ def run_trials(config: TrialConfig, threads: int | None = None) -> EmpiricalStat
         chunk = max(1, math.ceil(config.trials / threads))
         ranges = [range(lo, min(lo + chunk, config.trials))
                   for lo in range(0, config.trials, chunk)]
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # propagate the first worker exception, if any
             for future in [pool.submit(worker, rg) for rg in ranges]:
@@ -299,6 +332,8 @@ def run_trials(config: TrialConfig, threads: int | None = None) -> EmpiricalStat
 
 
 def _row_seed(base_seed: int, scheme_index: int, t_index: int) -> int:
+    import numpy as np
+
     ss = np.random.SeedSequence(base_seed, spawn_key=(scheme_index, t_index))
     lo, hi = (int(w) for w in ss.generate_state(2))
     return (hi << 32) | lo

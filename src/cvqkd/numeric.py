@@ -26,6 +26,22 @@ def log_grid(lo: float, hi: float, points: int) -> list[float]:
     return grid
 
 
+def linspace(lo: float, hi: float, points: int) -> list[float]:
+    """Evenly spaced grid from ``lo`` to ``hi`` inclusive, bit for bit
+    ``numpy.linspace(lo, hi, points)``: the same ``i * step + lo`` in the
+    same order, with the last point set to ``hi``."""
+    if points < 2:
+        raise ValueError("a grid needs at least 2 points")
+    delta = hi - lo
+    step = delta / (points - 1)
+    if step == 0.0:  # numpy's order when the step underflows
+        grid = [i / (points - 1) * delta + lo for i in range(points)]
+    else:
+        grid = [i * step + lo for i in range(points)]
+    grid[-1] = hi
+    return grid
+
+
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
                        *, tol: float = 1e-8, max_iter: int = 200) -> tuple[float, float]:
     """Maximize a unimodal ``f`` on ``[lo, hi]`` by golden-section search.

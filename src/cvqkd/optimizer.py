@@ -24,8 +24,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import numeric
 from .estimation import (
     _arms,
@@ -279,6 +277,8 @@ class ExponentialFit:
 
 def fit_power_law(x_values, y_values) -> PowerLawFit:
     """Least squares on the logs. All values must be positive."""
+    import numpy as np
+
     x = np.asarray(x_values, dtype=np.float64)
     y = np.asarray(y_values, dtype=np.float64)
     _require(x.size == y.size and x.size >= 2, "a fit needs at least 2 points")
@@ -294,6 +294,8 @@ def fit_power_law(x_values, y_values) -> PowerLawFit:
 
 def fit_exponential_decay(x_values, y_values) -> ExponentialFit:
     """Least squares of ``log10 y`` against ``x``. Values must be positive."""
+    import numpy as np
+
     x = np.asarray(x_values, dtype=np.float64)
     y = np.asarray(y_values, dtype=np.float64)
     _require(x.size == y.size and x.size >= 2, "a fit needs at least 2 points")
@@ -395,10 +397,10 @@ def fit_exponential_keyrate(fiber: FiberModel = FiberModel(),
     _require_beta(beta)
     _require(points >= 2, "a fit needs at least 2 points")
     _require(d_range[1] > d_range[0] > 0.0, "distance window must be increasing and positive")
-    ds = np.linspace(d_range[0], d_range[1], points)
+    ds = numeric.linspace(d_range[0], d_range[1], points)
     ks = []
     for d in ds:
-        channel = channel_at_distance(float(d), fiber)
+        channel = channel_at_distance(d, fiber)
         k_opt, _ = optimal_asymptotic_rate(channel, beta, v_s)
         _require(k_opt > 0.0,
                  f"asymptotic rate is dead at {d:.1f} km; shrink the window")
@@ -414,7 +416,11 @@ def max_distance(fit: ExponentialFit, N: float,
     the reach grows by ``1 / (2 kappa)`` kilometres per decade of block
     size.
     """
-    _require(fit.kappa > 0.0, "the fitted rate must decay with distance")
+    _require(_finite(fit.a) and fit.a > 0.0,
+             f"the fitted amplitude a must be finite and > 0, got {fit.a!r}")
+    _require(_finite(fit.kappa) and fit.kappa > 0.0,
+             f"the decay constant kappa must be finite and > 0 (the fitted "
+             f"rate must decay with distance), got {fit.kappa!r}")
     _require(_finite(N) and N >= 1.0, f"block size must be >= 1, got {N!r}")
     # the penalty at n = 1 is the numerator 7 sqrt(log2(2/delta_star))
     c = finite_size_correction(1.0, delta_star)

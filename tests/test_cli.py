@@ -189,12 +189,48 @@ def test_smallest_block_still_optimizes_the_double_scheme(capsys):
     assert payload["report"]["N"] == 2
 
 
-def test_cli_import_leaves_scipy_unloaded():
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import cvqkd.cli
+report = {
+    "loaded": [m for m in ("scipy", "numpy", "concurrent.futures") if m in sys.modules],
+    "missing": [layer for layer in ("model", "estimation", "keyrate", "montecarlo",
+                                    "optimizer", "cli")
+                if f"cvqkd.{layer}" not in sys.modules],
+    "queries": [],
+}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cvqkd.cli.main_entry(argv)
+    report["queries"].append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # numpy loads on first use only, so a planning query never pays for it;
+    # every layer module is still imported eagerly, which the bench's
+    # tracer reads from sys.modules
+    scenario = tmp_path / "linear.json"
+    scenario.write_text(json.dumps({
+        "command": "sweep", "name": "linear", "N": 1000000,
+        "sweep": {"variable": "d", "min": 5.0, "max": 20.0, "points": 2},
+        "schemes": [{"kind": "single"}]}))
+    queries = [
+        ["keyrate", "--T", "0.3"],
+        ["keyrate", "--T", "0.5", "--v", "3", "--r", "0.5", "--N", "1e7",
+         "--corner-search"],
+        ["optimize", "--T", "0.1", "--scheme", "double", "--N", "1e8"],
+        ["sweep", "--scenario", str(scenario), "--out", str(tmp_path)],
+        ["maxdist", "--N", "1e6", "--fit-a", "1", "--fit-kappa", "0.02"],
+    ]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, cvqkd.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(queries)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout) == {
+        "loaded": [], "missing": [],
+        "queries": [[argv[0], 0, False] for argv in queries]}
 
 
 def test_keyrate_insecure_exit_code(capsys):
@@ -416,6 +452,21 @@ def test_sweep_presets_have_expected_geometry():
         assert len(scenario["schemes"]) == 6
 
 
+def test_preset_axes_are_numpys_bit_for_bit():
+    import numpy as np
+
+    for name in preset_names():
+        scenario = load_preset(name)
+        if scenario["command"] == "sweep":
+            axis = cli._read(scenario, cli._SWEEP, name)["sweep"]
+        else:
+            axis = cli._read(scenario, cli._MONTECARLO, name)["t_grid"]
+        space = np.geomspace if axis["spacing"] == "log" else np.linspace
+        expected = space(axis["min"], axis["max"], axis["points"])
+        assert ([float.hex(x) for x in cli._axis_values(axis)]
+                == [float.hex(float(x)) for x in expected]), name
+
+
 def test_montecarlo_preset_small_run(capsys, tmp_path):
     args = ["montecarlo", "--preset", "variance_validation",
             "--trials", "10", "--seed", "42", "--threads", "1",
@@ -463,6 +514,22 @@ def test_montecarlo_rejects_unknown_keys(capsys, tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("flags, env, name", [
+    (["--threads", "0"], None, "--threads"),
+    (["--threads", "-3"], None, "--threads"),
+    ([], "abc", "CVQKD_THREADS"),
+])
+def test_montecarlo_refuses_a_thread_count_below_one(capsys, monkeypatch, tmp_path,
+                                                     flags, env, name):
+    if env is not None:
+        monkeypatch.setenv("CVQKD_THREADS", env)
+    rc = main_entry(["montecarlo", "--preset", "variance_validation",
+                     "--trials", "2", *flags, "--out", str(tmp_path)])
+    assert rc == 1
+    assert name in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_montecarlo_env_thread_count_is_invisible(tmp_path):
     # the env knob must not leak into the output: same bytes either way
     outputs = []
@@ -495,6 +562,20 @@ def test_maxdist_with_injected_fit(capsys):
     table = {row["N"]: row["d_max_km"] for row in payload["d_max"]}
     assert table[1e6] == pytest.approx(expected, rel=1e-12)
     assert table[1e8] - table[1e6] == pytest.approx(50.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("a, kappa, name", [
+    ("0", "0.01", "fitted amplitude"), ("-1", "0.01", "fitted amplitude"),
+    ("inf", "0.01", "fitted amplitude"), ("nan", "0.01", "fitted amplitude"),
+    ("1", "0", "decay constant"), ("1", "-0.01", "decay constant"),
+    ("1", "inf", "decay constant"),
+])
+def test_maxdist_refuses_a_bad_injected_fit(capsys, a, kappa, name):
+    rc = main_entry(["maxdist", "--N", "1e6", "--fit-a", a, "--fit-kappa", kappa])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
 
 
 def test_maxdist_rejects_lone_fit_flag(capsys):

@@ -220,6 +220,20 @@ def test_default_thread_count_follows_cpu_affinity(monkeypatch):
     assert _resolve_threads(None) == 3
 
 
+def test_thread_counts_below_one_are_refused(monkeypatch):
+    monkeypatch.delenv("CVQKD_THREADS", raising=False)
+    for threads in (0, -3, 2.0, True):
+        with pytest.raises(ValueError, match="--threads"):
+            _resolve_threads(threads)
+    for text in ("abc", "0", "-3", "2.5"):
+        monkeypatch.setenv("CVQKD_THREADS", text)
+        with pytest.raises(ValueError, match="CVQKD_THREADS"):
+            _resolve_threads(None)
+    monkeypatch.setenv("CVQKD_THREADS", " 3 ")
+    assert _resolve_threads(None) == 3
+    assert _resolve_threads(2) == 2   # the argument wins over the variable
+
+
 # --------------------------------------------------------------------------
 # validation-grid plumbing
 

@@ -1,6 +1,8 @@
 """Parameter search, scaling fits and the block-size range bound."""
 
+import inspect
 import math
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -30,6 +32,7 @@ from cvqkd import (
     ExponentialFit,
     asymptotic_key_rate,
 )
+from cvqkd import numeric
 from cvqkd.estimation import ConfidenceBounds, VarianceModel
 from cvqkd.keyrate import KeyRateReport, SymplecticSpectrum, _asymptotic_key_rate
 from cvqkd.optimizer import _planning_rate
@@ -106,6 +109,17 @@ def test_max_distance_validation():
         max_distance(ExponentialFit(1.0, -0.01, (0.0, 1.0), 0.0), 1e8)
     with pytest.raises(ValueError):
         max_distance(ExponentialFit(1.0, 0.02, (0.0, 1.0), 0.0), 0.5)
+
+
+@pytest.mark.parametrize("a, kappa, name", [
+    (0.0, 0.01, "fitted amplitude"), (-1.0, 0.01, "fitted amplitude"),
+    (math.inf, 0.01, "fitted amplitude"), (math.nan, 0.01, "fitted amplitude"),
+    (1.0, 0.0, "decay constant"), (1.0, -0.01, "decay constant"),
+    (1.0, math.inf, "decay constant"), (1.0, math.nan, "decay constant"),
+])
+def test_max_distance_refuses_a_bad_fit_by_name(a, kappa, name):
+    with pytest.raises(ValueError, match=name):
+        max_distance(ExponentialFit(a, kappa, (30.0, 150.0), 0.0), 1e6)
 
 
 # --------------------------------------------------------------------------
@@ -375,6 +389,29 @@ def test_fit_exponential_keyrate_rejects_dead_window():
     # the far end of the default window
     with pytest.raises(ValueError):
         fit_exponential_keyrate(beta=0.6, v_s=1.0, points=3)
+
+
+def _bits(values):
+    return [float.hex(float(x)) for x in values]
+
+
+def test_linspace_is_numpys_bit_for_bit():
+    # the fitted window and the sweep axes feed published outputs, so the
+    # grid must be numpy's to the last bit, not merely close
+    rng = random.Random(20140902)
+    for _ in range(10_000):
+        lo = 10.0 ** rng.uniform(-4.0, 4.0)
+        hi = lo * (1.0 + 10.0 ** rng.uniform(-8.0, 8.0))
+        n = 2 if rng.random() < 0.2 else rng.randint(3, 300)
+        assert _bits(numeric.linspace(lo, hi, n)) == _bits(np.linspace(lo, hi, n)), \
+            (lo, hi, n)
+    defaults = inspect.signature(fit_exponential_keyrate).parameters
+    window = (*defaults["d_range"].default, defaults["points"].default)
+    # a step that underflows takes numpy's other operation order
+    for lo, hi, n in (window, (5e-324, 1.5e-323, 5), (5e-324, 1e-323, 3)):
+        assert _bits(numeric.linspace(lo, hi, n)) == _bits(np.linspace(lo, hi, n))
+    with pytest.raises(ValueError):
+        numeric.linspace(0.0, 1.0, 1)
 
 
 # --------------------------------------------------------------------------
