@@ -2,10 +2,12 @@
 
 The receiver quadrature of one transmission decomposes into the modulation
 displacements, the transmitted source fluctuation, the vacuum share and
-the excess noise. The terms no estimator ever observes individually (the
-source fluctuation, the vacuum, the excess noise) are drawn as their
-Gaussian sum, which leaves every observable joint distribution unchanged
-and keeps the draw count down.
+the excess noise. One sampler draws every trial, and it draws one
+``(revealed modulation, received quadrature)`` record per estimation arm.
+The terms no estimator ever observes individually (the source
+fluctuation, the vacuum, the excess noise and a withheld key displacement)
+are drawn as their Gaussian sum, which leaves every observable joint
+distribution unchanged and keeps the draw count down.
 
 Bulk draws are single precision; every reduction accumulates in double
 precision, which sits orders of magnitude below the statistical
@@ -35,7 +37,6 @@ from .estimation import (
 )
 from .keyrate import theoretical_noise_limit
 from .model import (
-    DOUBLE,
     MODIFIED,
     SINGLE,
     ChannelParams,
@@ -53,6 +54,11 @@ if TYPE_CHECKING:
 _DTYPE = "float32"  # the dtype of the bulk draws, named so import needs no numpy
 
 
+def _whole(x, floor: int) -> bool:
+    """Whether ``x`` is an int, and not a bool, of at least ``floor``."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= floor
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """One repeatable simulation setup."""
@@ -65,22 +71,27 @@ class TrialConfig:
     seed: int
 
     def __post_init__(self):
-        _require(isinstance(self.N, int) and self.N >= 2,
+        _require(_whole(self.N, 2),
                  f"block size N must be an integer >= 2, got {self.N!r}")
-        _require(isinstance(self.trials, int) and self.trials >= 1,
+        _require(_whole(self.trials, 1),
                  f"trial count must be an integer >= 1, got {self.trials!r}")
-        _require(isinstance(self.seed, int) and self.seed >= 0,
+        _require(_whole(self.seed, 0),
                  f"seed must be a non-negative integer, got {self.seed!r}")
         kind = self.scheme.kind
         if kind == SINGLE:
-            _require(round(self.scheme.r * self.N) >= 1,
+            _require(self.disclosed >= 1,
                      "single-scheme trials need at least one disclosed sample")
         if kind == MODIFIED:
-            mc = round(self.scheme.r * self.N)
-            _require(1 <= mc <= self.N - 1,
+            _require(1 <= self.disclosed <= self.N - 1,
                      "modified-scheme trials need both block subsets non-empty")
             _require(self.channel.T > 0.0,
                      "modified-scheme trials need T > 0 to weight the sub-estimates")
+
+    @property
+    def disclosed(self) -> int:
+        """The samples whose key displacement is revealed, ``round(r * N)``;
+        the sampler draws whole counts."""
+        return round(self.scheme.r * self.N)
 
 
 @dataclass(frozen=True)
@@ -135,102 +146,55 @@ def _noise_sd(config: TrialConfig, v_withheld: float = 0.0) -> float:
     return math.sqrt(aggregated_noise_variance(config.channel, config.source, v_withheld))
 
 
-def _lean_buffers(config: TrialConfig) -> list[np.ndarray]:
+def _buffers(config: TrialConfig) -> list[np.ndarray]:
+    """The probe, disclosed-key and received records of one trial. The
+    single scheme's one displacement is its probe; its key record is empty."""
     import numpy as np
 
-    if config.scheme.kind == SINGLE:
-        m = round(config.scheme.r * config.N)
-        return [np.empty(m, dtype=_DTYPE) for _ in range(2)]
-    if config.scheme.kind == DOUBLE:
-        return [np.empty(config.N, dtype=_DTYPE) for _ in range(2)]
-    mc = round(config.scheme.r * config.N)
-    return [np.empty(config.N, dtype=_DTYPE),
-            np.empty(mc, dtype=_DTYPE),
-            np.empty(config.N, dtype=_DTYPE)]
+    shown = config.disclosed
+    block, key = (shown, 0) if config.scheme.kind == SINGLE else (config.N, shown)
+    return [np.empty(n, dtype=_DTYPE) for n in (block, key, block)]
 
 
-def _simulate_lean(config: TrialConfig, trial_index: int,
-                   buffers: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Distribution-identical transmission that only materialises what the
-    estimators read: unseen displacements are folded into the noise draw,
-    cutting the raw normals per trial by up to a third. Draw order is
-    fixed: revealed displacements first, then noise. Returns the
-    ``(revealed, received)`` records of the estimation arms, in arm order."""
+def _simulate(config: TrialConfig, trial_index: int,
+              buffers: list[np.ndarray]) -> list[SampleSet]:
+    """One transmission into ``buffers``; see simulate_transmission.
+
+    Only what the estimators read is materialised: a withheld displacement
+    is folded into the noise draw. The draw order is fixed: the probe, the
+    disclosed key displacements, the noise of the disclosed prefix, then
+    the noise of the rest.
+    """
     import numpy as np
 
     rng = _trial_rng(config.seed, trial_index)
     st = np.float32(math.sqrt(config.channel.T))
     p = config.scheme
-    if p.kind == SINGLE:
-        m_buf, b_buf = buffers
-        m_arr = _draw_scaled(rng, math.sqrt(p.v), m_buf)
-        b_arr = _draw_scaled(rng, _noise_sd(config), b_buf)
-        b_arr += st * m_arr
-        return [(m_arr, b_arr)]
     # the probe regression never sees the key displacement; it acts as noise
-    if p.kind == DOUBLE:
-        m2_buf, b_buf = buffers
-        m2 = _draw_scaled(rng, math.sqrt(p.v2), m2_buf)
-        b_arr = _draw_scaled(rng, _noise_sd(config, p.v), b_buf)
-        b_arr += st * m2
-        return [(m2, b_arr)]
-    m2_buf, m1b_buf, b_buf = buffers
-    mc = m1b_buf.size
-    m2 = _draw_scaled(rng, math.sqrt(p.v2), m2_buf)
-    shown = _draw_scaled(rng, math.sqrt(p.v), m1b_buf)
-    _draw_scaled(rng, _noise_sd(config), b_buf[:mc])
-    _draw_scaled(rng, _noise_sd(config, p.v), b_buf[mc:])
-    shown += m2[:mc]  # both displacements of the disclosed samples
-    b_buf[:mc] += st * shown
-    b_buf[mc:] += st * m2[mc:]
-    return [(m2[mc:], b_buf[mc:]), (shown, b_buf[:mc])]
+    v_probe, withheld = (p.v, 0.0) if p.kind == SINGLE else (p.v2, p.v)
+    probe, key, b = buffers
+    shown = key.size
+    _draw_scaled(rng, math.sqrt(v_probe), probe)
+    if shown:  # an empty disclosed prefix draws nothing
+        _draw_scaled(rng, math.sqrt(p.v), key)
+        _draw_scaled(rng, _noise_sd(config), b[:shown])
+        key += probe[:shown]  # both displacements of the disclosed samples
+        b[:shown] += st * key
+    _draw_scaled(rng, _noise_sd(config, withheld), b[shown:])
+    b[shown:] += st * probe[shown:]
+    records = ((probe[shown:], b[shown:]), (key, b[:shown]))
+    return [SampleSet(m, received) for m, received in records if m.size]
 
 
-def _simulate_into(config: TrialConfig, trial_index: int,
-                   buffers: list[np.ndarray]):
-    """Fill ``buffers`` with one transmission; see simulate_transmission."""
-    import numpy as np
-
-    rng = _trial_rng(config.seed, trial_index)
-    st = math.sqrt(config.channel.T)
-    noise_sd = _noise_sd(config)
-    if config.scheme.kind == SINGLE:
-        m_buf, b_buf = buffers
-        m_arr = _draw_scaled(rng, math.sqrt(config.scheme.v), m_buf)
-        b_arr = _draw_scaled(rng, noise_sd, b_buf)
-        b_arr += np.float32(st) * m_arr
-        return SampleSet(m_arr, b_arr), None
-    m1_buf, m2_buf, b_buf = buffers
-    m1 = _draw_scaled(rng, math.sqrt(config.scheme.v), m1_buf)
-    m2 = _draw_scaled(rng, math.sqrt(config.scheme.v2), m2_buf)
-    b_arr = _draw_scaled(rng, noise_sd, b_buf)
-    total = m1 + m2
-    total *= np.float32(st)
-    b_arr += total
-    return SampleSet(m2, b_arr), m1
-
-
-def simulate_transmission(config: TrialConfig, trial_index: int):
+def simulate_transmission(config: TrialConfig, trial_index: int) -> list[SampleSet]:
     """One transmission of a block through the channel.
 
-    Returns ``(samples, hidden)``. For the single scheme the sample set is
-    the disclosed subset of ``round(r * N)`` pairs and ``hidden`` is None.
-    For the double and modified schemes the sample set pairs the public
-    probe displacements with the received quadratures over the full block,
-    and ``hidden`` is the key-displacement record (revealed later for the
-    first ``round(r * N)`` samples of the modified scheme).
-
-    Deterministic in ``(config.seed, trial_index)``: the draw order is
-    fixed (modulations first, then the aggregated hidden noise).
+    Returns one ``SampleSet`` of revealed modulation and received
+    quadrature per arm of ``estimation_arms(config.scheme, N - round(r * N),
+    round(r * N))``, in that order: the records ``run_trials`` estimates
+    from. Deterministic in ``(config.seed, trial_index)``.
     """
-    import numpy as np
-
-    if config.scheme.kind == SINGLE:
-        m = round(config.scheme.r * config.N)
-        buffers = [np.empty(m, dtype=_DTYPE) for _ in range(2)]
-    else:
-        buffers = [np.empty(config.N, dtype=_DTYPE) for _ in range(3)]
-    return _simulate_into(config, trial_index, buffers)
+    return _simulate(config, trial_index, _buffers(config))
 
 
 def _weights(variances) -> tuple[float, ...]:
@@ -247,7 +211,7 @@ def _one_trial(config: TrialConfig, trial_index: int, buffers: list[np.ndarray],
                estimators, t_weights, v_weights) -> tuple[float, float]:
     """Merged estimates of one trial; ``estimators`` pairs the revealed
     variance of each arm with the source its residual fit sees."""
-    samples = [SampleSet(m, b) for m, b in _simulate_lean(config, trial_index, buffers)]
+    samples = _simulate(config, trial_index, buffers)
     t_hat = sum(estimate_T(s, revealed) * w
                 for s, (revealed, _), w in zip(samples, estimators, t_weights))
     v_hat = sum(estimate_Veps(s, t_hat, source) * u
@@ -269,7 +233,7 @@ def _resolve_threads(threads: int | None) -> int:
             threads = int(text)
         except ValueError:
             threads = text  # refused below, under the variable's name
-    if isinstance(threads, bool) or not (isinstance(threads, int) and threads >= 1):
+    if not _whole(threads, 1):
         raise ValueError(f"{name} must be a whole number >= 1, got {threads!r}")
     return threads
 
@@ -285,8 +249,7 @@ def run_trials(config: TrialConfig, threads: int | None = None) -> EmpiricalStat
     import numpy as np
 
     threads = _resolve_threads(threads)
-    # the sampler draws whole counts: round(r * N) disclosed, the rest kept
-    shown = round(config.scheme.r * config.N)
+    shown = config.disclosed
     arms = estimation_arms(config.scheme, config.N - shown, shown)
     # the model at the true parameters weights the arms' sub-estimates
     model = variance_model(config.channel, config.source, arms)
@@ -299,7 +262,7 @@ def run_trials(config: TrialConfig, threads: int | None = None) -> EmpiricalStat
     v_hat = np.empty(config.trials, dtype=np.float64)
 
     def worker(index_range) -> None:
-        buffers = _lean_buffers(config)
+        buffers = _buffers(config)
         for k in index_range:
             t_hat[k], v_hat[k] = _one_trial(config, k, buffers, estimators,
                                             t_weights, v_weights)
@@ -349,8 +312,9 @@ def validate_variance_models(t_grid, protocols, source: SourceParams, N: int,
     model. Row seeds derive from ``seed`` and the row position, so the
     full table is reproducible and rows are independent.
     """
-    _require(isinstance(trials, int) and trials >= 2,
+    _require(_whole(trials, 2),
              f"the validation table compares spreads, so trials must be >= 2, got {trials!r}")
+    _require(_whole(seed, 0), f"seed must be a non-negative integer, got {seed!r}")
     rows: list[ValidationRow] = []
     for s_idx, protocol in enumerate(protocols):
         for t_idx, T in enumerate(t_grid):
@@ -358,7 +322,7 @@ def validate_variance_models(t_grid, protocols, source: SourceParams, N: int,
             config = TrialConfig(channel, source, protocol, N, trials,
                                  _row_seed(seed, s_idx, t_idx))
             stats = run_trials(config, threads=threads)
-            samples = round(protocol.r * N) if protocol.kind == SINGLE else N
+            samples = config.disclosed if protocol.kind == SINGLE else N
             rows.append(ValidationRow(
                 scheme=protocol.kind,
                 T=channel.T,

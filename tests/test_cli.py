@@ -514,6 +514,19 @@ def test_montecarlo_rejects_unknown_keys(capsys, tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_montecarlo_refuses_a_negative_seed(capsys, tmp_path):
+    # by flag or by scenario, refused under its own name before any row runs
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**load_preset("variance_validation"), "seed": -1}))
+    for source in (["--preset", "variance_validation", "--seed", "-1"],
+                   ["--scenario", str(path)]):
+        assert main_entry(["montecarlo", *source, "--trials", "2",
+                           "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: seed must be a non-negative integer, got -1"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("flags, env, name", [
     (["--threads", "0"], None, "--threads"),
     (["--threads", "-3"], None, "--threads"),

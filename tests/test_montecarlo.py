@@ -12,7 +12,9 @@ from cvqkd import (
     Protocol,
     ProtocolParams,
     TrialConfig,
+    aggregated_noise_variance,
     confidence_bounds,
+    estimation_arms,
     expected_bounds,
     run_trials,
     simulate_transmission,
@@ -56,13 +58,39 @@ def test_run_trials_thread_count_invisible():
     assert a == b
 
 
+@pytest.mark.parametrize("protocol, N, expected", [
+    (Protocol("single", 3.0, r=0.5), 2000,
+     ("0x1.935a347092b72p-3", "0x1.7a0465c03aa3dp-6",
+      "0x1.36a7498836436p-6", "0x1.0e0e5e1474cd5p-5")),
+    (Protocol("double", 3.0, 10.0), 2000,
+     ("0x1.a4a6a497a4033p-3", "0x1.a9bdda5fc008fp-7",
+      "-0x1.2f6f0224bf942p-6", "0x1.1197a82f97b6bp-4")),
+    (Protocol("modified", 3.0, 10.0, 0.5), 2000,
+     ("0x1.9f98b584769fap-3", "0x1.9c663a8e6e2a6p-7",
+      "-0x1.3e185f647d1c7p-7", "0x1.fa78c907c70cfp-6")),
+    # r * N = 1000.25: the sampler discloses round(r * N) samples
+    (Protocol("modified", 3.0, 10.0, 0.25), 4001,
+     ("0x1.9e78196607ae0p-3", "0x1.5f1f8723d907dp-7",
+      "-0x1.0cc9c78809ea2p-8", "0x1.d2af31d9c078ep-6")),
+])
+def test_trial_statistics_are_pinned(protocol, N, expected):
+    # the exact bits of every scheme's reduction; a change of draw order
+    # or of the sampler's arithmetic moves them
+    cfg = TrialConfig(ChannelParams(0.2, 0.002), SourceParams(1.0), protocol,
+                      N, 20, 2014)
+    stats = run_trials(cfg, threads=1)
+    assert tuple(x.hex() for x in (stats.mean_T, stats.std_T,
+                                   stats.mean_Veps, stats.std_Veps)) == expected
+
+
 def test_simulate_transmission_deterministic_per_trial():
     cfg = _double_cfg(trials=1, seed=79)
-    s0, h0 = simulate_transmission(cfg, 0)
-    s0b, h0b = simulate_transmission(cfg, 0)
-    s1, _ = simulate_transmission(cfg, 1)
-    assert np.array_equal(s0.B, s0b.B) and np.array_equal(h0, h0b)
-    assert not np.array_equal(s0.B, s1.B)
+    a, b = simulate_transmission(cfg, 0), simulate_transmission(cfg, 0)
+    [other] = simulate_transmission(cfg, 1)
+    assert len(a) == len(b) == 1
+    assert all(np.array_equal(x.M, y.M) and np.array_equal(x.B, y.B)
+               for x, y in zip(a, b))
+    assert not np.array_equal(a[0].B, other.B)
 
 
 # --------------------------------------------------------------------------
@@ -71,7 +99,7 @@ def test_simulate_transmission_deterministic_per_trial():
 
 def test_received_variance_matches_model():
     cfg = _single_cfg()  # T=0.1, veps=0.001, v=3: Var(B) = 1.301
-    samples, _ = simulate_transmission(cfg, 0)
+    [samples] = simulate_transmission(cfg, 0)
     var_b = float(np.var(samples.B, dtype=np.float64))
     se = 1.301 * math.sqrt(2.0 / cfg.N)
     assert abs(var_b - 1.301) < 3.0 * se
@@ -79,7 +107,7 @@ def test_received_variance_matches_model():
 
 def test_opaque_channel_decorrelates():
     cfg = _single_cfg(T=0.0, veps=0.0, seed=12)
-    samples, _ = simulate_transmission(cfg, 0)
+    [samples] = simulate_transmission(cfg, 0)
     corr = float(np.corrcoef(samples.M.astype(np.float64),
                              samples.B.astype(np.float64))[0, 1])
     assert abs(corr) < 3.0 / math.sqrt(cfg.N)
@@ -87,7 +115,7 @@ def test_opaque_channel_decorrelates():
 
 def test_received_record_is_gaussian():
     cfg = _single_cfg(T=1.0, veps=0.0, v=0.0, N=1000000, seed=13)
-    samples, _ = simulate_transmission(cfg, 0)
+    [samples] = simulate_transmission(cfg, 0)
     b = samples.B.astype(np.float64)
     b = (b - b.mean()) / b.std()
     assert abs(float(np.mean(b**3))) < 0.05
@@ -97,7 +125,7 @@ def test_received_record_is_gaussian():
 def test_silent_source_produces_silence():
     cfg = TrialConfig(ChannelParams(1.0, 0.0), SourceParams(1e-30),
                       Protocol("single", 0.0, r=1.0), 1000, 1, 14)
-    samples, _ = simulate_transmission(cfg, 0)
+    [samples] = simulate_transmission(cfg, 0)
     assert float(np.max(np.abs(samples.B))) < 1e-6
 
 
@@ -105,7 +133,7 @@ def test_received_variance_matches_eb_picture():
     # the prepare-and-measure simulation and the entanglement-based matrix
     # must give the same channel-output variance
     cfg = _single_cfg(T=0.2, veps=0.002, v=3.0, r=0.5, seed=21)
-    samples, _ = simulate_transmission(cfg, 0)
+    [samples] = simulate_transmission(cfg, 0)
     gamma = build_eb_covariance(cfg.channel, cfg.source, 3.0, 3.0)
     b_x = gamma.entries[2, 2]
     var_b = float(np.var(samples.B, dtype=np.float64))
@@ -114,26 +142,36 @@ def test_received_variance_matches_eb_picture():
 
 def test_displacement_output_covariance():
     cfg = _single_cfg(T=0.2, veps=0.002, v=3.0, r=0.5, seed=21)
-    samples, _ = simulate_transmission(cfg, 0)
+    [samples] = simulate_transmission(cfg, 0)
     prod = samples.M.astype(np.float64) * samples.B.astype(np.float64)
     expected = math.sqrt(cfg.channel.T) * 3.0
     se = math.sqrt(float(np.var(prod)) / prod.size)
     assert abs(float(np.mean(prod)) - expected) < 3.0 * se
 
 
-def test_hidden_record_layout():
-    s, hidden = simulate_transmission(_single_cfg(r=0.5), 0)
-    assert hidden is None
-    assert s.M.shape == (50000,)
-
-    cfg_d = _double_cfg(trials=1)
-    s, hidden = simulate_transmission(cfg_d, 0)
-    assert hidden is not None and hidden.shape == (cfg_d.N,)
-    assert float(np.var(hidden.astype(np.float64))) == pytest.approx(3.0, rel=0.05)
-
-    cfg_m = _modified_cfg(trials=1)
-    s, hidden = simulate_transmission(cfg_m, 0)
-    assert hidden is not None and hidden.shape == (cfg_m.N,)
+@pytest.mark.parametrize("cfg", [
+    _single_cfg(r=0.5, N=20000, seed=25),
+    _double_cfg(N=20000, trials=1, seed=26),
+    _modified_cfg(r=0.25, N=20001, trials=1, seed=27),   # r * N fractional
+])
+def test_sampler_matches_the_arm_model(cfg):
+    # one record per estimation arm, with the arm's size, and per arm the
+    # moments of the arm model: Var(M) = revealed, E[MB] = sqrt(T) revealed,
+    # Var(B) = T revealed + the noise of everything withheld
+    shown = round(cfg.scheme.r * cfg.N)
+    arms = estimation_arms(cfg.scheme, cfg.N - shown, shown)
+    records = simulate_transmission(cfg, 0)
+    assert [s.M.size for s in records] == [m for m, _, _ in arms]
+    for s, (m, revealed, withheld) in zip(records, arms):
+        M, B = s.M.astype(np.float64), s.B.astype(np.float64)
+        noise = aggregated_noise_variance(cfg.channel, cfg.source, withheld)
+        var_b = cfg.channel.T * revealed + noise
+        cov = math.sqrt(cfg.channel.T) * revealed
+        for value, expected, se in (
+                (np.var(M), revealed, revealed * math.sqrt(2.0 / m)),
+                (np.mean(M * B), cov, math.sqrt((revealed * var_b + cov**2) / m)),
+                (np.var(B), var_b, var_b * math.sqrt(2.0 / m))):
+            assert abs(float(value) - expected) < 4.0 * se
 
 
 # --------------------------------------------------------------------------
@@ -204,6 +242,11 @@ def test_trial_config_validation():
         TrialConfig(ch, src, single, 100, 0, 0)    # no trials
     with pytest.raises(ValueError):
         TrialConfig(ch, src, single, 100, 1, -1)   # negative seed
+    for n, trials, seed, name in ((True, 1, 0, "block size"),
+                                  (100, True, 0, "trial count"),
+                                  (100, 1, False, "seed")):
+        with pytest.raises(ValueError, match=name):
+            TrialConfig(ch, src, single, n, trials, seed)   # a bool is no count
     with pytest.raises(ValueError):
         TrialConfig(ch, src, Protocol("single", 3.0, r=0.001),
                     100, 1, 0)    # discloses zero samples
@@ -273,3 +316,11 @@ def test_validation_grid_deterministic():
     b = validate_variance_models([0.1, 0.9], _GRID_PROTOCOLS, src, 2000, 25, 32,
                                  threads=2)
     assert a == b
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, True, "7"])
+def test_validation_grid_refuses_a_bad_seed(seed):
+    # refused under its own name before any row seed is derived from it
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        validate_variance_models([0.1], _GRID_PROTOCOLS, SourceParams(1.0), 2000, 2,
+                                 seed, threads=1)
