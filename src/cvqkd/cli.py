@@ -48,7 +48,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple
 from importlib import resources
 
 from . import __version__, numeric
@@ -59,8 +59,7 @@ from .estimation import expected_bounds, ideal_bounds
 from .keyrate import finite_key_rate, theoretical_key_rate_limit
 from .montecarlo import validate_variance_models
 from .optimizer import (FREE, LEGACY, ExponentialFit, OptimizationProblem,
-                        optimize_key_rate, evaluate_point,
-                        fit_exponential_keyrate, max_distance)
+                        optimize_key_rate, fit_exponential_keyrate, max_distance)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -82,25 +81,10 @@ def scenario_digest(scenario: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def make_manifest(scenario: dict, seed: int | None) -> dict:
     """Provenance stamp for one tool invocation."""
-
-    tool_version: str
-    scenario_digest: str
-    seed: int | None
-    timestamp: str
-
-    def header_line(self) -> str:
-        # no timestamp here: rerunning a scenario must reproduce files exactly
-        seed = "none" if self.seed is None else str(self.seed)
-        return (f"# cvqkd {self.tool_version} "
-                f"scenario={self.scenario_digest} seed={seed}")
-
-
-def make_manifest(scenario: dict, seed: int | None) -> RunManifest:
-    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return RunManifest(__version__, scenario_digest(scenario), seed, stamp)
+    return {"tool_version": __version__, "scenario_digest": scenario_digest(scenario),
+            "seed": seed, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
 
 
 def _fmt(value) -> str:
@@ -109,9 +93,12 @@ def _fmt(value) -> str:
     return "%.12g" % float(value)
 
 
-def _write_csv(path: str, manifest: RunManifest, columns, rows) -> None:
+def _write_csv(path: str, manifest: dict, columns, rows) -> None:
+    # no timestamp here: rerunning a scenario must reproduce files exactly
+    seed = "none" if manifest["seed"] is None else manifest["seed"]
     with open(path, "w", newline="\n") as handle:
-        handle.write(manifest.header_line() + "\n")
+        handle.write(f"# cvqkd {manifest['tool_version']} "
+                     f"scenario={manifest['scenario_digest']} seed={seed}\n")
         handle.write(",".join(columns) + "\n")
         for row in rows:
             handle.write(",".join(_fmt(cell) for cell in row) + "\n")
@@ -136,13 +123,14 @@ def load_preset(name: str) -> dict:
 
 
 def load_scenario(args) -> dict:
-    if args.scenario:
-        with open(args.scenario) as handle:
-            scenario = json.load(handle)
-        _require(isinstance(scenario, dict), "a scenario must be a JSON object")
-        return scenario
-    _require(args.preset is not None, "need --preset NAME or --scenario FILE")
-    return load_preset(args.preset)
+    """The scenario of ``--scenario FILE`` or ``--preset NAME``; the
+    parser requires exactly one of the two."""
+    if args.scenario is None:
+        return load_preset(args.preset)
+    with open(args.scenario) as handle:
+        scenario = json.load(handle)
+    _require(isinstance(scenario, dict), "a scenario must be a JSON object")
+    return scenario
 
 
 def _check(test, what: str, convert=lambda x: x):
@@ -280,7 +268,7 @@ def run_sweep(scenario: dict, out_dir: str) -> list[str]:
                                 delta, delta_star)
         points.append((value, channel, n_block,
                        theoretical_key_rate_limit(channel, n_block, beta, delta_star),
-                       evaluate_point(OptimizationProblem(channel, legacy), {}).K))
+                       finite_key_rate(legacy, channel, expected_bounds(channel, legacy)).K))
     manifest = make_manifest(scenario, s["seed"])
 
     os.makedirs(out_dir, exist_ok=True)
@@ -361,9 +349,11 @@ def _key_name(kind: str) -> str:
     return "v" if kind == SINGLE else "v1"
 
 
-def _pinned(args) -> dict:
-    """The :class:`Protocol` fields the flags pin; the other scheme's
-    key-variance flag is refused, not ignored."""
+def _pinned(args) -> tuple[dict, ProtocolParams]:
+    """The :class:`Protocol` fields the flags pin, and the query's
+    parameters with them; the other scheme's key-variance flag is
+    refused, not ignored."""
+    source = SourceParams(v_s=args.vs)
     key = _key_name(args.scheme)
     other, owner = ("v1", "double/modified") if key == "v" else ("v", "single")
     _require(getattr(args, other) is None,
@@ -373,13 +363,19 @@ def _pinned(args) -> dict:
              "--v2 is the double/modified-scheme probe variance; the single "
              "scheme sends no probe")
     pinned = {"v": getattr(args, key), "v2": args.v2, "r": args.r}
-    return {name: x for name, x in pinned.items() if x is not None}
-
-
-def _direct_report(args, channel: ChannelParams, source: SourceParams):
-    """Evaluate the key rate at fully specified protocol parameters."""
-    params = ProtocolParams(source, Protocol(args.scheme, **_pinned(args)),
+    pinned = {name: x for name, x in pinned.items() if x is not None}
+    # with --ideal-bounds estimation is bypassed, so r defaults to 0 and
+    # only the modulation variance itself must be pinned
+    _require(not getattr(args, "ideal_bounds", False) or "v" in pinned,
+             "--ideal-bounds needs --v (single) or --v1 (double/modified)")
+    # a free key variance is the optimizer's to choose; 0.0 holds its place
+    params = ProtocolParams(source, Protocol(args.scheme, **{"v": 0.0, **pinned}),
                             args.N, args.beta, args.delta, args.delta_star)
+    return pinned, params
+
+
+def _direct_report(args, channel: ChannelParams, params: ProtocolParams):
+    """Evaluate the key rate at fully specified protocol parameters."""
     if args.ideal_bounds:
         bounds = ideal_bounds(channel)
     else:
@@ -389,16 +385,13 @@ def _direct_report(args, channel: ChannelParams, source: SourceParams):
                            with_correction=not args.ideal_bounds)
 
 
-def _optimize(args, channel: ChannelParams, source: SourceParams) -> tuple:
+def _optimize(channel: ChannelParams, params: ProtocolParams, pinned: dict) -> tuple:
     """Optimize what the flags leave free (nothing, if they pin all);
     returns the result and its point under the CLI's key names."""
-    pinned = _pinned(args)
-    free = tuple(name for name in FREE[args.scheme] if name not in pinned)
-    # a free key variance is the optimizer's to choose; 0.0 holds its place
-    params = ProtocolParams(source, Protocol(args.scheme, **{"v": 0.0, **pinned}),
-                            args.N, args.beta, args.delta, args.delta_star)
+    kind = params.protocol.kind
+    free = tuple(name for name in FREE[kind] if name not in pinned)
     result = optimize_key_rate(OptimizationProblem(channel, params, free=free))
-    point = {(_key_name(args.scheme) if name == "v" else name): x
+    point = {(_key_name(kind) if name == "v" else name): x
              for name, x in result.point.items()}
     return result, point
 
@@ -414,7 +407,7 @@ def _inputs_dict(args, channel: ChannelParams) -> dict:
 
 
 def _emit_json(inputs: dict, out: str | None, **sections) -> None:
-    payload = {"manifest": asdict(make_manifest(inputs, None)), "inputs": inputs,
+    payload = {"manifest": make_manifest(inputs, None), "inputs": inputs,
                **sections}
     text = json.dumps(payload, indent=2, sort_keys=True, default=float)
     print(text)
@@ -425,19 +418,14 @@ def _emit_json(inputs: dict, out: str | None, **sections) -> None:
 
 def cmd_keyrate(args) -> int:
     channel = _channel_from_args(args)
-    source = SourceParams(v_s=args.vs)
     inputs = _inputs_dict(args, channel)
-    pinned = _pinned(args)
+    pinned, params = _pinned(args)
 
     sections = {}
-    # with --ideal-bounds estimation is bypassed, so r defaults to 0 and
-    # only the modulation variance itself must be pinned
-    _require(not args.ideal_bounds or "v" in pinned,
-             "--ideal-bounds needs --v (single) or --v1 (double/modified)")
     if args.ideal_bounds or all(name in pinned for name in FREE[args.scheme]):
-        report = _direct_report(args, channel, source)
+        report = _direct_report(args, channel, params)
     else:
-        result, point = _optimize(args, channel, source)
+        result, point = _optimize(channel, params, pinned)
         report = result.report
         sections["optimum"] = {"point": point, "status": result.status,
                                "evaluations": result.evaluations}
@@ -447,7 +435,8 @@ def cmd_keyrate(args) -> int:
 
 def cmd_optimize(args) -> int:
     channel = _channel_from_args(args)
-    result, point = _optimize(args, channel, SourceParams(v_s=args.vs))
+    pinned, params = _pinned(args)
+    result, point = _optimize(channel, params, pinned)
     _emit_json(_inputs_dict(args, channel), args.out,
                optimum={"point": point, "K": result.K, "status": result.status,
                         "evaluations": result.evaluations},
@@ -578,16 +567,18 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.set_defaults(func=cmd_optimize)
 
     sweep = commands.add_parser("sweep", help="run a sweep scenario to CSV")
-    sweep.add_argument("--preset", help="built-in scenario name")
-    sweep.add_argument("--scenario", help="scenario JSON file")
+    scenario = sweep.add_mutually_exclusive_group(required=True)
+    scenario.add_argument("--preset", help="built-in scenario name")
+    scenario.add_argument("--scenario", help="scenario JSON file")
     sweep.add_argument("--out", default=".", help="output directory")
     sweep.set_defaults(func=cmd_sweep)
 
     montecarlo = commands.add_parser("montecarlo",
                                      help="validate variance models by "
                                           "simulation, write CSV")
-    montecarlo.add_argument("--preset", help="built-in scenario name")
-    montecarlo.add_argument("--scenario", help="scenario JSON file")
+    scenario = montecarlo.add_mutually_exclusive_group(required=True)
+    scenario.add_argument("--preset", help="built-in scenario name")
+    scenario.add_argument("--scenario", help="scenario JSON file")
     montecarlo.add_argument("--trials", type=int,
                             help="override the scenario trial count")
     montecarlo.add_argument("--seed", type=int,

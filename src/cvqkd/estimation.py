@@ -264,7 +264,9 @@ def confidence_coefficient(delta: float) -> float:
     leaves total tail probability ``delta``."""
     _require(_finite(delta) and 0.0 < delta < 1.0,
              f"delta must lie in (0, 1), got {delta!r}")
-    return _two_sided_quantile(float(delta))
+    z = _two_sided_quantile(float(delta))
+    _require(math.isfinite(z), f"delta = {delta!r} is too small: delta / 2 underflows to 0")
+    return z
 
 
 # an optimisation asks for the same delta hundreds of times

@@ -207,18 +207,6 @@ def _weights(variances) -> tuple[float, ...]:
     return tuple(w / total for w in inverse)
 
 
-def _one_trial(config: TrialConfig, trial_index: int, buffers: list[np.ndarray],
-               estimators, t_weights, v_weights) -> tuple[float, float]:
-    """Merged estimates of one trial; ``estimators`` pairs the revealed
-    variance of each arm with the source its residual fit sees."""
-    samples = _simulate(config, trial_index, buffers)
-    t_hat = sum(estimate_T(s, revealed) * w
-                for s, (revealed, _), w in zip(samples, estimators, t_weights))
-    v_hat = sum(estimate_Veps(s, t_hat, source) * u
-                for s, (_, source), u in zip(samples, estimators, v_weights))
-    return t_hat, v_hat
-
-
 def _resolve_threads(threads: int | None) -> int:
     """The worker count: ``threads`` (the ``--threads`` flag), else
     ``CVQKD_THREADS``, else the CPUs this process may run on. A count
@@ -254,6 +242,7 @@ def run_trials(config: TrialConfig, threads: int | None = None) -> EmpiricalStat
     # the model at the true parameters weights the arms' sub-estimates
     model = variance_model(config.channel, config.source, arms)
     sigmas, noises = zip(*model.per_arm)
+    # each arm's revealed variance, and the source its residual fit sees:
     # everything an arm's regression cannot see acts as source noise
     estimators = [(revealed, SourceParams(config.source.v_s + withheld))
                   for _, revealed, withheld in arms]
@@ -264,8 +253,12 @@ def run_trials(config: TrialConfig, threads: int | None = None) -> EmpiricalStat
     def worker(index_range) -> None:
         buffers = _buffers(config)
         for k in index_range:
-            t_hat[k], v_hat[k] = _one_trial(config, k, buffers, estimators,
-                                            t_weights, v_weights)
+            samples = _simulate(config, k, buffers)
+            t_k = sum(estimate_T(s, revealed) * w
+                      for s, (revealed, _), w in zip(samples, estimators, t_weights))
+            t_hat[k] = t_k
+            v_hat[k] = sum(estimate_Veps(s, t_k, source) * u
+                           for s, (_, source), u in zip(samples, estimators, v_weights))
 
     if threads == 1 or config.trials == 1:
         worker(range(config.trials))

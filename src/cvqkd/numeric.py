@@ -43,12 +43,12 @@ def linspace(lo: float, hi: float, points: int) -> list[float]:
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
-                       *, tol: float = 1e-8, max_iter: int = 200) -> tuple[float, float]:
+                       *, tol: float = 1e-8) -> tuple[float, float]:
     """Maximize a unimodal ``f`` on ``[lo, hi]`` by golden-section search.
 
     Returns the best probed ``(x, f(x))``. The tolerance applies to the
-    bracket width; the probe sequence is fixed, so the result is
-    deterministic.
+    bracket width, and at most 200 probes follow the first two; the probe
+    sequence is fixed, so the result is deterministic.
     """
     a, b = float(lo), float(hi)
     if b < a:
@@ -65,7 +65,7 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
         best_x, best_f = c, fc
     else:
         best_x, best_f = d, fd
-    for _ in range(max_iter):
+    for _ in range(200):
         if h <= tol:
             break
         if fc >= fd:

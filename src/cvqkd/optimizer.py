@@ -20,6 +20,7 @@ the error names the commonest reasons.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -95,6 +96,7 @@ class OptimizationProblem:
                      f"{name!r} is not a free variable of the {kind} scheme")
         _require(kind != DOUBLE or "r" not in free,
                  "the double scheme has no disclosed fraction to optimise")
+        _require(len(set(free)) == len(free), f"a free variable repeats in {free!r}")
         # the r grid starts at 2/N, which must stay below the box ceiling
         _require("r" not in free or 2.0 / self.params.N < _BOX["r"][1],
                  f"block size N = {self.params.N} is too small to search the "
@@ -156,11 +158,12 @@ def _coordinate_grid(problem: OptimizationProblem, name: str) -> list[float]:
 def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
     """Deterministic grid-plus-refinement maximisation of the key rate.
 
-    Grid ties resolve to the earliest point in iteration order (variables
-    iterate in declaration order, each grid ascending), so repeated runs
-    pick identical optima. A modified-scheme optimum is snapped to r = 0
-    when disclosing nothing is within tolerance of the best value found,
-    since the pure double scheme is operationally simpler.
+    Grid ties resolve to the earliest candidate (the product of the free
+    variables' ascending grids in declaration order, the last varying
+    fastest), so repeated runs pick identical optima. A modified-scheme
+    optimum is snapped to r = 0 when disclosing nothing is within
+    tolerance of the best value found, since the pure double scheme is
+    operationally simpler.
     """
     evaluations = 0
     free = problem.free
@@ -182,29 +185,16 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
             return -math.inf
 
     grids = {name: _coordinate_grid(problem, name) for name in free}
+    candidates = [dict(zip(free, xs)) for xs in itertools.product(*grids.values())]
+    if kind == SINGLE and all(n in free for n in ("v", "r")):
+        candidates.append({"v": LEGACY.v, "r": LEGACY.r})
 
     best_point: dict = {}
     best_value = -math.inf
-
-    def consider(point: dict) -> None:
-        nonlocal best_point, best_value
+    for point in candidates:
         value = objective(point)
         if value > best_value:
-            best_point, best_value = dict(point), value
-
-    def scan(names: list[str], point: dict) -> None:
-        if not names:
-            consider(point)
-            return
-        name = names[0]
-        for x in grids[name]:
-            point[name] = x
-            scan(names[1:], point)
-        del point[name]
-
-    scan(list(free), {})
-    if kind == SINGLE and all(n in free for n in ("v", "r")):
-        consider({"v": LEGACY.v, "r": LEGACY.r})
+            best_point, best_value = point, value
     # with nothing free, {} is the one point and a valid one
     if best_value == -math.inf:
         # the commonest reasons; a message that quotes the point differs at each
@@ -224,16 +214,9 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
             i = xs.index(best_point[name])
             lo = xs[max(i - 1, 0)]
             hi = xs[min(i + 1, len(xs) - 1)]
-            if hi <= lo:
-                continue
-
-            def along(x: float, _name=name) -> float:
-                trial = dict(best_point)
-                trial[_name] = x
-                return objective(trial)
-
             x_ref, f_ref = numeric.golden_section_max(
-                along, lo, hi, tol=1e-7 * max(1.0, abs(hi)))
+                lambda x: objective({**best_point, name: x}), lo, hi,
+                tol=1e-7 * max(1.0, abs(hi)))
             if f_ref > best_value:
                 best_point[name] = x_ref
                 best_value = f_ref
@@ -331,15 +314,15 @@ def optimal_ratio_curve(problem_template: OptimizationProblem,
 
 
 def optimal_ratio_zero_crossing(problem_template: OptimizationProblem,
-                                t_range: tuple[float, float] = (0.01, 1.0),
-                                r_tol: float = 1e-3,
                                 iterations: int = 30) -> float:
     """Transmittance below which the modified scheme stops disclosing.
 
     At high transmittance the optimum reveals part of the key modulation
     (``r_opt > 0``); toward low transmittance the probe arm alone wins and
-    ``r_opt`` snaps to zero.  Scans a geometric transmittance grid from the
-    top down for that switch and bisects it.  Grid points whose best rate
+    ``r_opt`` snaps to zero.  Scans a 13-point geometric transmittance grid
+    over (0.01, 1) from the top down for that switch, counting an optimum
+    as disclosing when ``r_opt > 1e-3``, and bisects it ``iterations``
+    times.  Grid points whose best rate
     is not positive are skipped: their arg-max is degenerate (the prefactor
     pushes ``r`` to the box ceiling), so they carry no ratio information.
     The channel's excess noise follows the template's ratio of excess
@@ -350,23 +333,23 @@ def optimal_ratio_zero_crossing(problem_template: OptimizationProblem,
     base = problem_template.channel
     eps_ratio = base.v_eps / base.T if base.T > 0.0 else 0.0
 
-    def probe(T: float) -> tuple[bool, float]:
+    def probe(T: float) -> tuple[bool, bool]:
+        """Whether the optimum at ``T`` is ok, and whether it discloses."""
         problem = replace(problem_template,
                           channel=ChannelParams(T, eps_ratio * T))
         result = optimize_key_rate(problem)
-        return result.status == "ok", result.point.get("r", 0.0)
+        return result.status == "ok", result.point.get("r", 0.0) > 1e-3
 
-    grid = numeric.log_grid(t_range[0], t_range[1], 13)
-    top_ok, top_r = probe(grid[-1])
-    _require(top_ok and top_r > r_tol,
+    grid = numeric.log_grid(0.01, 1.0, 13)
+    _require(all(probe(grid[-1])),
              "no disclosure at the top of the range; nothing to bracket")
     lo = None
     hi = grid[-1]
     for T in reversed(grid[:-1]):
-        ok, r_opt = probe(T)
+        ok, discloses = probe(T)
         if not ok:
             break
-        if r_opt <= r_tol:
+        if not discloses:
             lo = T
             break
         hi = T
@@ -374,9 +357,8 @@ def optimal_ratio_zero_crossing(problem_template: OptimizationProblem,
              "disclosure persists down to the dead zone; no crossing")
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        ok, r_opt = probe(mid)
         # a dead midpoint counts as the no-disclosure side
-        if ok and r_opt > r_tol:
+        if all(probe(mid)):
             hi = mid
         else:
             lo = mid

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from cvqkd import FiberModel, cli
+from cvqkd import (ChannelParams, FiberModel, OptimizationProblem, Protocol,
+                   ProtocolParams, SourceParams, cli, optimize_key_rate)
 from cvqkd.model import KINDS
 from cvqkd.cli import (main_entry, scenario_digest, preset_names, load_preset,
                        run_sweep)
@@ -159,14 +160,20 @@ def test_other_schemes_key_variance_flag_is_refused(capsys, command, flags, mess
     (["optimize", "--delta-star", "1.5"],
      "penalty budget delta_star must lie in (0, 1), got 1.5"),
     (["keyrate", "--beta", "2"], "reconciliation efficiency must lie in (0, 1], got 2.0"),
-], ids=["optimize-beta", "optimize-delta", "optimize-delta_star", "keyrate-beta"])
+    # z(delta) would be infinite: not a fault of the channel or of the point
+    (["keyrate", "--delta", "5e-324"], "delta = 5e-324 is too small"),
+    (["keyrate", "--delta", "5e-324", "--v", "3", "--r", "0.5"],
+     "delta = 5e-324 is too small"),
+], ids=["optimize-beta", "optimize-delta", "optimize-delta_star", "keyrate-beta",
+        "keyrate-delta-underflow", "keyrate-pinned-delta-underflow"])
 def test_out_of_range_budgets_are_refused_by_name(capsys, argv, message):
     assert main_entry([*argv, "--T", "0.3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("count", ["inf", "nan", "1"])
+@pytest.mark.parametrize("count", ["inf", "nan", "1", "abc"])
 def test_block_size_flag_refuses_a_non_count(capsys, count):
     assert main_entry(["keyrate", "--T", "0.3", "--N", count]) == 1
     assert f"block size must be a count >= 2, got {count!r}" in capsys.readouterr().err
@@ -356,6 +363,35 @@ def test_sweep_rejects_unknown_fiber_key(capsys, tmp_path):
     assert "unknown key 'attenuation' in 'fiber'" in capsys.readouterr().err
 
 
+def test_n_axis_sweep_from_two_samples_runs_a_scheme_without_r(tmp_path):
+    # the legacy column evaluates its fixed point; nothing searches r there
+    scenario = {"command": "sweep", "name": "n2", "channel": {"T": 0.5},
+                "sweep": {"variable": "N", "min": 2, "max": 1000, "points": 3,
+                          "spacing": "log"},
+                "schemes": [{"kind": "double"}]}
+    assert main_entry(_sweep_argv(tmp_path, scenario)) == 0
+    assert len((tmp_path / "n2_double_vs1.csv").read_text().splitlines()) == 2 + 3
+
+
+def test_t_axis_sweep_rows_are_the_optimum_at_each_transmittance(tmp_path):
+    scenario = {"command": "sweep", "name": "t_axis", "N": 10**6,
+                "sweep": {"variable": "T", "min": 0.1, "max": 0.6, "points": 2},
+                "schemes": [{"kind": "single"}, {"kind": "modified", "v_s": 0.5}]}
+    paths = run_sweep(scenario, str(tmp_path))
+    eps_ratio = FiberModel().eps_ratio
+    for path, (kind, v_s) in zip(paths, [("single", 1.0), ("modified", 0.5)], strict=True):
+        lines = Path(path).read_text().splitlines()
+        rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+        assert [row["axis_value"] for row in rows] == ["0.1", "0.6"]
+        for row in rows:
+            T = float(row["axis_value"])
+            params = ProtocolParams(SourceParams(v_s), Protocol(kind, 0.0), 10**6)
+            result = optimize_key_rate(OptimizationProblem(
+                ChannelParams(T, eps_ratio * T), params))
+            expected = (result.K, result.point["v"], result.point["r"])
+            assert [row["K"], row["V_opt"], row["r_opt"]] == ["%.12g" % x for x in expected]
+
+
 def test_n_axis_sweep_channel_without_transmittance_names_it(capsys, tmp_path):
     scenario = {**_TINY_SWEEP, "channel": {"v_eps": 0.001},
                 "sweep": {"variable": "N", "min": 1e5, "max": 1e6, "points": 2}}
@@ -399,6 +435,26 @@ def test_scenario_reader_names_the_bad_key(capsys, tmp_path, scenario, message):
                        "--out", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, preset", [("sweep", "blocksize_sweep"),
+                                             ("montecarlo", "variance_validation")])
+@pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+def test_scenario_source_is_exactly_one_of_preset_and_scenario(capsys, tmp_path,
+                                                               command, preset, both):
+    # a runnable scenario, so that reading only one of the two flags writes output
+    scenario = _TINY_SWEEP if command == "sweep" else {
+        **_MC, "trials": 2, "t_grid": {**_MC["t_grid"], "points": 2},
+        "template": {**_MC["template"], "N": 1000}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    flags = ["--preset", preset, "--scenario", str(path)] if both else []
+    out = tmp_path / "out"
+    assert main_entry([command, *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert len([line for line in captured.err.splitlines()
+                if line.startswith("error:")]) == 1
 
 
 def test_montecarlo_preset_reads_whole_counts_and_defaults():

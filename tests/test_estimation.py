@@ -371,6 +371,10 @@ def test_confidence_coefficient_rejects_out_of_range():
         confidence_coefficient(0.0)
     with pytest.raises(ValueError):
         confidence_coefficient(1.0)
+    # half the smallest positive double rounds to 0, whose quantile is infinite
+    with pytest.raises(ValueError, match="delta"):
+        confidence_coefficient(5e-324)
+    assert confidence_coefficient(1e-323) == pytest.approx(38.4674056, abs=1e-6)
 
 
 def test_confidence_bounds_zero_variance():

@@ -139,6 +139,12 @@ def test_covariance_matrix_validation():
     bad[0, 2] = 1.0  # asymmetric
     with pytest.raises(ValueError):
         CovarianceMatrix2Mode(bad)
+    # the scalar route refuses a negative modulation variance by quadrature
+    channel, source = ChannelParams(0.5, 0.005), SourceParams(1.0)
+    with pytest.raises(ValueError, match="x modulation variance must be >= 0"):
+        holevo_bound(channel, source, -1.0, 3.0)
+    with pytest.raises(ValueError, match="p modulation variance must be >= 0"):
+        holevo_bound(channel, source, 3.0, -1.0)
 
 
 # --------------------------------------------------------------------------
@@ -178,6 +184,8 @@ def test_mutual_information_values():
     assert got == pytest.approx(0.18925581162686492, abs=1e-15)
     assert mutual_information(ChannelParams(1.0, 0.0), SourceParams(1.0),
                               3.0) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError, match="key modulation variance must be >= 0"):
+        mutual_information(ChannelParams(0.1, 0.0), SourceParams(1.0), -1.0)
 
 
 def test_holevo_matches_coherent_closed_form():

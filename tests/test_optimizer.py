@@ -428,5 +428,7 @@ def test_optimization_problem_validation():
         OptimizationProblem(ch, _params(1.0, "single", 10**6), free=("v2",))
     with pytest.raises(ValueError):
         OptimizationProblem(ch, _params(1.0, "double", 10**6), free=("v", "r"))
+    with pytest.raises(ValueError, match="repeats"):
+        OptimizationProblem(ch, _params(1.0, "double", 10**6), free=("v", "v"))
     problem = OptimizationProblem(ch, _params(1.0, "modified", 10**6))
     assert problem.params.protocol.v2 == 10.0

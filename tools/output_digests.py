@@ -1,14 +1,14 @@
 """Print the sha256 of every published cvqkd output, one ``sha256  path`` line each.
 
 Runs, in this process and into a work directory, the five sweep presets,
-the ``variance_validation`` Monte Carlo preset at 40 trials, and a fixed
-set of ``keyrate``/``optimize``/``maxdist`` queries covering all three
-schemes, ``--ideal-bounds`` and ``--corner-search``. Paths are printed
-relative to the work directory, and the timestamp of each JSON manifest is
-blanked before hashing, so two trees print the same lines exactly when
-their outputs are byte-identical. Uses only the standard library and
-whichever ``cvqkd`` is importable, so one copy of this script can digest
-any checkout:
+a T-axis sweep scenario, the ``variance_validation`` Monte Carlo preset at
+40 trials, and a fixed set of ``keyrate``/``optimize``/``maxdist`` queries
+covering all three schemes, ``--ideal-bounds`` and ``--corner-search``.
+Paths are printed relative to the work directory, and the timestamp of
+each JSON manifest is blanked before hashing, so two trees print the
+same lines exactly when their outputs are byte-identical. Uses only the
+standard library and whichever ``cvqkd`` is importable, so one copy of
+this script can digest any checkout:
 
     PYTHONPATH=old/src python3 tools/output_digests.py --work /tmp/old > old.txt
     PYTHONPATH=src python3 tools/output_digests.py --work /tmp/new > new.txt
@@ -24,15 +24,22 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import re
 import sys
+import tempfile
 
 import cvqkd
 from cvqkd.cli import main_entry
 
 SWEEP_PRESETS = ("distance_sweep", "blocksize_sweep", "large_block_sweep",
                  "noise_sweep", "reconciliation_sweep")
+# no preset sweeps the transmittance; the scenario file itself is not digested
+T_SWEEP = {"command": "sweep", "name": "t_axis", "N": 1000000,
+           "sweep": {"variable": "T", "min": 0.05, "max": 0.8, "points": 4,
+                     "spacing": "log"},
+           "schemes": [{"kind": "single"}, {"kind": "modified", "v_s": 0.5}]}
 MC_ARGS = ("montecarlo", "--preset", "variance_validation", "--trials", "40",
            "--threads", "2")
 QUERIES = (
@@ -82,6 +89,12 @@ def produce(work: str) -> tuple[list[str], list[str]]:
     for name in SWEEP_PRESETS:
         if not _run(("sweep", "--preset", name, "--out", os.path.join(work, "sweep"))):
             failed.append(f"sweep --preset {name}")
+    with tempfile.TemporaryDirectory() as scratch:
+        scenario = os.path.join(scratch, "t_axis.json")
+        with open(scenario, "w") as handle:
+            json.dump(T_SWEEP, handle)
+        if not _run(("sweep", "--scenario", scenario, "--out", os.path.join(work, "sweep"))):
+            failed.append("sweep --scenario t_axis.json")
     if not _run(MC_ARGS + ("--out", os.path.join(work, "montecarlo"))):
         failed.append(" ".join(MC_ARGS))
     os.makedirs(os.path.join(work, "query"), exist_ok=True)
