@@ -9,7 +9,7 @@ The package is organised bottom-up:
 ``keyrate``
     Holevo bound, asymptotic and finite-size rates
 ``montecarlo``
-    sampled transmissions validating the analytic variance models
+    sampled estimator statistics validating the analytic variance models
 ``optimizer``
     parameter optimization, empirical scaling fits, range limits
 ``cli``
@@ -64,7 +64,6 @@ from .montecarlo import (
     TrialConfig,
     EmpiricalStats,
     ValidationRow,
-    simulate_transmission,
     run_trials,
     validate_variance_models,
 )
@@ -98,8 +97,8 @@ __all__ = [
     "mutual_information", "holevo_bound", "asymptotic_key_rate",
     "finite_size_correction", "finite_key_rate", "worst_case_corner",
     "theoretical_noise_limit", "theoretical_key_rate_limit",
-    "TrialConfig", "EmpiricalStats", "ValidationRow",
-    "simulate_transmission", "run_trials", "validate_variance_models",
+    "TrialConfig", "EmpiricalStats", "ValidationRow", "run_trials",
+    "validate_variance_models",
     "OptimizationProblem", "OptimizationResult", "ExponentialFit",
     "PowerLawFit", "optimize_key_rate", "evaluate_point", "fit_power_law",
     "fit_exponential_decay", "optimal_ratio_curve",

@@ -222,10 +222,13 @@ def _read(spec, schema: dict, where: str) -> dict:
     return values
 
 
-def _axis_values(axis: dict) -> list[float]:
-    _require(axis["points"] >= 2, "a sweep needs at least 2 points")
+def _axis_values(axis: dict, where: str) -> list[float]:
+    """The points of the axis object ``where`` (``'sweep'`` or ``'t_grid'``)."""
+    _require(axis["points"] >= 2,
+             f"{where} needs at least 2 points, got points={axis['points']!r}")
     _require(axis["max"] > axis["min"] > 0.0,
-             "sweep range must be increasing and positive")
+             f"{where} must run from min > 0 up to max > min, "
+             f"got min={axis['min']!r}, max={axis['max']!r}")
     if axis["spacing"] != "log":
         return numeric.linspace(axis["min"], axis["max"], axis["points"])
     # numpy's geomspace stays: its vectorised power and log round
@@ -239,7 +242,8 @@ def _axis_values(axis: dict) -> list[float]:
 
 def _sweep_points(s: dict) -> list[tuple]:
     """``(axis value, channel, block size)`` at each point of a read sweep."""
-    fiber, variable, values = s["fiber"], s["sweep"]["variable"], _axis_values(s["sweep"])
+    fiber, variable = s["fiber"], s["sweep"]["variable"]
+    values = _axis_values(s["sweep"], "'sweep'")
     if variable == "N":
         _require(s["channel"] is not None, "an N-axis sweep needs a fixed 'channel' entry")
         T, v_eps = s["channel"]["T"], s["channel"]["v_eps"]
@@ -310,7 +314,8 @@ def run_montecarlo(scenario: dict, out_dir: str,
     s = _read(scenario, _MONTECARLO, "a montecarlo scenario")
     tpl = s["template"]
     rows = validate_variance_models(
-        _axis_values(s["t_grid"]), [_mc_protocol(kind, tpl) for kind in s["schemes"]],
+        _axis_values(s["t_grid"], "'t_grid'"),
+        [_mc_protocol(kind, tpl) for kind in s["schemes"]],
         SourceParams(tpl["v_s"]), tpl["N"], s["trials"], s["seed"],
         fiber=s["fiber"], threads=threads)
     manifest = make_manifest(scenario, s["seed"])
@@ -584,8 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
     montecarlo.add_argument("--seed", type=int,
                             help="override the scenario seed")
     montecarlo.add_argument("--threads", type=int,
-                            help="worker threads (default CVQKD_THREADS "
-                                 "or all usable cores)")
+                            help="accepted for compatibility (as is "
+                                 "CVQKD_THREADS); a whole number >= 1 that "
+                                 "changes neither results nor speed")
     montecarlo.add_argument("--out", default=".", help="output directory")
     montecarlo.set_defaults(func=cmd_montecarlo)
 

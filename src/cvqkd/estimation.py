@@ -130,15 +130,27 @@ class ConfidenceBounds:
 # --------------------------------------------------------------------------
 # estimators acting on sampled records
 #
-# All reductions accumulate in double precision regardless of the dtype of
-# the stored arrays; the bulk simulation keeps its records in single
-# precision.
+# Every estimator reads three means of a record, of M^2, MB and B^2; the
+# cores below act on those means, as floats or as numpy arrays over the
+# Monte Carlo trials. Reductions of stored records accumulate in double
+# precision whatever the records' dtype.
 
 
 def _dot_mean(x: np.ndarray, y: np.ndarray) -> float:
     import numpy as np
 
     return float(np.einsum("i,i->", x, y, dtype=np.float64) / x.size)
+
+
+def _t_estimate(mb, v_known):
+    """T-hat from the mean of ``M * B`` on a revealed variance ``v_known``."""
+    return (mb / v_known) ** 2
+
+
+def _veps_estimate(mm, mb, bb, t_hat, v_s):
+    """V_eps-hat from the three means: the mean squared residual of the fit
+    ``B ~ sqrt(t_hat) M``, expanded, less the vacuum and source shares."""
+    return bb - 2.0 * t_hat ** 0.5 * mb + t_hat * mm + t_hat * (1.0 - v_s) - 1.0
 
 
 def estimate_covariance(samples: SampleSet) -> float:
@@ -155,8 +167,7 @@ def estimate_T(samples: SampleSet, v_known: float) -> float:
     """
     _require(_finite(v_known) and v_known > 0.0,
              f"revealed modulation variance must be > 0, got {v_known!r}")
-    c = estimate_covariance(samples)
-    return (c / v_known) ** 2
+    return _t_estimate(estimate_covariance(samples), v_known)
 
 
 def estimate_Veps(samples: SampleSet, t_hat: float, source: SourceParams) -> float:
@@ -169,9 +180,9 @@ def estimate_Veps(samples: SampleSet, t_hat: float, source: SourceParams) -> flo
     folded in by enlarging ``v_s`` accordingly.
     """
     _require(_finite(t_hat) and t_hat >= 0.0, f"t_hat must be >= 0, got {t_hat!r}")
-    st = math.sqrt(t_hat)
-    resid = samples.B - st * samples.M
-    return _dot_mean(resid, resid) + t_hat * (1.0 - source.v_s) - 1.0
+    M, B = samples.M, samples.B
+    return _veps_estimate(_dot_mean(M, M), _dot_mean(M, B), _dot_mean(B, B),
+                          t_hat, source.v_s)
 
 
 # --------------------------------------------------------------------------

@@ -1,23 +1,13 @@
-"""Sampled transmissions validating the analytic estimator variance models.
+"""Sampled estimator statistics validating the analytic variance models.
 
-The receiver quadrature of one transmission decomposes into the modulation
-displacements, the transmitted source fluctuation, the vacuum share and
-the excess noise. One sampler draws every trial, and it draws one
-``(revealed modulation, received quadrature)`` record per estimation arm.
-The terms no estimator ever observes individually (the source
-fluctuation, the vacuum, the excess noise and a withheld key displacement)
-are drawn as their Gaussian sum, which leaves every observable joint
-distribution unchanged and keeps the draw count down.
-
-Bulk draws are single precision; every reduction accumulates in double
-precision, which sits orders of magnitude below the statistical
-tolerances validated here. Each trial derives its generator from
-``(seed, trial_index)`` alone, so results are independent of how trials
-are distributed over worker threads.
-
-numpy and the thread pool are imported inside the functions that use
-them, so importing this module (and with it the package) loads neither;
-the first simulation does.
+Every estimator reads only three means of an estimation arm, of ``M^2``,
+``MB`` and ``B^2`` (revealed modulation ``M``, received quadrature ``B``).
+For zero-mean Gaussian samples the arm's scatter matrix is exactly
+Wishart, ``W_2(m, Sigma)``, so each arm of each trial is three variates
+(Bartlett's decomposition) whatever the block size, and the estimators
+run vectorised over the trials. One generator per trial batch makes the
+results independent of any thread count, which is checked and ignored.
+numpy is imported on the first simulation, not with this module.
 """
 
 from __future__ import annotations
@@ -28,10 +18,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .estimation import (
-    SampleSet,
     VarianceModel,
-    estimate_T,
-    estimate_Veps,
+    _t_estimate,
+    _veps_estimate,
     estimation_arms,
     variance_model,
 )
@@ -50,8 +39,6 @@ from .model import (
 
 if TYPE_CHECKING:
     import numpy as np
-
-_DTYPE = "float32"  # the dtype of the bulk draws, named so import needs no numpy
 
 
 def _whole(x, floor: int) -> bool:
@@ -90,7 +77,7 @@ class TrialConfig:
     @property
     def disclosed(self) -> int:
         """The samples whose key displacement is revealed, ``round(r * N)``;
-        the sampler draws whole counts."""
+        the trials draw whole counts."""
         return round(self.scheme.r * self.N)
 
 
@@ -127,76 +114,6 @@ class ValidationRow:
     veps_th: float       # statistical floor on the noise uncertainty at this T
 
 
-def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    import numpy as np
-
-    ss = np.random.SeedSequence(seed, spawn_key=(trial_index,))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
-def _draw_scaled(rng: np.random.Generator, sd: float, out: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    rng.standard_normal(out=out, dtype=_DTYPE)
-    out *= np.float32(sd)
-    return out
-
-
-def _noise_sd(config: TrialConfig, v_withheld: float = 0.0) -> float:
-    return math.sqrt(aggregated_noise_variance(config.channel, config.source, v_withheld))
-
-
-def _buffers(config: TrialConfig) -> list[np.ndarray]:
-    """The probe, disclosed-key and received records of one trial. The
-    single scheme's one displacement is its probe; its key record is empty."""
-    import numpy as np
-
-    shown = config.disclosed
-    block, key = (shown, 0) if config.scheme.kind == SINGLE else (config.N, shown)
-    return [np.empty(n, dtype=_DTYPE) for n in (block, key, block)]
-
-
-def _simulate(config: TrialConfig, trial_index: int,
-              buffers: list[np.ndarray]) -> list[SampleSet]:
-    """One transmission into ``buffers``; see simulate_transmission.
-
-    Only what the estimators read is materialised: a withheld displacement
-    is folded into the noise draw. The draw order is fixed: the probe, the
-    disclosed key displacements, the noise of the disclosed prefix, then
-    the noise of the rest.
-    """
-    import numpy as np
-
-    rng = _trial_rng(config.seed, trial_index)
-    st = np.float32(math.sqrt(config.channel.T))
-    p = config.scheme
-    # the probe regression never sees the key displacement; it acts as noise
-    v_probe, withheld = (p.v, 0.0) if p.kind == SINGLE else (p.v2, p.v)
-    probe, key, b = buffers
-    shown = key.size
-    _draw_scaled(rng, math.sqrt(v_probe), probe)
-    if shown:  # an empty disclosed prefix draws nothing
-        _draw_scaled(rng, math.sqrt(p.v), key)
-        _draw_scaled(rng, _noise_sd(config), b[:shown])
-        key += probe[:shown]  # both displacements of the disclosed samples
-        b[:shown] += st * key
-    _draw_scaled(rng, _noise_sd(config, withheld), b[shown:])
-    b[shown:] += st * probe[shown:]
-    records = ((probe[shown:], b[shown:]), (key, b[:shown]))
-    return [SampleSet(m, received) for m, received in records if m.size]
-
-
-def simulate_transmission(config: TrialConfig, trial_index: int) -> list[SampleSet]:
-    """One transmission of a block through the channel.
-
-    Returns one ``SampleSet`` of revealed modulation and received
-    quadrature per arm of ``estimation_arms(config.scheme, N - round(r * N),
-    round(r * N))``, in that order: the records ``run_trials`` estimates
-    from. Deterministic in ``(config.seed, trial_index)``.
-    """
-    return _simulate(config, trial_index, _buffers(config))
-
-
 def _weights(variances) -> tuple[float, ...]:
     """Normalised inverse-variance weights; one arm gets weight 1 without
     dividing, so a vanishing variance (T = 0) is fine there."""
@@ -207,15 +124,15 @@ def _weights(variances) -> tuple[float, ...]:
     return tuple(w / total for w in inverse)
 
 
-def _resolve_threads(threads: int | None) -> int:
-    """The worker count: ``threads`` (the ``--threads`` flag), else
-    ``CVQKD_THREADS``, else the CPUs this process may run on. A count
-    that is not a whole number >= 1 is refused under its own name."""
+def _check_threads(threads: int | None) -> None:
+    """Refuse a thread count, ``threads`` (the ``--threads`` flag) else
+    ``CVQKD_THREADS``, that is not a whole number >= 1, under its own name.
+    A valid count is accepted and changes nothing."""
     name = "threads (--threads)"
     if threads is None:
         text = os.environ.get("CVQKD_THREADS", "").strip()
         if not text:
-            return len(os.sched_getaffinity(0))
+            return
         name = "CVQKD_THREADS"
         try:
             threads = int(text)
@@ -223,56 +140,55 @@ def _resolve_threads(threads: int | None) -> int:
             threads = text  # refused below, under the variable's name
     if not _whole(threads, 1):
         raise ValueError(f"{name} must be a whole number >= 1, got {threads!r}")
-    return threads
+
+
+def _arm_means(rng: np.random.Generator, config: TrialConfig, m: int, revealed: float,
+               withheld: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(mean M^2, mean MB, mean B^2)`` of the arm ``(m, revealed,
+    withheld)`` in each of ``config.trials`` blocks, from the Bartlett draw
+    of its scatter matrix ``X X^T``, ``X = L A``. ``L`` is the Cholesky
+    factor of the arm's covariance ``[[revealed, sqrt(T) revealed],
+    [sqrt(T) revealed, T revealed + noise]]`` and ``A`` is lower triangular
+    with ``a11 = sqrt(chi^2_m)``, ``a22 = sqrt(chi^2_(m-1))`` and
+    ``a21 ~ N(0, 1)``, drawn in that order."""
+    import numpy as np
+
+    T, trials = config.channel.T, config.trials
+    noise = aggregated_noise_variance(config.channel, config.source, withheld)
+    a11 = np.sqrt(rng.chisquare(m, trials))
+    # an arm of one sample has chi^2_0 = 0, which numpy refuses to draw
+    a22_sq = rng.chisquare(m - 1, trials) if m > 1 else np.zeros(trials)
+    a21 = rng.standard_normal(trials)
+    x11 = math.sqrt(revealed) * a11
+    x21 = math.sqrt(T * revealed) * a11 + math.sqrt(noise) * a21
+    return x11 * x11 / m, x11 * x21 / m, (x21 * x21 + noise * a22_sq) / m
 
 
 def run_trials(config: TrialConfig, threads: int | None = None) -> EmpiricalStats:
-    """Simulate, estimate and reduce ``config.trials`` transmissions.
+    """Draw, estimate and reduce ``config.trials`` transmissions.
 
-    Thread count (argument, else ``CVQKD_THREADS``, else the number of
-    CPUs this process may run on) affects wall time only: every trial owns
-    a generator derived from its index, and the reduction runs over the
-    index-ordered arrays.
+    Each arm of each block is drawn as the three means the estimators
+    read, exactly distributed for Gaussian samples whatever the block
+    size. One generator seeded by ``config.seed`` draws the arms in
+    ``estimation_arms`` order. ``threads`` (else ``CVQKD_THREADS``) is
+    checked and otherwise ignored: it changes neither results nor speed.
     """
     import numpy as np
 
-    threads = _resolve_threads(threads)
+    _check_threads(threads)
     shown = config.disclosed
     arms = estimation_arms(config.scheme, config.N - shown, shown)
     # the model at the true parameters weights the arms' sub-estimates
     model = variance_model(config.channel, config.source, arms)
     sigmas, noises = zip(*model.per_arm)
-    # each arm's revealed variance, and the source its residual fit sees:
+    rng = np.random.default_rng(config.seed)
+    means = [_arm_means(rng, config, *arm) for arm in arms]
+    t_hat = sum(_t_estimate(mb, revealed) * w
+                for (_, mb, _), (_, revealed, _), w in zip(means, arms, _weights(sigmas)))
+    _require(bool(np.all(t_hat >= 0.0)), "t_hat must be >= 0")
     # everything an arm's regression cannot see acts as source noise
-    estimators = [(revealed, SourceParams(config.source.v_s + withheld))
-                  for _, revealed, withheld in arms]
-    t_weights, v_weights = _weights(sigmas), _weights(noises)
-    t_hat = np.empty(config.trials, dtype=np.float64)
-    v_hat = np.empty(config.trials, dtype=np.float64)
-
-    def worker(index_range) -> None:
-        buffers = _buffers(config)
-        for k in index_range:
-            samples = _simulate(config, k, buffers)
-            t_k = sum(estimate_T(s, revealed) * w
-                      for s, (revealed, _), w in zip(samples, estimators, t_weights))
-            t_hat[k] = t_k
-            v_hat[k] = sum(estimate_Veps(s, t_k, source) * u
-                           for s, (_, source), u in zip(samples, estimators, v_weights))
-
-    if threads == 1 or config.trials == 1:
-        worker(range(config.trials))
-    else:
-        chunk = max(1, math.ceil(config.trials / threads))
-        ranges = [range(lo, min(lo + chunk, config.trials))
-                  for lo in range(0, config.trials, chunk)]
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # propagate the first worker exception, if any
-            for future in [pool.submit(worker, rg) for rg in ranges]:
-                future.result()
-
+    v_hat = sum(_veps_estimate(mm, mb, bb, t_hat, config.source.v_s + withheld) * u
+                for (mm, mb, bb), (_, _, withheld), u in zip(means, arms, _weights(noises)))
     mean_t = float(np.mean(t_hat))
     mean_v = float(np.mean(v_hat))
     if config.trials >= 2:

@@ -425,16 +425,28 @@ _AXIS = _TINY_SWEEP["sweep"]
     ({**_TINY_SWEEP, "schemes": {"kind": "single"}},
      "the scheme list 'schemes' in a sweep scenario must be a list"),
     ({**_TINY_SWEEP, "sweep": [10.0, 30.0]}, "'sweep' must be a JSON object"),
+    ({**_TINY_SWEEP, "sweep": {**_AXIS, "min": 0}},
+     "'sweep' must run from min > 0 up to max > min, got min=0.0, max=30.0"),
+    ({**_TINY_SWEEP, "sweep": {**_AXIS, "points": 1}},
+     "'sweep' needs at least 2 points, got points=1"),
+    ({**_MC, "t_grid": {"min": 0, "max": 0.5, "points": 2, "spacing": "linear"}},
+     "'t_grid' must run from min > 0 up to max > min, got min=0.0, max=0.5"),
+    ({**_MC, "t_grid": {**_MC["t_grid"], "points": 1}},
+     "'t_grid' needs at least 2 points, got points=1"),
 ], ids=["no-schemes", "no-trials", "no-seed", "no-template", "points-word",
         "points-string", "points-fraction", "beta-bool", "N-string",
-        "schemes-object", "axis-list"])
+        "schemes-object", "axis-list", "axis-from-zero", "axis-one-point",
+        "t-grid-from-zero", "t-grid-one-point"])
 def test_scenario_reader_names_the_bad_key(capsys, tmp_path, scenario, message):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
     assert main_entry([scenario["command"], "--scenario", str(path),
-                       "--out", str(tmp_path)]) == 1
-    assert message in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
+                       "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, preset", [("sweep", "blocksize_sweep"),
@@ -519,7 +531,7 @@ def test_preset_axes_are_numpys_bit_for_bit():
             axis = cli._read(scenario, cli._MONTECARLO, name)["t_grid"]
         space = np.geomspace if axis["spacing"] == "log" else np.linspace
         expected = space(axis["min"], axis["max"], axis["points"])
-        assert ([float.hex(x) for x in cli._axis_values(axis)]
+        assert ([float.hex(x) for x in cli._axis_values(axis, name)]
                 == [float.hex(float(x)) for x in expected]), name
 
 

@@ -1,7 +1,11 @@
-"""Sampling layer: determinism, distributional checks, estimator statistics."""
+"""Sampling layer: determinism, distributional checks, estimator statistics.
 
+The per-arm Wishart draw of ``cvqkd.montecarlo`` is checked against the
+arm model and against the sample-level simulator of ``sample_reference``.
+"""
+
+import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
@@ -16,13 +20,16 @@ from cvqkd import (
     confidence_bounds,
     estimation_arms,
     expected_bounds,
+    estimate_T,
+    estimate_Veps,
     run_trials,
-    simulate_transmission,
     validate_variance_models,
     variance_model,
 )
-from cvqkd.montecarlo import _resolve_threads
+from cvqkd.estimation import _t_estimate, _veps_estimate
+from cvqkd.montecarlo import _arm_means, _check_threads
 from matrix_reference import build_eb_covariance
+from sample_reference import reference_estimates, simulate_transmission
 
 
 def _single_cfg(T=0.1, veps=0.001, v=3.0, r=1.0, N=100000, trials=1, seed=11):
@@ -60,22 +67,22 @@ def test_run_trials_thread_count_invisible():
 
 @pytest.mark.parametrize("protocol, N, expected", [
     (Protocol("single", 3.0, r=0.5), 2000,
-     ("0x1.935a347092b72p-3", "0x1.7a0465c03aa3dp-6",
-      "0x1.36a7498836436p-6", "0x1.0e0e5e1474cd5p-5")),
+     ("0x1.a3e3948349952p-3", "0x1.57b803e376327p-6",
+      "-0x1.72b1b9b89e9d3p-8", "0x1.886ba7645999fp-5")),
     (Protocol("double", 3.0, 10.0), 2000,
-     ("0x1.a4a6a497a4033p-3", "0x1.a9bdda5fc008fp-7",
-      "-0x1.2f6f0224bf942p-6", "0x1.1197a82f97b6bp-4")),
+     ("0x1.9ff153d1ecef6p-3", "0x1.9a2a88600ef45p-7",
+      "-0x1.f18a91f9c9320p-7", "0x1.e4dc37182a821p-5")),
     (Protocol("modified", 3.0, 10.0, 0.5), 2000,
-     ("0x1.9f98b584769fap-3", "0x1.9c663a8e6e2a6p-7",
-      "-0x1.3e185f647d1c7p-7", "0x1.fa78c907c70cfp-6")),
-    # r * N = 1000.25: the sampler discloses round(r * N) samples
+     ("0x1.98b04b8f3a7f2p-3", "0x1.06b5e66551c18p-6",
+      "0x1.cd4cd48eb91a0p-7", "0x1.d95532a64015dp-6")),
+    # r * N = 1000.25: the draw discloses round(r * N) samples
     (Protocol("modified", 3.0, 10.0, 0.25), 4001,
-     ("0x1.9e78196607ae0p-3", "0x1.5f1f8723d907dp-7",
-      "-0x1.0cc9c78809ea2p-8", "0x1.d2af31d9c078ep-6")),
+     ("0x1.9aa08bf14b08bp-3", "0x1.64a4f881851ccp-7",
+      "0x1.03cd5b618a708p-7", "0x1.9553e33f1fc57p-6")),
 ])
 def test_trial_statistics_are_pinned(protocol, N, expected):
     # the exact bits of every scheme's reduction; a change of draw order
-    # or of the sampler's arithmetic moves them
+    # or of the draw's arithmetic moves them
     cfg = TrialConfig(ChannelParams(0.2, 0.002), SourceParams(1.0), protocol,
                       N, 20, 2014)
     stats = run_trials(cfg, threads=1)
@@ -149,15 +156,44 @@ def test_displacement_output_covariance():
     assert abs(float(np.mean(prod)) - expected) < 3.0 * se
 
 
+def _arm_law(cfg, m, revealed, withheld):
+    """The mean and covariance of an arm's ``(mean M^2, mean MB, mean B^2)``
+    under its Wishart law: ``Sigma`` and ``(S_ik S_jl + S_il S_jk) / m``."""
+    noise = aggregated_noise_variance(cfg.channel, cfg.source, withheld)
+    cov = math.sqrt(cfg.channel.T) * revealed
+    sigma = np.array([[revealed, cov], [cov, cfg.channel.T * revealed + noise]])
+    pairs = ((0, 0), (0, 1), (1, 1))
+    spread = np.array([[(sigma[i, k] * sigma[j, l] + sigma[i, l] * sigma[j, k]) / m
+                        for k, l in pairs] for i, j in pairs])
+    return np.array([sigma[i, j] for i, j in pairs]), spread
+
+
+def _mean_agrees(draws, mean, spread):
+    # per trial (mean M^2, mean MB, mean B^2) in the rows of ``draws``: the
+    # sample mean within 4 standard errors of ``mean``
+    se = np.sqrt(np.diag(spread) / draws.shape[0])
+    assert np.all(np.abs(draws.mean(axis=0) - mean) < 4.0 * se)
+
+
+def _agrees_with_law(draws, mean, spread):
+    # and each sample covariance within 4 standard errors (Gaussian
+    # approximation, fair at the thousands of samples per arm used here)
+    _mean_agrees(draws, mean, spread)
+    k, d = draws.shape[0], np.sqrt(np.diag(spread))
+    se_cov = np.sqrt((np.outer(d, d) ** 2 + spread ** 2) / k)
+    assert np.all(np.abs(np.cov(draws, rowvar=False) - spread) < 4.0 * se_cov)
+
+
 @pytest.mark.parametrize("cfg", [
     _single_cfg(r=0.5, N=20000, seed=25),
     _double_cfg(N=20000, trials=1, seed=26),
     _modified_cfg(r=0.25, N=20001, trials=1, seed=27),   # r * N fractional
 ])
 def test_sampler_matches_the_arm_model(cfg):
-    # one record per estimation arm, with the arm's size, and per arm the
-    # moments of the arm model: Var(M) = revealed, E[MB] = sqrt(T) revealed,
-    # Var(B) = T revealed + the noise of everything withheld
+    # the sample-level simulator: one record per estimation arm, with the
+    # arm's size, and per arm the moments of the arm model: Var(M) =
+    # revealed, E[MB] = sqrt(T) revealed, Var(B) = T revealed + the noise of
+    # everything withheld
     shown = round(cfg.scheme.r * cfg.N)
     arms = estimation_arms(cfg.scheme, cfg.N - shown, shown)
     records = simulate_transmission(cfg, 0)
@@ -172,6 +208,31 @@ def test_sampler_matches_the_arm_model(cfg):
                 (np.mean(M * B), cov, math.sqrt((revealed * var_b + cov**2) / m)),
                 (np.var(B), var_b, var_b * math.sqrt(2.0 / m))):
             assert abs(float(value) - expected) < 4.0 * se
+        # the estimators' cores on the record's three means are the public
+        # estimators, and the V_eps core is the residual fit it expands
+        means = [float(np.mean(x * y)) for x, y in ((M, M), (M, B), (B, B))]
+        t_hat = estimate_T(s, revealed)
+        assert _t_estimate(means[1], revealed) == pytest.approx(t_hat, rel=1e-12)
+        v_s = cfg.source.v_s + withheld
+        residual = float(np.mean((B - math.sqrt(t_hat) * M) ** 2))
+        for v_hat in (_veps_estimate(*means, t_hat, v_s),
+                      estimate_Veps(s, t_hat, SourceParams(v_s))):
+            assert v_hat == pytest.approx(residual + t_hat * (1.0 - v_s) - 1.0, rel=1e-12)
+
+    # the Wishart draw over many trials, and the sample-level simulator over
+    # a few hundred blocks, per arm against the same law
+    rng = np.random.default_rng(cfg.seed)
+    many = dataclasses.replace(cfg, trials=20000)
+    drawn = [np.column_stack(_arm_means(rng, many, *arm)) for arm in arms]
+    simulated = [[] for _ in arms]
+    for k in range(300):
+        for rows, s in zip(simulated, simulate_transmission(cfg, k)):
+            M, B = s.M.astype(np.float64), s.B.astype(np.float64)
+            rows.append([np.mean(M * M), np.mean(M * B), np.mean(B * B)])
+    for arm, draws, rows in zip(arms, drawn, simulated):
+        mean, spread = _arm_law(cfg, *arm)
+        _agrees_with_law(draws, mean, spread)
+        _agrees_with_law(np.array(rows), mean, spread)
 
 
 # --------------------------------------------------------------------------
@@ -216,6 +277,40 @@ def test_double_trials_run_at_zero_transmittance():
     assert abs(stats.mean_T) < 1e-2
 
 
+@pytest.mark.parametrize("protocol, N", [
+    (Protocol("single", 3.0, r=0.5), 2),           # the one arm has one sample
+    (Protocol("modified", 3.0, 10.0, 0.75), 4),    # the probe-only arm has one
+])
+def test_arms_of_one_sample_match_the_sample_level_simulator(protocol, N):
+    # chi^2_0 is 0, not a draw: the second Bartlett variate of a one-sample
+    # arm vanishes, and the mean T-hat still follows the simulated blocks;
+    # at these few samples per arm each draw's means resolve its 1/m terms
+    cfg = TrialConfig(ChannelParams(0.2, 0.002), SourceParams(1.0), protocol, N,
+                      20000, 41)
+    arms = estimation_arms(protocol, N - cfg.disclosed, cfg.disclosed)
+    assert min(m for m, _, _ in arms) == 1
+    rng = np.random.default_rng(cfg.seed)
+    for arm in arms:
+        _mean_agrees(np.column_stack(_arm_means(rng, cfg, *arm)), *_arm_law(cfg, *arm))
+    stats = run_trials(cfg)
+    t_ref, _ = reference_estimates(cfg)
+    se = math.sqrt((stats.std_T ** 2 + float(np.var(t_ref, ddof=1))) / cfg.trials)
+    assert abs(stats.mean_T - float(np.mean(t_ref))) < 4.0 * se
+
+
+def test_trials_at_the_papers_block_size():
+    # N = 1e10, where a sample-level draw would need tens of GB per record:
+    # the spreads match the model, and the mean T-hat is T plus its 1/m bias
+    T, v, v2, N = 0.01, 3.0, 10.0, 10**10
+    cfg = TrialConfig(ChannelParams(T, 0.01 * T), SourceParams(1.0),
+                      Protocol("double", v, v2), N, 100000, 43)
+    stats = run_trials(cfg)
+    assert stats.rel_err_T < 0.03 and stats.rel_err_Veps < 0.03
+    noise = aggregated_noise_variance(cfg.channel, cfg.source, v)
+    bias = (2.0 * T + noise / v2) / N
+    assert abs(stats.mean_T - (T + bias)) < 4.0 * stats.model.sigma / math.sqrt(cfg.trials)
+
+
 def test_trial_spread_shrinks_with_more_trials():
     few = run_trials(_single_cfg(r=0.5, N=10000, trials=100, seed=15), threads=1)
     many = run_trials(_single_cfg(r=0.5, N=10000, trials=10000, seed=15), threads=1)
@@ -255,26 +350,20 @@ def test_trial_config_validation():
                     Protocol("modified", 3.0, 10.0, 0.5), 100, 1, 0)
 
 
-def test_default_thread_count_follows_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("CVQKD_THREADS", raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert _resolve_threads(None) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 3})
-    assert _resolve_threads(None) == 3
-
-
 def test_thread_counts_below_one_are_refused(monkeypatch):
+    # a thread count changes nothing, but a bad one is still refused by name
     monkeypatch.delenv("CVQKD_THREADS", raising=False)
     for threads in (0, -3, 2.0, True):
         with pytest.raises(ValueError, match="--threads"):
-            _resolve_threads(threads)
+            _check_threads(threads)
     for text in ("abc", "0", "-3", "2.5"):
         monkeypatch.setenv("CVQKD_THREADS", text)
         with pytest.raises(ValueError, match="CVQKD_THREADS"):
-            _resolve_threads(None)
-    monkeypatch.setenv("CVQKD_THREADS", " 3 ")
-    assert _resolve_threads(None) == 3
-    assert _resolve_threads(2) == 2   # the argument wins over the variable
+            _check_threads(None)
+    _check_threads(2)   # the argument wins over the variable
+    for text in (" 3 ", ""):
+        monkeypatch.setenv("CVQKD_THREADS", text)
+        _check_threads(None)
 
 
 # --------------------------------------------------------------------------

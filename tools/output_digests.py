@@ -1,9 +1,10 @@
 """Print the sha256 of every published cvqkd output, one ``sha256  path`` line each.
 
 Runs, in this process and into a work directory, the five sweep presets,
-a T-axis sweep scenario, the ``variance_validation`` Monte Carlo preset at
-40 trials, and a fixed set of ``keyrate``/``optimize``/``maxdist`` queries
-covering all three schemes, ``--ideal-bounds`` and ``--corner-search``.
+a T-axis sweep scenario, the ``variance_validation`` Monte Carlo preset as
+shipped (1000 trials per row), and a fixed set of
+``keyrate``/``optimize``/``maxdist`` queries covering all three schemes,
+``--ideal-bounds`` and ``--corner-search``.
 Paths are printed relative to the work directory, and the timestamp of
 each JSON manifest is blanked before hashing, so two trees print the
 same lines exactly when their outputs are byte-identical. Uses only the
@@ -40,8 +41,7 @@ T_SWEEP = {"command": "sweep", "name": "t_axis", "N": 1000000,
            "sweep": {"variable": "T", "min": 0.05, "max": 0.8, "points": 4,
                      "spacing": "log"},
            "schemes": [{"kind": "single"}, {"kind": "modified", "v_s": 0.5}]}
-MC_ARGS = ("montecarlo", "--preset", "variance_validation", "--trials", "40",
-           "--threads", "2")
+MC_ARGS = ("montecarlo", "--preset", "variance_validation")
 QUERIES = (
     ("keyrate", "--T", "0.3"),
     ("keyrate", "--d", "76", "--scheme", "double", "--vs", "0.1", "--N", "1e6"),
