@@ -57,9 +57,10 @@ from .model import (SINGLE, MODIFIED, KINDS, DEFAULT_BETA, DEFAULT_DELTA,
                     ProtocolParams, FiberModel, channel_at_distance, _require)
 from .estimation import expected_bounds, ideal_bounds
 from .keyrate import finite_key_rate, theoretical_key_rate_limit
-from .montecarlo import validate_variance_models
-from .optimizer import (FREE, LEGACY, ExponentialFit, OptimizationProblem,
-                        optimize_key_rate, fit_exponential_keyrate, max_distance)
+from .montecarlo import _whole, validate_variance_models
+from .optimizer import (FIT_POINTS, FIT_WINDOW_KM, FREE, LEGACY, ExponentialFit,
+                        OptimizationProblem, optimize_key_rate,
+                        fit_exponential_keyrate, max_distance)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -312,12 +313,14 @@ def run_montecarlo(scenario: dict, out_dir: str,
                    threads: int | None = None) -> tuple[str, list]:
     """Variance-model validation table; returns (path, rows)."""
     s = _read(scenario, _MONTECARLO, "a montecarlo scenario")
+    _require(threads is None or _whole(threads, 1),
+             f"threads (--threads) must be a whole number >= 1, got {threads!r}")
     tpl = s["template"]
     rows = validate_variance_models(
         _axis_values(s["t_grid"], "'t_grid'"),
         [_mc_protocol(kind, tpl) for kind in s["schemes"]],
         SourceParams(tpl["v_s"]), tpl["N"], s["trials"], s["seed"],
-        fiber=s["fiber"], threads=threads)
+        fiber=s["fiber"])
     manifest = make_manifest(scenario, s["seed"])
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{s['name']}.csv")
@@ -334,10 +337,10 @@ def _parse_count(text: str) -> int:
         value = float(text)
     except ValueError:
         value = math.nan  # refused below, under the block size's own name
-    if not (math.isfinite(value) and value >= 2):
+    if not (math.isfinite(value) and value >= 2 and value.is_integer()):
         # argparse shows this error's message, but not a ValueError's
         raise argparse.ArgumentTypeError(f"block size must be a count >= 2, got {text!r}")
-    return int(round(value))
+    return int(value)
 
 
 def _channel_from_args(args) -> ChannelParams:
@@ -589,9 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     montecarlo.add_argument("--seed", type=int,
                             help="override the scenario seed")
     montecarlo.add_argument("--threads", type=int,
-                            help="accepted for compatibility (as is "
-                                 "CVQKD_THREADS); a whole number >= 1 that "
-                                 "changes neither results nor speed")
+                            help="accepted for compatibility: a whole number "
+                                 ">= 1 that changes neither results nor speed")
     montecarlo.add_argument("--out", default=".", help="output directory")
     montecarlo.set_defaults(func=cmd_montecarlo)
 
@@ -603,9 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
     maxdist.add_argument("--vs", type=float, default=None,
                          help="source variance (default: strong-squeezing limit)")
     maxdist.add_argument("--eps-ratio", type=float, default=FiberModel().eps_ratio)
-    maxdist.add_argument("--d-min", type=float, default=30.0)
-    maxdist.add_argument("--d-max", type=float, default=150.0)
-    maxdist.add_argument("--points", type=int, default=13)
+    maxdist.add_argument("--d-min", type=float, default=FIT_WINDOW_KM[0])
+    maxdist.add_argument("--d-max", type=float, default=FIT_WINDOW_KM[1])
+    maxdist.add_argument("--points", type=int, default=FIT_POINTS)
     maxdist.add_argument("--delta-star", type=float, default=DEFAULT_DELTA_STAR)
     maxdist.add_argument("--fit-a", type=float, default=None,
                          help="inject a synthetic fit prefactor (with --fit-kappa)")

@@ -115,7 +115,6 @@ class ConfidenceBounds:
     T_low: float
     veps_up: float
     z: float
-    delta: float
     T_up: float | None = None
     veps_low: float | None = None
 
@@ -123,8 +122,6 @@ class ConfidenceBounds:
         _require(_finite(self.T_low), "T_low must be finite")
         _require(_finite(self.veps_up), "veps_up must be finite")
         _require(_finite(self.z) and self.z >= 0.0, "z must be >= 0")
-        _require(_finite(self.delta) and 0.0 <= self.delta < 1.0,
-                 "delta must lie in [0, 1)")
 
 
 # --------------------------------------------------------------------------
@@ -354,7 +351,7 @@ def confidence_bounds(t_hat: float, veps_hat: float, model: VarianceModel,
     z = confidence_coefficient(delta)
     T_low, veps_up, T_up, veps_low = _confidence_box(t_hat, veps_hat, model.sigma_sq,
                                                      model.s_sq, z)
-    return ConfidenceBounds(T_low=T_low, veps_up=veps_up, z=z, delta=delta,
+    return ConfidenceBounds(T_low=T_low, veps_up=veps_up, z=z,
                             T_up=T_up, veps_low=veps_low)
 
 
@@ -370,8 +367,7 @@ def _confidence_box(t_hat: float, veps_hat: float, sigma_sq: float, s_sq: float,
 
 def ideal_bounds(channel: ChannelParams) -> ConfidenceBounds:
     """Degenerate bounds equal to the true parameters (no uncertainty)."""
-    return ConfidenceBounds(T_low=channel.T, veps_up=channel.v_eps,
-                            z=0.0, delta=0.0,
+    return ConfidenceBounds(T_low=channel.T, veps_up=channel.v_eps, z=0.0,
                             T_up=channel.T, veps_low=channel.v_eps)
 
 

@@ -5,15 +5,14 @@ Every estimator reads only three means of an estimation arm, of ``M^2``,
 For zero-mean Gaussian samples the arm's scatter matrix is exactly
 Wishart, ``W_2(m, Sigma)``, so each arm of each trial is three variates
 (Bartlett's decomposition) whatever the block size, and the estimators
-run vectorised over the trials. One generator per trial batch makes the
-results independent of any thread count, which is checked and ignored.
-numpy is imported on the first simulation, not with this module.
+run vectorised over the trials. One generator per trial batch, seeded
+from the configuration, makes every result reproducible. numpy is
+imported on the first simulation, not with this module.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -69,9 +68,11 @@ class TrialConfig:
             _require(self.disclosed >= 1,
                      "single-scheme trials need at least one disclosed sample")
         if kind == MODIFIED:
-            _require(1 <= self.disclosed <= self.N - 1,
-                     "modified-scheme trials need both block subsets non-empty")
-            _require(self.channel.T > 0.0,
+            # an empty disclosed arm is left out; two arms are weighted by
+            # inverse variances, which vanish at T = 0
+            _require(self.disclosed <= self.N - 1,
+                     "modified-scheme trials need at least one undisclosed sample")
+            _require(self.disclosed == 0 or self.channel.T > 0.0,
                      "modified-scheme trials need T > 0 to weight the sub-estimates")
 
     @property
@@ -124,24 +125,6 @@ def _weights(variances) -> tuple[float, ...]:
     return tuple(w / total for w in inverse)
 
 
-def _check_threads(threads: int | None) -> None:
-    """Refuse a thread count, ``threads`` (the ``--threads`` flag) else
-    ``CVQKD_THREADS``, that is not a whole number >= 1, under its own name.
-    A valid count is accepted and changes nothing."""
-    name = "threads (--threads)"
-    if threads is None:
-        text = os.environ.get("CVQKD_THREADS", "").strip()
-        if not text:
-            return
-        name = "CVQKD_THREADS"
-        try:
-            threads = int(text)
-        except ValueError:
-            threads = text  # refused below, under the variable's name
-    if not _whole(threads, 1):
-        raise ValueError(f"{name} must be a whole number >= 1, got {threads!r}")
-
-
 def _arm_means(rng: np.random.Generator, config: TrialConfig, m: int, revealed: float,
                withheld: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(mean M^2, mean MB, mean B^2)`` of the arm ``(m, revealed,
@@ -164,18 +147,16 @@ def _arm_means(rng: np.random.Generator, config: TrialConfig, m: int, revealed: 
     return x11 * x11 / m, x11 * x21 / m, (x21 * x21 + noise * a22_sq) / m
 
 
-def run_trials(config: TrialConfig, threads: int | None = None) -> EmpiricalStats:
+def run_trials(config: TrialConfig) -> EmpiricalStats:
     """Draw, estimate and reduce ``config.trials`` transmissions.
 
     Each arm of each block is drawn as the three means the estimators
     read, exactly distributed for Gaussian samples whatever the block
     size. One generator seeded by ``config.seed`` draws the arms in
-    ``estimation_arms`` order. ``threads`` (else ``CVQKD_THREADS``) is
-    checked and otherwise ignored: it changes neither results nor speed.
+    ``estimation_arms`` order.
     """
     import numpy as np
 
-    _check_threads(threads)
     shown = config.disclosed
     arms = estimation_arms(config.scheme, config.N - shown, shown)
     # the model at the true parameters weights the arms' sub-estimates
@@ -213,8 +194,7 @@ def _row_seed(base_seed: int, scheme_index: int, t_index: int) -> int:
 
 def validate_variance_models(t_grid, protocols, source: SourceParams, N: int,
                              trials: int, seed: int,
-                             fiber: FiberModel = FiberModel(),
-                             threads: int | None = None) -> list[ValidationRow]:
+                             fiber: FiberModel = FiberModel()) -> list[ValidationRow]:
     """Run the trial batch for every (protocol, transmittance) pair.
 
     The channel at each grid point takes its excess noise from the fiber
@@ -230,7 +210,7 @@ def validate_variance_models(t_grid, protocols, source: SourceParams, N: int,
             channel = ChannelParams(float(T), excess_noise_from_fiber(float(T), fiber))
             config = TrialConfig(channel, source, protocol, N, trials,
                                  _row_seed(seed, s_idx, t_idx))
-            stats = run_trials(config, threads=threads)
+            stats = run_trials(config)
             samples = config.disclosed if protocol.kind == SINGLE else N
             rows.append(ValidationRow(
                 scheme=protocol.kind,

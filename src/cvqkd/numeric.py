@@ -44,19 +44,15 @@ def linspace(lo: float, hi: float, points: int) -> list[float]:
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
                        *, tol: float = 1e-8) -> tuple[float, float]:
-    """Maximize a unimodal ``f`` on ``[lo, hi]`` by golden-section search.
+    """Maximize a unimodal ``f`` on ``[lo, hi]``, ``lo < hi``, by
+    golden-section search.
 
     Returns the best probed ``(x, f(x))``. The tolerance applies to the
     bracket width, and at most 200 probes follow the first two; the probe
     sequence is fixed, so the result is deterministic.
     """
     a, b = float(lo), float(hi)
-    if b < a:
-        a, b = b, a
     h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     fc = f(c)

@@ -65,12 +65,15 @@ _GRID_R = 12
 # where the scheme has one
 FREE = {SINGLE: ("v", "r"), DOUBLE: ("v",), MODIFIED: ("v", "r")}
 # search ranges; r stays below 1 so both subsets remain usable
-_BOX = {"v": (0.01, 100.0), "v2": (0.1, 50.0), "r": (0.0, 0.9)}
+_BOX = {"v": (0.01, 100.0), "r": (0.0, 0.9)}
 # relative tolerance: refinement stops once a sweep gains less than this
 # share of the best rate, and a modified optimum this close to r = 0 snaps there
 _TOL = 1e-4
 # classic single-modulation working point
 LEGACY = Protocol(SINGLE, v=1.5, r=0.5)
+# distance window (km) and point count of the asymptotic-rate fit
+FIT_WINDOW_KM = (30.0, 150.0)
+FIT_POINTS = 13
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,9 @@ class OptimizationProblem:
 
     ``params`` is the fixed point: the source, block size and budgets, the
     scheme, and the value of every :class:`Protocol` field that is not
-    free. ``free`` names the fields to search and defaults to the
-    scheme's entry in :data:`FREE`.
+    free. ``free`` names the fields to search, drawn from the scheme's
+    entry in :data:`FREE`, and defaults to all of that entry; the probe
+    variance ``v2`` is never searched.
     """
 
     channel: ChannelParams
@@ -90,12 +94,9 @@ class OptimizationProblem:
     def __post_init__(self):
         kind = self.params.protocol.kind
         free = self.free if self.free is not None else FREE[kind]
-        allowed = ("v", "r") if kind == SINGLE else ("v", "v2", "r")
         for name in free:
-            _require(name in allowed,
+            _require(name in FREE[kind],
                      f"{name!r} is not a free variable of the {kind} scheme")
-        _require(kind != DOUBLE or "r" not in free,
-                 "the double scheme has no disclosed fraction to optimise")
         _require(len(set(free)) == len(free), f"a free variable repeats in {free!r}")
         # the r grid starts at 2/N, which must stay below the box ceiling
         _require("r" not in free or 2.0 / self.params.N < _BOX["r"][1],
@@ -176,8 +177,7 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
         nonlocal evaluations
         evaluations += 1
         try:
-            return rate(point.get("v", fixed.v), point.get("v2", fixed.v2),
-                        point.get("r", fixed.r))
+            return rate(point.get("v", fixed.v), fixed.v2, point.get("r", fixed.r))
         except ValueError as exc:
             if not free:  # the one point there is: its fault is the answer
                 raise
@@ -368,8 +368,8 @@ def optimal_ratio_zero_crossing(problem_template: OptimizationProblem,
 def fit_exponential_keyrate(fiber: FiberModel = FiberModel(),
                             beta: float = DEFAULT_BETA,
                             v_s: float | None = None,
-                            d_range: tuple[float, float] = (30.0, 150.0),
-                            points: int = 13) -> ExponentialFit:
+                            d_range: tuple[float, float] = FIT_WINDOW_KM,
+                            points: int = FIT_POINTS) -> ExponentialFit:
     """Exponential model of the asymptotic rate over fiber distance.
 
     At each distance the rate is maximised over the modulation variance;

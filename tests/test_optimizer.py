@@ -428,6 +428,9 @@ def test_optimization_problem_validation():
         OptimizationProblem(ch, _params(1.0, "single", 10**6), free=("v2",))
     with pytest.raises(ValueError):
         OptimizationProblem(ch, _params(1.0, "double", 10**6), free=("v", "r"))
+    for kind in ("double", "modified"):   # the probe variance is never searched
+        with pytest.raises(ValueError, match="'v2' is not a free variable"):
+            OptimizationProblem(ch, _params(1.0, kind, 10**6), free=("v", "v2"))
     with pytest.raises(ValueError, match="repeats"):
         OptimizationProblem(ch, _params(1.0, "double", 10**6), free=("v", "v"))
     problem = OptimizationProblem(ch, _params(1.0, "modified", 10**6))
