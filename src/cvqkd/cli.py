@@ -45,10 +45,11 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import time
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 from importlib import resources
 
 from . import __version__, numeric
@@ -156,9 +157,10 @@ _number = _check(lambda x: type(x) in (int, float), "a number", float)
 _count = _check(lambda x: type(x) is int or type(x) is float and x.is_integer(),
                 "a whole number", int)
 _text = _check(lambda x: isinstance(x, str), "a string")
-_list = _check(lambda x: isinstance(x, list), "a list")
-_kinds = _check(lambda x: isinstance(x, list) and all(k in KINDS for k in x),
-                "a list of " + " or ".join(map(repr, KINDS)))
+_schemes = _check(lambda x: isinstance(x, list) and len(x) > 0,
+                  "a list of at least one scheme")
+_kinds = _check(lambda x: isinstance(x, list) and len(x) > 0 and all(k in KINDS for k in x),
+                "a list of at least one of " + " or ".join(map(repr, KINDS)))
 
 # One table per scenario object: key -> (converter, default or _REQUIRED,
 # label). Defaults are converted values; README "Scenario files" lists them.
@@ -193,7 +195,7 @@ _SWEEP = {"command": (_one_of("sweep"), _REQUIRED, "command"), **_COMMON,
           "beta": (_number, DEFAULT_BETA, "reconciliation efficiency"),
           "delta": (_number, DEFAULT_DELTA, "confidence budget"),
           "delta_star": (_number, DEFAULT_DELTA_STAR, "penalty budget"),
-          "schemes": (lambda x: list(map(_object(_SCHEME, "a 'schemes' entry"), _list(x))),
+          "schemes": (lambda x: list(map(_object(_SCHEME, "a 'schemes' entry"), _schemes(x))),
                       _REQUIRED, "scheme list")}
 _MONTECARLO = {"command": (_one_of("montecarlo"), _REQUIRED, "command"), **_COMMON,
                "name": (_text, "montecarlo", "name"),
@@ -324,7 +326,8 @@ def run_montecarlo(scenario: dict, out_dir: str,
     manifest = make_manifest(scenario, s["seed"])
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{s['name']}.csv")
-    _write_csv(path, manifest, _MC_COLUMNS, [astuple(row) for row in rows])
+    # the columns are the row's fields; astuple would deep-copy every cell
+    _write_csv(path, manifest, _MC_COLUMNS, map(operator.attrgetter(*_MC_COLUMNS), rows))
     return path, rows
 
 

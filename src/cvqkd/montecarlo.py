@@ -5,8 +5,9 @@ Every estimator reads only three means of an estimation arm, of ``M^2``,
 For zero-mean Gaussian samples the arm's scatter matrix is exactly
 Wishart, ``W_2(m, Sigma)``, so each arm of each trial is three variates
 (Bartlett's decomposition) whatever the block size, and the estimators
-run vectorised over the trials. One generator per trial batch, seeded
-from the configuration, makes every result reproducible. numpy is
+run vectorised over the trials. One generator per row, seeded from its
+configuration, makes every result reproducible; a scheme's rows are then
+reduced in stacked batches, bit for bit as each row alone. numpy is
 imported on the first simulation, not with this module.
 """
 
@@ -155,33 +156,60 @@ def run_trials(config: TrialConfig) -> EmpiricalStats:
     size. One generator seeded by ``config.seed`` draws the arms in
     ``estimation_arms`` order.
     """
+    return _run_rows([config])[0]
+
+
+# trials, rows times trials per row, that one stacked batch may hold; a
+# row of more trials runs alone, with the memory of a one-row call
+_BATCH_TRIALS = 1 << 16
+
+
+def _rel_err(spread, analytic):
+    """``|spread - analytic| / analytic``, or None without either spread."""
+    return (abs(spread - analytic) / analytic
+            if spread is not None and analytic > 0.0 else None)
+
+
+def _run_rows(configs: list[TrialConfig]) -> list[EmpiricalStats]:
+    """:func:`run_trials` of each of ``configs``, which differ only in
+    their channels and seeds. Each row draws from its own generator; the
+    estimators and reductions then run once on ``(rows, trials)`` stacks
+    of the means, with the rows' weights as columns, and a reduction
+    along a row gives the bits of the same reduction of that row alone.
+    """
     import numpy as np
 
-    shown = config.disclosed
-    arms = estimation_arms(config.scheme, config.N - shown, shown)
+    first = configs[0]
+    shown = first.disclosed
+    arms = estimation_arms(first.scheme, first.N - shown, shown)
     # the model at the true parameters weights the arms' sub-estimates
-    model = variance_model(config.channel, config.source, arms)
-    sigmas, noises = zip(*model.per_arm)
-    rng = np.random.default_rng(config.seed)
-    means = [_arm_means(rng, config, *arm) for arm in arms]
+    models = [variance_model(c.channel, c.source, arms) for c in configs]
+    draws = []
+    for config in configs:
+        rng = np.random.default_rng(config.seed)
+        draws.append([_arm_means(rng, config, *arm) for arm in arms])
+    # a lone row is viewed as a stack; np.stack would copy it
+    stack = (lambda rows: rows[0][np.newaxis]) if len(configs) == 1 else np.stack
+    means = [[stack(rows) for rows in zip(*arm)] for arm in zip(*draws)]
+    # per arm, the column of the rows' weights from sigma^2 (T) and s^2 (V_eps)
+    weights = np.array([[_weights(v) for v in zip(*m.per_arm)] for m in models])
+    t_weights, v_weights = weights.transpose(1, 2, 0)[..., np.newaxis]
     t_hat = sum(_t_estimate(mb, revealed) * w
-                for (_, mb, _), (_, revealed, _), w in zip(means, arms, _weights(sigmas)))
+                for (_, mb, _), (_, revealed, _), w in zip(means, arms, t_weights))
     _require(bool(np.all(t_hat >= 0.0)), "t_hat must be >= 0")
     # everything an arm's regression cannot see acts as source noise
-    v_hat = sum(_veps_estimate(mm, mb, bb, t_hat, config.source.v_s + withheld) * u
-                for (mm, mb, bb), (_, _, withheld), u in zip(means, arms, _weights(noises)))
-    mean_t = float(np.mean(t_hat))
-    mean_v = float(np.mean(v_hat))
-    if config.trials >= 2:
-        std_t = float(np.std(t_hat, ddof=1))
-        std_v = float(np.std(v_hat, ddof=1))
-        rel_t = abs(std_t - model.sigma) / model.sigma if model.sigma > 0.0 else None
-        rel_v = abs(std_v - model.s) / model.s if model.s > 0.0 else None
+    v_hat = sum(_veps_estimate(mm, mb, bb, t_hat, first.source.v_s + withheld) * u
+                for (mm, mb, bb), (_, _, withheld), u in zip(means, arms, v_weights))
+    mean_t = np.mean(t_hat, axis=1).tolist()
+    mean_v = np.mean(v_hat, axis=1).tolist()
+    if first.trials >= 2:
+        std_t = np.std(t_hat, axis=1, ddof=1).tolist()
+        std_v = np.std(v_hat, axis=1, ddof=1).tolist()
     else:
-        std_t = std_v = rel_t = rel_v = None
-    return EmpiricalStats(mean_T=mean_t, std_T=std_t, mean_Veps=mean_v,
-                          std_Veps=std_v, model=model,
-                          rel_err_T=rel_t, rel_err_Veps=rel_v)
+        std_t = std_v = [None] * len(configs)
+    return [EmpiricalStats(mt, st, mv, sv, model, _rel_err(st, model.sigma),
+                           _rel_err(sv, model.s))
+            for model, mt, st, mv, sv in zip(models, mean_t, std_t, mean_v, std_v)]
 
 
 def _row_seed(base_seed: int, scheme_index: int, t_index: int) -> int:
@@ -195,26 +223,30 @@ def _row_seed(base_seed: int, scheme_index: int, t_index: int) -> int:
 def validate_variance_models(t_grid, protocols, source: SourceParams, N: int,
                              trials: int, seed: int,
                              fiber: FiberModel = FiberModel()) -> list[ValidationRow]:
-    """Run the trial batch for every (protocol, transmittance) pair.
+    """Run the trials of every (protocol, transmittance) pair.
 
     The channel at each grid point takes its excess noise from the fiber
     model. Row seeds derive from ``seed`` and the row position, so the
-    full table is reproducible and rows are independent.
+    full table is reproducible and rows are independent. Each protocol's
+    rows run in stacked batches of at most ``_BATCH_TRIALS`` trials, each
+    row as :func:`run_trials` runs it alone.
     """
     _require(_whole(trials, 2),
              f"the validation table compares spreads, so trials must be >= 2, got {trials!r}")
     _require(_whole(seed, 0), f"seed must be a non-negative integer, got {seed!r}")
+    batch = max(1, _BATCH_TRIALS // trials)
     rows: list[ValidationRow] = []
     for s_idx, protocol in enumerate(protocols):
-        for t_idx, T in enumerate(t_grid):
-            channel = ChannelParams(float(T), excess_noise_from_fiber(float(T), fiber))
-            config = TrialConfig(channel, source, protocol, N, trials,
-                                 _row_seed(seed, s_idx, t_idx))
-            stats = run_trials(config)
+        configs = [TrialConfig(ChannelParams(T, excess_noise_from_fiber(T, fiber)), source,
+                               protocol, N, trials, _row_seed(seed, s_idx, t_idx))
+                   for t_idx, T in enumerate(map(float, t_grid))]
+        results = [stats for start in range(0, len(configs), batch)
+                   for stats in _run_rows(configs[start:start + batch])]
+        for config, stats in zip(configs, results):
             samples = config.disclosed if protocol.kind == SINGLE else N
             rows.append(ValidationRow(
                 scheme=protocol.kind,
-                T=channel.T,
+                T=config.channel.T,
                 samples=float(samples),
                 s_analytic=stats.model.s,
                 s_empirical=stats.std_Veps,
@@ -222,6 +254,6 @@ def validate_variance_models(t_grid, protocols, source: SourceParams, N: int,
                 sigma_analytic=stats.model.sigma,
                 sigma_empirical=stats.std_T,
                 rel_err_sigma=stats.rel_err_T,
-                veps_th=theoretical_noise_limit(channel, float(N)),
+                veps_th=theoretical_noise_limit(config.channel, float(N)),
             ))
     return rows

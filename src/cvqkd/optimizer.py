@@ -112,6 +112,9 @@ class OptimizationResult:
     report: KeyRateReport
     status: str          # "ok" or "no_positive_rate"
     evaluations: int
+    infeasible: Counter  # evaluations refused by the rate, by reason
+    rounds: int          # refinement rounds run
+    converged: bool      # the last round gained less than the tolerance
 
 
 def evaluate_point(problem: OptimizationProblem, point: dict) -> KeyRateReport:
@@ -207,7 +210,7 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
                          "block size" + (f": {'; '.join(reasons)}" if reasons else ""))
 
     scale = max(abs(best_value), 1e-12)
-    for _ in range(30):
+    for rounds in range(1, 31):
         improved = best_value
         for name in free:
             xs = sorted(set(grids[name]) | {best_point[name]})
@@ -222,6 +225,7 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
                 best_value = f_ref
         if best_value - improved <= _TOL * scale:
             break
+    converged = best_value - improved <= _TOL * scale
 
     if kind == MODIFIED and "r" in free and best_point.get("r", 0.0) > 0.0:
         at_zero = dict(best_point)
@@ -232,7 +236,8 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
 
     report = evaluate_point(problem, best_point)
     status = "ok" if report.K > 0.0 else "no_positive_rate"
-    return OptimizationResult(best_point, report.K, report, status, evaluations)
+    return OptimizationResult(best_point, report.K, report, status, evaluations,
+                              infeasible, rounds, converged)
 
 
 # --------------------------------------------------------------------------

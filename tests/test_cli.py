@@ -424,6 +424,11 @@ _AXIS = _TINY_SWEEP["sweep"]
      "the block size 'N' in a sweep scenario must be a whole number, got '1e6'"),
     ({**_TINY_SWEEP, "schemes": {"kind": "single"}},
      "the scheme list 'schemes' in a sweep scenario must be a list"),
+    ({**_TINY_SWEEP, "schemes": []}, "the scheme list 'schemes' in a sweep scenario "
+                                     "must be a list of at least one scheme, got []"),
+    ({**_MC, "schemes": []}, "the scheme list 'schemes' in a montecarlo scenario must be "
+                             "a list of at least one of 'single' or 'double' or "
+                             "'modified', got []"),
     ({**_TINY_SWEEP, "sweep": [10.0, 30.0]}, "'sweep' must be a JSON object"),
     ({**_TINY_SWEEP, "sweep": {**_AXIS, "min": 0}},
      "'sweep' must run from min > 0 up to max > min, got min=0.0, max=30.0"),
@@ -435,8 +440,8 @@ _AXIS = _TINY_SWEEP["sweep"]
      "'t_grid' needs at least 2 points, got points=1"),
 ], ids=["no-schemes", "no-trials", "no-seed", "no-template", "points-word",
         "points-string", "points-fraction", "beta-bool", "N-string",
-        "schemes-object", "axis-list", "axis-from-zero", "axis-one-point",
-        "t-grid-from-zero", "t-grid-one-point"])
+        "schemes-object", "sweep-schemes-empty", "mc-schemes-empty", "axis-list",
+        "axis-from-zero", "axis-one-point", "t-grid-from-zero", "t-grid-one-point"])
 def test_scenario_reader_names_the_bad_key(capsys, tmp_path, scenario, message):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))

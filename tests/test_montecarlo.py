@@ -12,6 +12,7 @@ import pytest
 
 from cvqkd import (
     ChannelParams,
+    FiberModel,
     SourceParams,
     Protocol,
     ProtocolParams,
@@ -23,11 +24,14 @@ from cvqkd import (
     estimate_T,
     estimate_Veps,
     run_trials,
+    theoretical_noise_limit,
     validate_variance_models,
     variance_model,
+    excess_noise_from_fiber,
+    ValidationRow,
 )
 from cvqkd.estimation import _t_estimate, _veps_estimate
-from cvqkd.montecarlo import _arm_means
+from cvqkd.montecarlo import _BATCH_TRIALS, _arm_means, _row_seed
 from matrix_reference import build_eb_covariance
 from sample_reference import reference_estimates, simulate_transmission
 
@@ -390,6 +394,35 @@ def test_validation_grid_deterministic():
     a = validate_variance_models([0.1, 0.9], _GRID_PROTOCOLS, src, 2000, 25, 32)
     b = validate_variance_models([0.1, 0.9], _GRID_PROTOCOLS, src, 2000, 25, 32)
     assert a == b
+
+
+# a modified scheme with round(r N) = 0 at N = 2000 draws the double
+# scheme's one arm
+_BATCH_PROTOCOLS = _GRID_PROTOCOLS + (Protocol("modified", 3.0, 10.0, 1e-4),)
+
+
+@pytest.mark.parametrize("trials", [2, 35, _BATCH_TRIALS // 2, _BATCH_TRIALS + 1],
+                         ids=["2", "35", "two-rows-a-batch", "a-row-a-batch"])
+def test_validation_rows_equal_lone_runs(trials):
+    # the stacked batches against the one-row reference: each row is what
+    # run_trials gives on the row's own configuration and seed
+    src, N, seed, t_grid = SourceParams(1.0), 2000, 33, [0.05, 0.3, 0.9]
+    rows = validate_variance_models(t_grid, _BATCH_PROTOCOLS, src, N, trials, seed)
+    expected = []
+    for s_idx, protocol in enumerate(_BATCH_PROTOCOLS):
+        for t_idx, T in enumerate(t_grid):
+            channel = ChannelParams(T, excess_noise_from_fiber(T, FiberModel()))
+            config = TrialConfig(channel, src, protocol, N, trials,
+                                 _row_seed(seed, s_idx, t_idx))
+            stats = run_trials(config)
+            expected.append(ValidationRow(
+                protocol.kind, T, float(config.disclosed if protocol.kind == "single" else N),
+                stats.model.s, stats.std_Veps, stats.rel_err_Veps, stats.model.sigma,
+                stats.std_T, stats.rel_err_T, theoretical_noise_limit(channel, float(N))))
+    assert len(rows) == len(expected) == 12
+    for row, reference in zip(rows, expected):
+        assert dataclasses.astuple(row) == dataclasses.astuple(reference)
+    assert validate_variance_models([], _BATCH_PROTOCOLS, src, N, trials, seed) == []
 
 
 @pytest.mark.parametrize("seed", [-1, 2.0, True, "7"])

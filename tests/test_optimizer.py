@@ -32,7 +32,8 @@ from cvqkd import (
     ExponentialFit,
     asymptotic_key_rate,
 )
-from cvqkd import numeric
+from cvqkd import numeric, optimizer
+from cvqkd.cli import load_preset
 from cvqkd.estimation import ConfidenceBounds, VarianceModel
 from cvqkd.keyrate import KeyRateReport, SymplecticSpectrum, _asymptotic_key_rate
 from cvqkd.optimizer import _planning_rate
@@ -252,6 +253,45 @@ def test_search_path_is_pinned(problem, point, K, evaluations):
     result = optimize_key_rate(OptimizationProblem(_channel(T), _params(v_s, kind, N)))
     assert (result.point, result.K, result.evaluations) == (point, K, evaluations)
     assert result.report.K == K
+
+
+def test_infeasible_points_are_counted_by_reason(monkeypatch):
+    # no shipped problem mixes feasible and infeasible points, so the rate
+    # is wrapped to refuse the strongest modulations under two reasons
+    refused = Counter()
+
+    def refusing(problem, _real=optimizer._planning_rate):
+        rate = _real(problem)
+
+        def wrapped(v, v2, r):
+            if v > 30.0:
+                reason = f"v > 30 at r {'<' if r < 0.1 else '>='} 0.1"
+                refused[reason] += 1
+                raise ValueError(reason)
+            return rate(v, v2, r)
+        return wrapped
+
+    monkeypatch.setattr(optimizer, "_planning_rate", refusing)
+    problem = OptimizationProblem(_channel(0.3), _params(1.0, "single", 10**7))
+    result = optimize_key_rate(problem)
+    assert result.infeasible == refused and len(refused) == 2
+    assert 0 < sum(result.infeasible.values()) < result.evaluations
+
+
+def test_refinement_reports_rounds_and_convergence(monkeypatch):
+    # every scheme of the distance_sweep preset at its farthest distance
+    scenario = load_preset("distance_sweep")
+    channel = channel_at_distance(scenario["sweep"]["max"], FiberModel(**scenario["fiber"]))
+    for entry in scenario["schemes"]:
+        result = optimize_key_rate(OptimizationProblem(
+            channel, _params(entry["v_s"], entry["kind"], int(scenario["N"]))))
+        assert result.converged and 1 <= result.rounds < 30
+        assert result.infeasible == Counter()
+    # a tolerance no round can meet runs to the round cap
+    monkeypatch.setattr(optimizer, "_TOL", -1.0)
+    problem = OptimizationProblem(_channel(0.3), _params(1.0, "single", 10**7))
+    result = optimize_key_rate(problem)
+    assert (result.rounds, result.converged) == (30, False)
 
 
 def test_optimized_beats_fixed_operating_point():

@@ -4,7 +4,8 @@ Runs, in this process and into a work directory, the five sweep presets,
 a T-axis sweep scenario, the ``variance_validation`` Monte Carlo preset as
 shipped (1000 trials per row), and a fixed set of
 ``keyrate``/``optimize``/``maxdist`` queries covering all three schemes,
-``--ideal-bounds`` and ``--corner-search``.
+``--ideal-bounds`` and ``--corner-search``; then the Monte Carlo preset
+again at 35 and at 70,000 trials per row, whose lines follow the others.
 Paths are printed relative to the work directory, and the timestamp of
 each JSON manifest is blanked before hashing, so two trees print the
 same lines exactly when their outputs are byte-identical. Uses only the
@@ -42,6 +43,9 @@ T_SWEEP = {"command": "sweep", "name": "t_axis", "N": 1000000,
                      "spacing": "log"},
            "schemes": [{"kind": "single"}, {"kind": "modified", "v_s": 0.5}]}
 MC_ARGS = ("montecarlo", "--preset", "variance_validation")
+# the trial count of the benchmark's 25 s montecarlo workload, and one
+# above the 2**16 trials of a stacked batch, where each row runs alone
+MC_TRIALS = ("35", "70000")
 QUERIES = (
     ("keyrate", "--T", "0.3"),
     ("keyrate", "--d", "76", "--scheme", "double", "--vs", "0.1", "--N", "1e6"),
@@ -102,9 +106,18 @@ def produce(work: str) -> tuple[list[str], list[str]]:
         out = os.path.join(work, "query", f"{index:02d}_{argv[0]}.json")
         if not _run(argv + ("--out", out)):
             failed.append(" ".join(argv))
-    paths = sorted(os.path.join(root, name) for root, _, names in os.walk(work)
-                   for name in names)
+    paths = _files(work)
+    for trials in MC_TRIALS:
+        out = os.path.join(work, f"montecarlo_{trials}")
+        if not _run(MC_ARGS + ("--trials", trials, "--out", out)):
+            failed.append(" ".join(MC_ARGS + ("--trials", trials)))
+        paths += _files(out)
     return paths, failed
+
+
+def _files(top: str) -> list[str]:
+    return sorted(os.path.join(root, name) for root, _, names in os.walk(top)
+                  for name in names)
 
 
 def main() -> int:
