@@ -48,9 +48,7 @@ from .estimation import (
     ideal_bounds,
 )
 from .keyrate import (
-    SymplecticSpectrum,
     KeyRateReport,
-    von_neumann_entropy,
     mutual_information,
     holevo_bound,
     asymptotic_key_rate,
@@ -93,10 +91,10 @@ __all__ = [
     "estimate_T", "estimate_Veps", "estimation_arms", "variance_model",
     "confidence_coefficient", "confidence_bounds", "expected_bounds",
     "ideal_bounds",
-    "SymplecticSpectrum", "KeyRateReport", "von_neumann_entropy",
-    "mutual_information", "holevo_bound", "asymptotic_key_rate",
-    "finite_size_correction", "finite_key_rate", "worst_case_corner",
-    "theoretical_noise_limit", "theoretical_key_rate_limit",
+    "KeyRateReport", "mutual_information", "holevo_bound",
+    "asymptotic_key_rate", "finite_size_correction", "finite_key_rate",
+    "worst_case_corner", "theoretical_noise_limit",
+    "theoretical_key_rate_limit",
     "TrialConfig", "EmpiricalStats", "ValidationRow", "run_trials",
     "validate_variance_models",
     "OptimizationProblem", "OptimizationResult", "ExponentialFit",

@@ -527,7 +527,8 @@ class SystemExit2(Exception):
 def _add_channel_flags(sub) -> None:
     where = sub.add_mutually_exclusive_group(required=False)
     where.add_argument("--T", type=float, help="channel transmittance")
-    where.add_argument("--d", type=float, help="fiber length in km (0.2 dB/km)")
+    where.add_argument("--d", type=float, help="fiber length in km "
+                       f"({FiberModel.attenuation_db_per_km:g} dB/km)")
     noise = sub.add_mutually_exclusive_group(required=False)
     noise.add_argument("--veps", type=float, help="excess noise in shot-noise units")
     noise.add_argument("--eps-ratio", type=float, default=FiberModel().eps_ratio,

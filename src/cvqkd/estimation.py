@@ -29,7 +29,6 @@ never loads it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -71,9 +70,6 @@ class SampleSet:
                  "quadrature record must be numeric")
         object.__setattr__(self, "M", m)
         object.__setattr__(self, "B", b)
-
-    def __len__(self) -> int:
-        return int(self.M.size)
 
 
 def _require_variances(sigma_sq: float, s_sq: float) -> None:
@@ -121,6 +117,8 @@ class ConfidenceBounds:
     def __post_init__(self):
         _require(_finite(self.T_low), "T_low must be finite")
         _require(_finite(self.veps_up), "veps_up must be finite")
+        _require(self.T_up is None or _finite(self.T_up), "T_up must be finite")
+        _require(self.veps_low is None or _finite(self.veps_low), "veps_low must be finite")
         _require(_finite(self.z) and self.z >= 0.0, "z must be >= 0")
 
 
@@ -272,15 +270,9 @@ def confidence_coefficient(delta: float) -> float:
     leaves total tail probability ``delta``."""
     _require(_finite(delta) and 0.0 < delta < 1.0,
              f"delta must lie in (0, 1), got {delta!r}")
-    z = _two_sided_quantile(float(delta))
+    z = -_ndtri(float(delta) / 2.0)
     _require(math.isfinite(z), f"delta = {delta!r} is too small: delta / 2 underflows to 0")
     return z
-
-
-# an optimisation asks for the same delta hundreds of times
-@functools.lru_cache(maxsize=64)
-def _two_sided_quantile(delta: float) -> float:
-    return -_ndtri(delta / 2.0)
 
 
 # Lower half of the cephes normal quantile ``ndtri`` (Moshier), transcribed

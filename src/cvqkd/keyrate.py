@@ -54,17 +54,6 @@ def _thermal_entropy_bits(x: float) -> float:
     return ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LOG2
 
 
-@dataclass(frozen=True)
-class SymplecticSpectrum:
-    """Symplectic eigenvalues of a bona fide covariance matrix."""
-
-    nus: tuple[float, ...]
-
-    def __post_init__(self):
-        _require(len(self.nus) >= 1, "a spectrum cannot be empty")
-        _require_bona_fide(self.nus)
-
-
 def _require_bona_fide(nus) -> None:
     for nu in nus:
         _require(_finite(nu), "symplectic eigenvalues must be finite")
@@ -90,12 +79,8 @@ def _symplectic_pair(delta: float, disc: float,
     return nu_plus, nu_minus
 
 
-def von_neumann_entropy(spectrum: SymplecticSpectrum) -> float:
-    """Entropy in bits of the Gaussian state with the given spectrum."""
-    return _entropy_bits(spectrum.nus)
-
-
 def _entropy_bits(nus) -> float:
+    """Entropy in bits of the Gaussian state with symplectic spectrum ``nus``."""
     return sum(_thermal_entropy_bits((nu - 1.0) / 2.0) for nu in nus)
 
 
@@ -151,8 +136,8 @@ def holevo_bound(channel: ChannelParams, source: SourceParams,
 
     Evaluated in scalars with the checks and the floating-point operations
     of the 4x4 matrix route in ``tests/matrix_reference.py``
-    (``build_eb_covariance``, ``symplectic_eigenvalues``) followed by
-    :func:`von_neumann_entropy`; the tests require the two to agree with
+    (``build_eb_covariance``, ``symplectic_eigenvalues``) followed by the
+    entropy of each spectrum; the tests require the two to agree with
     ``==``.
     """
     return _holevo_bound(channel.T, channel.v_eps, source.v_s, v_mod_x, v_mod_p)
@@ -249,11 +234,9 @@ def worst_case_corner(bounds: ConfidenceBounds, channel: ChannelParams,
         (t_up, bounds.veps_up),
         (t_up, v_low),
     ]
-    rates = []
-    for t_c, v_c in corners:
-        ch = ChannelParams(min(max(t_c, 0.0), 1.0), max(v_c, 0.0))
-        k, _, _ = asymptotic_key_rate(ch, source, v_key, beta)
-        rates.append(k)
+    rates = [_asymptotic_key_rate(min(max(t_c, 0.0), 1.0), max(v_c, 0.0), source.v_s,
+                                  v_key, beta)[0]
+             for t_c, v_c in corners]
     i_min = min(range(4), key=lambda i: rates[i])
     return corners[i_min][0], corners[i_min][1], i_min == 0
 

@@ -264,30 +264,26 @@ class ExponentialFit:
 
 
 def fit_power_law(x_values, y_values) -> PowerLawFit:
-    """Least squares on the logs. All values must be positive."""
+    """Least squares on the logs: :func:`fit_exponential_decay` of ``y``
+    against ``log10 x``, whose decay constant is ``-gamma``. All values
+    must be positive."""
     import numpy as np
 
     x = np.asarray(x_values, dtype=np.float64)
-    y = np.asarray(y_values, dtype=np.float64)
-    _require(x.size == y.size and x.size >= 2, "a fit needs at least 2 points")
-    _require(bool(np.all(x > 0.0)) and bool(np.all(y > 0.0)),
-             "power-law fitting needs positive values")
-    lx = np.log10(x)
-    ly = np.log10(y)
-    gamma, intercept = np.polyfit(lx, ly, 1)
-    residual = float(np.max(np.abs(ly - (gamma * lx + intercept))))
-    return PowerLawFit(alpha=float(10.0 ** intercept), gamma=float(gamma),
-                       residual=residual)
+    _require(bool(np.all(x > 0.0)), "power-law fitting needs positive x values")
+    fit = fit_exponential_decay(np.log10(x), y_values)
+    return PowerLawFit(alpha=fit.a, gamma=-fit.kappa, residual=fit.residual)
 
 
 def fit_exponential_decay(x_values, y_values) -> ExponentialFit:
-    """Least squares of ``log10 y`` against ``x``. Values must be positive."""
+    """Least squares of ``log10 y`` against ``x``. The y values must be
+    positive."""
     import numpy as np
 
     x = np.asarray(x_values, dtype=np.float64)
     y = np.asarray(y_values, dtype=np.float64)
     _require(x.size == y.size and x.size >= 2, "a fit needs at least 2 points")
-    _require(bool(np.all(y > 0.0)), "exponential fitting needs positive values")
+    _require(bool(np.all(y > 0.0)), "fitting log10 y needs positive y values")
     ly = np.log10(y)
     slope, intercept = np.polyfit(x, ly, 1)
     residual = float(np.max(np.abs(ly - (slope * x + intercept))))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cvqkd.keyrate import SymplecticSpectrum, _eb_entries, _symplectic_pair
+from cvqkd.keyrate import _eb_entries, _require_bona_fide, _symplectic_pair
 from cvqkd.model import ChannelParams, SourceParams, _require
 
 
@@ -44,8 +44,9 @@ def _det2(m: np.ndarray) -> float:
     return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
-def symplectic_eigenvalues(cov: CovarianceMatrix2Mode) -> SymplecticSpectrum:
-    """Symplectic spectrum of a two-mode covariance matrix.
+def symplectic_eigenvalues(cov: CovarianceMatrix2Mode) -> tuple[float, float]:
+    """Symplectic spectrum ``(nu_plus, nu_minus)`` of a two-mode covariance
+    matrix, refused unless it is bona fide.
 
     The two invariants are evaluated from the product of the x and p
     sector matrices, whose discriminant stays numerically exact when the
@@ -62,7 +63,9 @@ def symplectic_eigenvalues(cov: CovarianceMatrix2Mode) -> SymplecticSpectrum:
     delta = m11 + m22
     disc = (m11 - m22) ** 2 + 4.0 * m12 * m21
     det_gamma = max(_det2(gx), 0.0) * max(_det2(gp), 0.0)
-    return SymplecticSpectrum(_symplectic_pair(delta, disc, det_gamma))
+    nus = _symplectic_pair(delta, disc, det_gamma)
+    _require_bona_fide(nus)
+    return nus
 
 
 def build_eb_covariance(channel: ChannelParams, source: SourceParams,

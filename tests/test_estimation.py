@@ -14,6 +14,7 @@ from cvqkd import (
     ProtocolParams,
     SampleSet,
     VarianceModel,
+    ConfidenceBounds,
     estimate_covariance,
     estimate_T,
     estimate_Veps,
@@ -160,6 +161,11 @@ def test_variance_single_rejects_degenerate_inputs():
         variance_model(ChannelParams(0.5, 0.0), SourceParams(1.0), ((0.0, 3.0, 0.0),))
     with pytest.raises(ValueError):
         variance_model(ChannelParams(0.5, 0.0), SourceParams(1.0), ())
+    # the noise term (2/m) vn^2 overflows while the transmittance term does not
+    with pytest.raises(ValueError, match="s_sq must be >= 0, got inf"):
+        variance_model(ChannelParams(0.5, 1e200), SourceParams(1.0), ((100.0, 3.0, 0.0),))
+    with pytest.raises(ValueError, match="s_sq must be >= 0"):
+        VarianceModel(0.0, -1.0)
 
 
 def test_arm_model_refusals():
@@ -396,6 +402,17 @@ def test_confidence_bounds_clamps_transmittance_only():
     assert b.T_low == 0.0                # clamped: negative T is unphysical
     assert b.veps_up > 6.0               # raw margin, no clamping
     assert b.veps_low < 0.0              # the other side stays raw too
+
+
+def test_confidence_bounds_refuse_a_non_finite_side():
+    sides = {"T_low": 0.18, "veps_up": 0.004, "T_up": 0.22, "veps_low": 0.0}
+    for field, value in (("T_low", math.nan), ("veps_up", math.inf), ("T_up", math.nan),
+                         ("T_up", math.inf), ("veps_low", -math.inf), ("veps_low", math.nan)):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ConfidenceBounds(**{**sides, field: value}, z=6.5)
+    # the far side may be left out
+    b = ConfidenceBounds(T_low=0.18, veps_up=0.004, z=6.5)
+    assert b.T_up is None and b.veps_low is None
 
 
 def test_ideal_bounds_degenerate():

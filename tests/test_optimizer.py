@@ -1,6 +1,7 @@
 """Parameter search, scaling fits and the block-size range bound."""
 
 import inspect
+import itertools
 import math
 import random
 from collections import Counter
@@ -35,7 +36,7 @@ from cvqkd import (
 from cvqkd import numeric, optimizer
 from cvqkd.cli import load_preset
 from cvqkd.estimation import ConfidenceBounds, VarianceModel
-from cvqkd.keyrate import KeyRateReport, SymplecticSpectrum, _asymptotic_key_rate
+from cvqkd.keyrate import KeyRateReport, _asymptotic_key_rate
 from cvqkd.optimizer import _planning_rate
 
 
@@ -58,6 +59,14 @@ def test_power_law_fit_recovers_synthetic_data():
     assert fit.alpha == pytest.approx(37.5, rel=1e-10)
     assert fit.gamma == pytest.approx(-0.41, abs=1e-12)
     assert fit.residual < 1e-12
+
+
+def test_power_law_fit_bits_are_pinned():
+    # no digested output runs this fit, so its bits are held here
+    x = np.logspace(4, 9, 12)
+    fit = fit_power_law(x, 37.5 * x ** -0.41)
+    assert (fit.alpha.hex(), fit.gamma.hex(), fit.residual.hex()) == (
+        "0x1.2c00000000008p+5", "-0x1.a3d70a3d70a3ep-2", "0x1.6000000000000p-51")
 
 
 def test_exponential_fit_recovers_synthetic_data():
@@ -210,7 +219,7 @@ def test_asymptotic_core_equals_reference(T, v_eps, v_s, v, beta):
 
 # every construction of these runs its class's checks
 _VALIDATED = (Protocol, ProtocolParams, ChannelParams, VarianceModel, ConfidenceBounds,
-              SymplecticSpectrum, KeyRateReport)
+              KeyRateReport)
 
 
 def test_optimize_validates_once_per_problem(monkeypatch):
@@ -276,6 +285,26 @@ def test_infeasible_points_are_counted_by_reason(monkeypatch):
     result = optimize_key_rate(problem)
     assert result.infeasible == refused and len(refused) == 2
     assert 0 < sum(result.infeasible.values()) < result.evaluations
+
+
+def test_all_infeasible_error_counts_the_other_reasons(monkeypatch):
+    # every point refused under five reasons in turn: the error names the
+    # three commonest and counts the rest
+    calls = itertools.count()
+
+    def refusing(problem):
+        def wrapped(v, v2, r):
+            raise ValueError(f"reason {next(calls) % 5}")
+        return wrapped
+
+    monkeypatch.setattr(optimizer, "_planning_rate", refusing)
+    problem = OptimizationProblem(_channel(0.3), _params(1.0, "single", 10**7))
+    with pytest.raises(ValueError) as refused:
+        optimize_key_rate(problem)
+    assert str(refused.value) == (
+        "every grid point was infeasible; check the channel and block size: "
+        "reason 0 (32 of 157 points); reason 1 (32 of 157 points); "
+        "reason 2 (31 of 157 points); 2 other reasons")
 
 
 def test_refinement_reports_rounds_and_convergence(monkeypatch):
@@ -387,8 +416,9 @@ def test_zero_crossing_requires_modified_scheme():
 
 
 def test_zero_crossing_found_for_each_squeezing():
-    # claimed for every squeezing strength; the coherent boundary case
-    # never discloses at any live transmittance, so this raises instead
+    # claimed for every squeezing strength; for the coherent source the
+    # optimum keeps disclosing down to the dead zone, so this raises
+    # "disclosure persists down to the dead zone; no crossing" instead
     for vs in (1.0, 0.5, 0.1):
         template = OptimizationProblem(_channel(0.5), _params(vs, "modified", 10**6))
         t_star = optimal_ratio_zero_crossing(template, iterations=8)
@@ -452,6 +482,16 @@ def test_linspace_is_numpys_bit_for_bit():
         assert _bits(numeric.linspace(lo, hi, n)) == _bits(np.linspace(lo, hi, n))
     with pytest.raises(ValueError):
         numeric.linspace(0.0, 1.0, 1)
+
+
+def test_grids_refuse_what_they_cannot_span():
+    with pytest.raises(ValueError, match="at least 2 points"):
+        numeric.log_grid(1.0, 10.0, 1)
+    for lo, hi in ((0.0, 1.0), (2.0, 1.0), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="0 < lo < hi"):
+            numeric.log_grid(lo, hi, 5)
+    with pytest.raises(ValueError, match="at least 2 grid points"):
+        numeric.grid_then_golden_max(lambda x: -x * x, [1.0])
 
 
 # --------------------------------------------------------------------------
