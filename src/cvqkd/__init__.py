@@ -71,6 +71,7 @@ from .optimizer import (
     ExponentialFit,
     PowerLawFit,
     optimize_key_rate,
+    optimize_each,
     evaluate_point,
     fit_power_law,
     fit_exponential_decay,
@@ -98,8 +99,8 @@ __all__ = [
     "TrialConfig", "EmpiricalStats", "ValidationRow", "run_trials",
     "validate_variance_models",
     "OptimizationProblem", "OptimizationResult", "ExponentialFit",
-    "PowerLawFit", "optimize_key_rate", "evaluate_point", "fit_power_law",
-    "fit_exponential_decay", "optimal_ratio_curve",
+    "PowerLawFit", "optimize_key_rate", "optimize_each", "evaluate_point",
+    "fit_power_law", "fit_exponential_decay", "optimal_ratio_curve",
     "optimal_ratio_zero_crossing", "fit_exponential_keyrate",
     "max_distance",
 ]

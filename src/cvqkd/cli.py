@@ -60,7 +60,7 @@ from .estimation import expected_bounds, ideal_bounds
 from .keyrate import finite_key_rate, theoretical_key_rate_limit
 from .montecarlo import _whole, validate_variance_models
 from .optimizer import (FIT_POINTS, FIT_WINDOW_KM, FREE, LEGACY, ExponentialFit,
-                        OptimizationProblem, optimize_key_rate,
+                        OptimizationProblem, optimize_each, optimize_key_rate,
                         fit_exponential_keyrate, max_distance)
 
 EXIT_OK = 0
@@ -264,11 +264,14 @@ def _sweep_points(s: dict) -> list[tuple]:
 # ------------------------------------------------------------------
 
 def run_sweep(scenario: dict, out_dir: str) -> list[str]:
-    """One CSV per scheme entry; returns the paths written."""
+    """One CSV per scheme entry; returns the paths written.
+
+    Every row is computed before any file is written, so a sweep writes
+    all of its CSVs or none."""
     s = _read(scenario, _SWEEP, "a sweep scenario")
     beta, delta, delta_star = s["beta"], s["delta"], s["delta_star"]
     # the two benchmark columns depend on the point, not on the scheme; a
-    # bad budget is refused here, before any output exists
+    # bad budget is refused here, before any optimization
     points = []
     for value, channel, n_block in _sweep_points(s):
         legacy = ProtocolParams(SourceParams(v_s=1.0), LEGACY, n_block, beta,
@@ -276,24 +279,26 @@ def run_sweep(scenario: dict, out_dir: str) -> list[str]:
         points.append((value, channel, n_block,
                        theoretical_key_rate_limit(channel, n_block, beta, delta_star),
                        finite_key_rate(legacy, channel, expected_bounds(channel, legacy)).K))
+    # v and r are searched; 0.0 only holds their place
+    problems = [OptimizationProblem(channel, ProtocolParams(
+                    SourceParams(entry["v_s"]), Protocol(entry["kind"], v=0.0),
+                    n_block, beta, delta, delta_star))
+                for entry in s["schemes"] for _, channel, n_block, _, _ in points]
+    results = iter(optimize_each(problems))
     manifest = make_manifest(scenario, s["seed"])
 
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for entry in s["schemes"]:
-        kind, source = entry["kind"], SourceParams(entry["v_s"])
-        # v and r are searched; 0.0 only holds their place
-        protocol = Protocol(kind, v=0.0)
         rows = []
-        for value, channel, n_block, k_th, k_legacy in points:
-            params = ProtocolParams(source, protocol, n_block, beta, delta, delta_star)
-            result = optimize_key_rate(OptimizationProblem(channel, params))
+        # each entry takes the next len(points) results
+        for (value, _, _, k_th, k_legacy), result in zip(points, results):
             report = result.report
             rows.append((value, report.K, report.K_inf, report.I_AB,
                          report.chi_BE, report.Delta_n, report.T_low,
                          report.veps_up, result.point["v"],
                          result.point.get("r", 0.0), k_th, k_legacy))
-        path = os.path.join(out_dir, f"{s['name']}_{kind}_vs{source.v_s:g}.csv")
+        path = os.path.join(out_dir, f"{s['name']}_{entry['kind']}_vs{entry['v_s']:g}.csv")
         _write_csv(path, manifest, _SWEEP_COLUMNS, rows)
         paths.append(path)
     return paths

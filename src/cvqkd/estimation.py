@@ -105,7 +105,8 @@ class ConfidenceBounds:
     side of the box for optional corner searches.
 
     ``z = 0`` marks degenerate bounds that simply restate the point
-    estimates (the idealised no-uncertainty evaluation).
+    estimates (the idealised no-uncertainty evaluation). The far side may
+    be left out; when given, ``T_low <= T_up`` and ``veps_low <= veps_up``.
     """
 
     T_low: float
@@ -120,6 +121,11 @@ class ConfidenceBounds:
         _require(self.T_up is None or _finite(self.T_up), "T_up must be finite")
         _require(self.veps_low is None or _finite(self.veps_low), "veps_low must be finite")
         _require(_finite(self.z) and self.z >= 0.0, "z must be >= 0")
+        # an inverted box would let a corner search rate a point outside it
+        _require(self.T_up is None or self.T_low <= self.T_up,
+                 f"T_up must be >= T_low = {self.T_low!r}, got {self.T_up!r}")
+        _require(self.veps_low is None or self.veps_low <= self.veps_up,
+                 f"veps_low must be <= veps_up = {self.veps_up!r}, got {self.veps_low!r}")
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from cvqkd import (ChannelParams, FiberModel, OptimizationProblem, Protocol,
-                   ProtocolParams, SourceParams, cli, optimize_key_rate)
+                   ProtocolParams, SourceParams, cli, optimize_key_rate, optimizer)
 from cvqkd.model import KINDS
 from cvqkd.cli import (main_entry, scenario_digest, preset_names, load_preset,
                        run_sweep)
@@ -200,7 +201,8 @@ _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import cvqkd.cli
 report = {
-    "loaded": [m for m in ("scipy", "numpy", "concurrent.futures") if m in sys.modules],
+    "loaded": [m for m in ("scipy", "numpy", "concurrent", "multiprocessing")
+               if m in sys.modules],
     "missing": [layer for layer in ("model", "estimation", "keyrate", "montecarlo",
                                     "optimizer", "cli")
                 if f"cvqkd.{layer}" not in sys.modules],
@@ -371,6 +373,54 @@ def test_n_axis_sweep_from_two_samples_runs_a_scheme_without_r(tmp_path):
                 "schemes": [{"kind": "double"}]}
     assert main_entry(_sweep_argv(tmp_path, scenario)) == 0
     assert len((tmp_path / "n2_double_vs1.csv").read_text().splitlines()) == 2 + 3
+
+
+def test_sweep_refused_mid_list_writes_no_csv(capsys, tmp_path):
+    # the double entry runs from N = 2; the single one cannot search r there
+    scenario = {"command": "sweep", "name": "n2", "channel": {"T": 0.5},
+                "sweep": {"variable": "N", "min": 2, "max": 1000, "points": 3,
+                          "spacing": "log"},
+                "schemes": [{"kind": "double"}, {"kind": "single"}]}
+    assert main_entry(_sweep_argv(tmp_path, scenario)) == 1
+    assert ("block size N = 2 is too small to search the disclosed fraction r"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+_THREE_KINDS = {"command": "sweep", "name": "kinds", "N": 10**7,
+                "sweep": {"variable": "d", "min": 10.0, "max": 60.0, "points": 3},
+                "schemes": [{"kind": "single"}, {"kind": "double", "v_s": 0.5},
+                            {"kind": "modified", "v_s": 0.1}]}
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_sweep_on_worker_processes_matches_one_cpu(monkeypatch, tmp_path):
+    runs = []
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        paths = run_sweep(_THREE_KINDS, str(tmp_path / f"cpus{cpus}"))
+        assert not multiprocessing.active_children()
+        runs.append([(Path(path).name, Path(path).read_bytes()) for path in paths])
+    assert len(runs[0]) == 3 and runs[0] == runs[1]
+
+
+def test_sweep_joins_its_workers_when_a_row_fails(monkeypatch, tmp_path):
+    def refusing(problem):
+        def rate(v, v2, r):
+            raise ValueError("refused")
+        return rate
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(optimizer, "_planning_rate", refusing)
+    with pytest.raises(ValueError) as refused:
+        run_sweep(_THREE_KINDS, str(tmp_path))
+    assert str(refused.value) == ("every grid point was infeasible; check the channel "
+                                  "and block size: refused (157 of 157 points)")
+    assert not multiprocessing.active_children()
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_t_axis_sweep_rows_are_the_optimum_at_each_transmittance(tmp_path):

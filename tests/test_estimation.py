@@ -415,6 +415,22 @@ def test_confidence_bounds_refuse_a_non_finite_side():
     assert b.T_up is None and b.veps_low is None
 
 
+def test_confidence_bounds_refuse_an_inverted_box():
+    with pytest.raises(ValueError, match=r"T_up must be >= T_low = 0\.3, got 0\.1"):
+        ConfidenceBounds(T_low=0.3, veps_up=0.001, z=6.5, T_up=0.1, veps_low=0.0)
+    with pytest.raises(ValueError, match=r"veps_low must be <= veps_up = 0\.001, got 0\.05"):
+        ConfidenceBounds(T_low=0.1, veps_up=0.001, z=6.5, T_up=0.3, veps_low=0.05)
+    # a degenerate box is a box
+    b = ConfidenceBounds(T_low=0.2, veps_up=0.001, z=0.0, T_up=0.2, veps_low=0.001)
+    assert b.T_low == b.T_up and b.veps_low == b.veps_up
+    # a negative estimate whose margin stays below 0: T_low clamps to 0
+    # above T_up, so the box is refused
+    with pytest.raises(ValueError, match="T_up must be >= T_low = 0.0"):
+        confidence_bounds(-1.0, 0.0, VarianceModel(0.01, 0.01), 1e-10)
+    b = confidence_bounds(-0.01, 0.0, VarianceModel(0.01, 0.01), 1e-10)
+    assert b.T_low == 0.0 < b.T_up
+
+
 def test_ideal_bounds_degenerate():
     ch = ChannelParams(0.37, 0.004)
     b = ideal_bounds(ch)

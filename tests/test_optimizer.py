@@ -1,8 +1,11 @@
 """Parameter search, scaling fits and the block-size range bound."""
 
+import concurrent.futures
 import inspect
 import itertools
 import math
+import multiprocessing
+import os
 import random
 from collections import Counter
 from dataclasses import replace
@@ -23,6 +26,7 @@ from cvqkd import (
     finite_size_correction,
     OptimizationProblem,
     optimize_key_rate,
+    optimize_each,
     evaluate_point,
     optimal_ratio_curve,
     optimal_ratio_zero_crossing,
@@ -384,6 +388,72 @@ def test_ratio_curve_needs_live_points():
     template = OptimizationProblem(_channel(0.03), _params(1.0, "single", 1000))
     with pytest.raises(ValueError):
         optimal_ratio_curve(template, [1e5, 3e5])
+
+
+# --------------------------------------------------------------------------
+# independent problems on worker processes
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_optimize_each_equals_the_in_process_loop(monkeypatch):
+    problems = [OptimizationProblem(_channel(T), _params(v_s, kind, N))
+                for T, v_s, kind, N in [(0.3, 1.0, "single", 10**6),
+                                        (0.1, 0.5, "double", 10**8),
+                                        (0.2, 0.1, "modified", 10**7),
+                                        (0.05, 1.0, "single", 10**9)]]
+    expected = [optimize_key_rate(problem) for problem in problems]
+    _cpus(monkeypatch, 2)
+    assert optimize_each(problems) == expected
+    assert optimize_each(iter(problems)) == expected
+    assert optimize_each([]) == []
+    assert not multiprocessing.active_children()
+
+
+def test_optimize_each_raises_the_first_refusal_in_order(monkeypatch):
+    # every point refused: T = 0 leaves nothing to estimate, r = 0 no sample
+    opaque = OptimizationProblem(ChannelParams(0.0, 0.0), _params(1.0, "single", 10**6))
+    no_sample = OptimizationProblem(_channel(0.3), ProtocolParams(
+        SourceParams(1.0), Protocol("single", 1.0, r=0.0), 10**6), free=("v",))
+    live = OptimizationProblem(_channel(0.3), _params(1.0, "double", 10**6))
+    messages = {}
+    for dead in (opaque, no_sample):
+        with pytest.raises(ValueError) as alone:
+            optimize_key_rate(dead)
+        messages[dead] = str(alone.value)
+    assert messages[opaque] != messages[no_sample]
+    _cpus(monkeypatch, 2)
+    for first, second in ((opaque, no_sample), (no_sample, opaque)):
+        with pytest.raises(ValueError) as pooled:
+            optimize_each([live, first, live, second])
+        assert str(pooled.value) == messages[first]
+        assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("cpus, problems, fork", [(1, 3, True), (2, 1, True), (2, 3, False)],
+                         ids=["one-cpu", "one-problem", "no-fork"])
+def test_optimize_each_runs_in_process_without_a_second_worker(monkeypatch, cpus,
+                                                                problems, fork):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no pool expected")
+
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    if not fork:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    batch = [OptimizationProblem(_channel(0.3), _params(1.0, "double", 10**6))] * problems
+    assert optimize_each(batch) == [optimize_key_rate(batch[0])] * problems
+
+
+def test_ratio_curve_is_the_same_on_one_cpu(monkeypatch):
+    template = OptimizationProblem(_channel(0.3), _params(1.0, "single", 1000))
+    n_values = np.logspace(5, 8, 4)
+    _cpus(monkeypatch, 2)
+    pooled = optimal_ratio_curve(template, n_values)
+    _cpus(monkeypatch, 1)
+    assert optimal_ratio_curve(template, n_values) == pooled
 
 
 # --------------------------------------------------------------------------
