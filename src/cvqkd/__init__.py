@@ -54,7 +54,6 @@ from .keyrate import (
     asymptotic_key_rate,
     finite_size_correction,
     finite_key_rate,
-    worst_case_corner,
     theoretical_noise_limit,
     theoretical_key_rate_limit,
 )
@@ -94,8 +93,7 @@ __all__ = [
     "ideal_bounds",
     "KeyRateReport", "mutual_information", "holevo_bound",
     "asymptotic_key_rate", "finite_size_correction", "finite_key_rate",
-    "worst_case_corner", "theoretical_noise_limit",
-    "theoretical_key_rate_limit",
+    "theoretical_noise_limit", "theoretical_key_rate_limit",
     "TrialConfig", "EmpiricalStats", "ValidationRow", "run_trials",
     "validate_variance_models",
     "OptimizationProblem", "OptimizationResult", "ExponentialFit",

@@ -25,9 +25,9 @@ gives a default, and the others are optional:
     t_grid        as the axis, without variable;  channel: T*, v_eps=eps_ratio*T
     template      N*, r*, v_s=1, v*, v1*, v2*;  a schemes entry: kind*, v_s=1
 
-A d or T axis needs N, an N axis a channel. Numbers must be JSON numbers,
-not strings or bools, and N, points, trials and seed whole ones. Any other
-key, at any level, is rejected by name.
+A d or T axis needs N and refuses a channel, an N axis the reverse.
+Numbers must be JSON numbers, not strings or bools, and N, points, trials
+and seed whole ones. Any other key, at any level, is rejected by name.
 
 Every output file starts with a manifest line identifying the tool
 version, a digest of the scenario that produced it, and the seed.  The
@@ -249,10 +249,14 @@ def _sweep_points(s: dict) -> list[tuple]:
     values = _axis_values(s["sweep"], "'sweep'")
     if variable == "N":
         _require(s["channel"] is not None, "an N-axis sweep needs a fixed 'channel' entry")
+        _require(s["N"] is None, "an N-axis sweep takes its block sizes from the axis; "
+                                 "remove the block size 'N'")
         T, v_eps = s["channel"]["T"], s["channel"]["v_eps"]
         channel = ChannelParams(T, fiber.eps_ratio * T if v_eps is None else v_eps)
         return [(x, channel, int(round(float(x)))) for x in values]
     _require(s["N"] is not None, "a sweep over d or T needs the block size 'N'")
+    _require(s["channel"] is None, "a sweep over d or T takes its channel from the axis; "
+                                   "remove the fixed 'channel' entry")
     if variable == "d":
         return [(x, channel_at_distance(float(x), fiber), s["N"]) for x in values]
     return [(x, ChannelParams(float(x), fiber.eps_ratio * float(x)), s["N"])
@@ -278,7 +282,7 @@ def run_sweep(scenario: dict, out_dir: str) -> list[str]:
                                 delta, delta_star)
         points.append((value, channel, n_block,
                        theoretical_key_rate_limit(channel, n_block, beta, delta_star),
-                       finite_key_rate(legacy, channel, expected_bounds(channel, legacy)).K))
+                       finite_key_rate(legacy, expected_bounds(channel, legacy)).K))
     # v and r are searched; 0.0 only holds their place
     problems = [OptimizationProblem(channel, ProtocolParams(
                     SourceParams(entry["v_s"]), Protocol(entry["kind"], v=0.0),
@@ -340,15 +344,20 @@ def run_montecarlo(scenario: dict, out_dir: str,
 # single-point commands
 # ------------------------------------------------------------------
 
-def _parse_count(text: str) -> int:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan  # refused below, under the block size's own name
-    if not (math.isfinite(value) and value >= 2 and value.is_integer()):
-        # argparse shows this error's message, but not a ValueError's
-        raise argparse.ArgumentTypeError(f"block size must be a count >= 2, got {text!r}")
-    return int(value)
+def _whole_flag(what: str, least: float = -math.inf):
+    """An argparse type for a count flag: a whole number of at least
+    ``least`` in any float spelling (``1e3``), else an error that names
+    ``what``; argparse prefixes the flag."""
+    def parse(text: str) -> int:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan  # refused below, under the flag's own name
+        if not (math.isfinite(value) and value >= least and value.is_integer()):
+            # argparse shows this error's message, but not a ValueError's
+            raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
+        return int(value)
+    return parse
 
 
 def _channel_from_args(args) -> ChannelParams:
@@ -392,12 +401,8 @@ def _pinned(args) -> tuple[dict, ProtocolParams]:
 
 def _direct_report(args, channel: ChannelParams, params: ProtocolParams):
     """Evaluate the key rate at fully specified protocol parameters."""
-    if args.ideal_bounds:
-        bounds = ideal_bounds(channel)
-    else:
-        bounds = expected_bounds(channel, params)
-    return finite_key_rate(params, channel, bounds,
-                           corner_search=args.corner_search,
+    bounds = ideal_bounds(channel) if args.ideal_bounds else expected_bounds(channel, params)
+    return finite_key_rate(params, bounds, corner_search=args.corner_search,
                            with_correction=not args.ideal_bounds)
 
 
@@ -464,6 +469,8 @@ def cmd_maxdist(args) -> int:
     fiber = FiberModel(eps_ratio=args.eps_ratio)
     if (args.fit_a is None) != (args.fit_kappa is None):
         raise ValueError("--fit-a and --fit-kappa must be given together")
+    # an injected fit reports the window as its range, so both paths check it
+    _require(args.d_max > args.d_min > 0.0, "distance window must be increasing and positive")
     if args.fit_a is not None:
         # injected synthetic fit: bypasses the per-distance optimization
         fit = ExponentialFit(a=args.fit_a, kappa=args.fit_kappa,
@@ -548,7 +555,8 @@ def _add_protocol_flags(sub) -> None:
     sub.add_argument("--v1", type=float, help="key modulation variance")
     sub.add_argument("--v2", type=float, help="probe modulation variance")
     sub.add_argument("--r", type=float, help="disclosed fraction")
-    sub.add_argument("--N", type=_parse_count, default=1_000_000,
+    sub.add_argument("--N", type=_whole_flag("block size must be a count >= 2", 2),
+                     default=1_000_000,
                      help="block size (default 1e6)")
     sub.add_argument("--beta", type=float, default=DEFAULT_BETA)
     sub.add_argument("--delta", type=float, default=DEFAULT_DELTA)
@@ -573,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bypass estimation: true parameters, no "
                               "finite-size correction")
     keyrate.add_argument("--corner-search", action="store_true",
-                         help="check all four confidence-box corners")
+                         help="rate all four corners of the confidence box "
+                              "and keep the lowest")
     keyrate.set_defaults(func=cmd_keyrate)
 
     optimize = commands.add_parser("optimize",
@@ -596,10 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
     scenario = montecarlo.add_mutually_exclusive_group(required=True)
     scenario.add_argument("--preset", help="built-in scenario name")
     scenario.add_argument("--scenario", help="scenario JSON file")
-    montecarlo.add_argument("--trials", type=int,
-                            help="override the scenario trial count")
-    montecarlo.add_argument("--seed", type=int,
-                            help="override the scenario seed")
+    montecarlo.add_argument("--trials", help="override the scenario trial count",
+                            type=_whole_flag("trial count must be a whole number"))
+    montecarlo.add_argument("--seed", help="override the scenario seed",
+                            type=_whole_flag("seed must be a whole number"))
     montecarlo.add_argument("--threads", type=int,
                             help="accepted for compatibility: a whole number "
                                  ">= 1 that changes neither results nor speed")
@@ -616,7 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
     maxdist.add_argument("--eps-ratio", type=float, default=FiberModel().eps_ratio)
     maxdist.add_argument("--d-min", type=float, default=FIT_WINDOW_KM[0])
     maxdist.add_argument("--d-max", type=float, default=FIT_WINDOW_KM[1])
-    maxdist.add_argument("--points", type=int, default=FIT_POINTS)
+    maxdist.add_argument("--points", type=_whole_flag("point count must be a whole number"),
+                         default=FIT_POINTS)
     maxdist.add_argument("--delta-star", type=float, default=DEFAULT_DELTA_STAR)
     maxdist.add_argument("--fit-a", type=float, default=None,
                          help="inject a synthetic fit prefactor (with --fit-kappa)")

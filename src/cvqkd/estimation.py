@@ -101,30 +101,26 @@ class VarianceModel:
 
 @dataclass(frozen=True)
 class ConfidenceBounds:
-    """One-sided bounds actually consumed by the key rate, plus the other
-    side of the box for optional corner searches.
+    """A confidence box on the channel: its four sides, in the order
+    :func:`confidence_bounds` builds them.
 
-    ``z = 0`` marks degenerate bounds that simply restate the point
-    estimates (the idealised no-uncertainty evaluation). The far side may
-    be left out; when given, ``T_low <= T_up`` and ``veps_low <= veps_up``.
+    The key rate is taken at the pessimistic corner ``(T_low, veps_up)``,
+    or at the lowest of the four corners with a corner search. A box of
+    zero width restates point estimates and carries no uncertainty.
     """
 
     T_low: float
     veps_up: float
-    z: float
-    T_up: float | None = None
-    veps_low: float | None = None
+    T_up: float
+    veps_low: float
 
     def __post_init__(self):
-        _require(_finite(self.T_low), "T_low must be finite")
-        _require(_finite(self.veps_up), "veps_up must be finite")
-        _require(self.T_up is None or _finite(self.T_up), "T_up must be finite")
-        _require(self.veps_low is None or _finite(self.veps_low), "veps_low must be finite")
-        _require(_finite(self.z) and self.z >= 0.0, "z must be >= 0")
+        for name in ("T_low", "veps_up", "T_up", "veps_low"):
+            _require(_finite(getattr(self, name)), f"{name} must be finite")
         # an inverted box would let a corner search rate a point outside it
-        _require(self.T_up is None or self.T_low <= self.T_up,
+        _require(self.T_low <= self.T_up,
                  f"T_up must be >= T_low = {self.T_low!r}, got {self.T_up!r}")
-        _require(self.veps_low is None or self.veps_low <= self.veps_up,
+        _require(self.veps_low <= self.veps_up,
                  f"veps_low must be <= veps_up = {self.veps_up!r}, got {self.veps_low!r}")
 
 
@@ -346,11 +342,8 @@ def confidence_bounds(t_hat: float, veps_hat: float, model: VarianceModel,
     bound is left raw (a strongly negative estimate plus the margin can
     still be negative, and the evaluation layer clamps at use).
     """
-    z = confidence_coefficient(delta)
-    T_low, veps_up, T_up, veps_low = _confidence_box(t_hat, veps_hat, model.sigma_sq,
-                                                     model.s_sq, z)
-    return ConfidenceBounds(T_low=T_low, veps_up=veps_up, z=z,
-                            T_up=T_up, veps_low=veps_low)
+    return ConfidenceBounds(*_confidence_box(t_hat, veps_hat, model.sigma_sq, model.s_sq,
+                                             confidence_coefficient(delta)))
 
 
 def _confidence_box(t_hat: float, veps_hat: float, sigma_sq: float, s_sq: float,
@@ -364,9 +357,8 @@ def _confidence_box(t_hat: float, veps_hat: float, sigma_sq: float, s_sq: float,
 
 
 def ideal_bounds(channel: ChannelParams) -> ConfidenceBounds:
-    """Degenerate bounds equal to the true parameters (no uncertainty)."""
-    return ConfidenceBounds(T_low=channel.T, veps_up=channel.v_eps, z=0.0,
-                            T_up=channel.T, veps_low=channel.v_eps)
+    """The zero-width box at the true parameters (no uncertainty)."""
+    return ConfidenceBounds(channel.T, channel.v_eps, channel.T, channel.v_eps)
 
 
 def expected_bounds(channel: ChannelParams, params: ProtocolParams) -> ConfidenceBounds:

@@ -217,30 +217,6 @@ def _penalty(n: float, log_term: float) -> float:
     return 7.0 * math.sqrt(log_term / n)
 
 
-def worst_case_corner(bounds: ConfidenceBounds, channel: ChannelParams,
-                      source: SourceParams, v_key: float,
-                      beta: float = DEFAULT_BETA) -> tuple[float, float, bool]:
-    """The corner of the confidence box with the lowest rate.
-
-    All four corners are evaluated; returns the minimizer along with a flag
-    telling whether it is the analytically pessimistic corner (lowest
-    transmittance, highest excess noise) the rate uses by default.
-    """
-    t_up = bounds.T_up if bounds.T_up is not None else channel.T
-    v_low = bounds.veps_low if bounds.veps_low is not None else channel.v_eps
-    corners = [
-        (bounds.T_low, bounds.veps_up),
-        (bounds.T_low, v_low),
-        (t_up, bounds.veps_up),
-        (t_up, v_low),
-    ]
-    rates = [_asymptotic_key_rate(min(max(t_c, 0.0), 1.0), max(v_c, 0.0), source.v_s,
-                                  v_key, beta)[0]
-             for t_c, v_c in corners]
-    i_min = min(range(4), key=lambda i: rates[i])
-    return corners[i_min][0], corners[i_min][1], i_min == 0
-
-
 @dataclass(frozen=True)
 class KeyRateReport:
     """Finite-size evaluation broken into its ingredients.
@@ -265,39 +241,46 @@ class KeyRateReport:
     corner_agrees: bool = True
 
 
-def finite_key_rate(params: ProtocolParams, channel: ChannelParams,
-                    bounds: ConfidenceBounds,
+def finite_key_rate(params: ProtocolParams, bounds: ConfidenceBounds,
                     corner_search: bool = False,
                     with_correction: bool = True) -> KeyRateReport:
-    """Finite-size secure key rate per block symbol.
+    """Finite-size secure key rate per block symbol, from the protocol and
+    the confidence box alone.
 
-    The asymptotic formula is evaluated at the pessimistic corner of the
-    confidence box (transmittance clamped into [0, 1], excess noise
-    clamped at 0), the finite-block penalty is subtracted, and the result
-    is scaled by the fraction of the block that remains for key.
-    ``with_correction=False`` drops the penalty; together with degenerate
-    bounds and ``r = 0`` that reproduces the asymptotic rate exactly.
+    The asymptotic formula is evaluated at the pessimistic corner
+    ``(T_low, veps_up)`` of the box (transmittance clamped into [0, 1],
+    excess noise clamped at 0), the finite-block penalty is subtracted,
+    and the result is scaled by the fraction of the block that remains
+    for key. ``corner_search=True`` evaluates all four corners, in the
+    order ``(T_low, veps_up)``, ``(T_low, veps_low)``, ``(T_up, veps_up)``,
+    ``(T_up, veps_low)``, and keeps the one with the lowest ``K_inf``,
+    the first on a tie; ``corner_agrees`` says whether that is the
+    pessimistic one. ``with_correction=False`` drops the penalty;
+    together with a zero-width box and ``r = 0`` that reproduces the
+    asymptotic rate exactly.
     """
     protocol = params.protocol
     n = params.n
     m = params.m
-    if protocol.kind == SINGLE and m <= 0.0 and bounds.z != 0.0:
+    if (protocol.kind == SINGLE and m <= 0.0
+            and (bounds.T_low != bounds.T_up or bounds.veps_low != bounds.veps_up)):
         raise ValueError("single-modulation estimation consumed no samples; "
-                         "r must be > 0 when bounds carry real uncertainty")
-    t_corner, v_corner = bounds.T_low, bounds.veps_up
-    corner_agrees = True
+                         "r must be > 0 when the confidence box has width")
+    corners = [(bounds.T_low, bounds.veps_up)]
     if corner_search:
-        t_corner, v_corner, corner_agrees = worst_case_corner(
-            bounds, channel, params.source, protocol.v, params.beta)
+        corners += [(bounds.T_low, bounds.veps_low), (bounds.T_up, bounds.veps_up),
+                    (bounds.T_up, bounds.veps_low)]
     log_term = _penalty_log(params.delta_star) if with_correction else None
-    key_rate, k_inf, i_ab, chi, delta_n, t_eval, veps_eval = _finite_key_rate(
-        t_corner, v_corner, params.source.v_s, protocol.v, params.beta, n, params.N,
-        log_term)
+    rated = [_finite_key_rate(t_c, v_c, params.source.v_s, protocol.v, params.beta, n,
+                              params.N, log_term)
+             for t_c, v_c in corners]
+    i_min = min(range(len(rated)), key=lambda i: rated[i][1])
+    key_rate, k_inf, i_ab, chi, delta_n, t_eval, veps_eval = rated[i_min]
     return KeyRateReport(K=key_rate, K_inf=k_inf, I_AB=i_ab, chi_BE=chi,
                          Delta_n=delta_n, T_low=bounds.T_low,
                          veps_up=bounds.veps_up, T_eval=t_eval,
                          veps_eval=veps_eval, n=n, m=m, N=params.N,
-                         corner_agrees=corner_agrees)
+                         corner_agrees=i_min == 0)
 
 
 def _finite_key_rate(t_corner: float, v_corner: float, v_s: float, v_key: float,

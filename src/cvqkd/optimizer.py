@@ -124,7 +124,7 @@ def evaluate_point(problem: OptimizationProblem, point: dict) -> KeyRateReport:
     The reference for the optimizer's objective, which computes the same
     ``K`` without building the report's dataclasses."""
     params = replace(problem.params, protocol=replace(problem.params.protocol, **point))
-    return finite_key_rate(params, problem.channel, expected_bounds(problem.channel, params))
+    return finite_key_rate(params, expected_bounds(problem.channel, params))
 
 
 def _planning_rate(problem: OptimizationProblem):
@@ -249,7 +249,8 @@ def optimize_each(problems) -> list[OptimizationResult]:
     in order that raises raises here, with its own message. One task per
     problem lets cheap rows balance against dear ones. With one CPU, one
     problem or no ``fork`` start method the problems run in this process.
-    Every worker is joined before this returns or raises.
+    Every worker is joined before this returns or raises; on Linux a
+    worker also ends when this process is killed.
 
     Workers are forked, not spawned: spawned ones import the library
     afresh, and on a 2-core machine a 2-worker pool then took about
@@ -268,9 +269,29 @@ def optimize_each(problems) -> list[OptimizationResult]:
         from concurrent.futures import ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods():
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     initializer=_end_with_parent,
+                                     initargs=(os.getpid(),)) as pool:
                 return list(pool.map(optimize_key_rate, problems, chunksize=1))
     return [optimize_key_rate(problem) for problem in problems]
+
+
+def _end_with_parent(parent: int) -> None:
+    """Pool initializer: ask Linux for SIGTERM when the forking thread
+    dies (``prctl(PR_SET_PDEATHSIG)``), and exit at once if the parent is
+    already gone. A worker blocks on its task pipe, whose write end it
+    holds itself, so without this it would outlive a killed parent.
+    Where there is no ``prctl`` the worker goes on as before."""
+    import ctypes
+    import os
+    import signal
+
+    try:
+        ctypes.CDLL(None).prctl(1, signal.SIGTERM)  # 1: PR_SET_PDEATHSIG
+    except (AttributeError, OSError):
+        pass
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 # --------------------------------------------------------------------------

@@ -180,6 +180,43 @@ def test_block_size_flag_refuses_a_non_count(capsys, count):
     assert f"block size must be a count >= 2, got {count!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, label, argv", [
+    ("--trials", "trial count", ["montecarlo", "--preset", "variance_validation"]),
+    ("--seed", "seed", ["montecarlo", "--preset", "variance_validation"]),
+    ("--points", "point count", ["maxdist"]),
+])
+def test_count_flags_read_any_float_spelling_of_a_whole_number(capsys, flag, label, argv):
+    parser = cli.build_parser()
+    for text, value in (("1e2", 100), ("100", 100), ("100.0", 100), ("1E1", 10), ("-3", -3)):
+        parsed = getattr(parser.parse_args([*argv, flag, text]), flag[2:])
+        assert parsed == value and type(parsed) is int
+    for text in ("2.5", "1e-1", "inf", "nan", "ten"):
+        assert main_entry([*argv, flag, text]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}: {label} must be a whole number, got {text!r}" \
+            in captured.err
+
+
+def test_count_flags_in_scientific_notation_run_as_their_integers(capsys, tmp_path):
+    scenario = tmp_path / "mc.json"
+    scenario.write_text(json.dumps({**load_preset("variance_validation"),
+                                    "t_grid": {"min": 0.1, "max": 0.5, "points": 2},
+                                    "template": {**load_preset("variance_validation")[
+                                        "template"], "N": 1000}}))
+    outputs = []
+    for trials, seed, points in (("2e0", "1e3", "1e1"), ("2", "1000", "10")):
+        assert main_entry(["montecarlo", "--scenario", str(scenario), "--trials", trials,
+                           "--seed", seed, "--out", str(tmp_path / trials)]) == 0
+        capsys.readouterr()
+        assert main_entry(["maxdist", "--N", "1e6", "--points", points]) == 0
+        maxdist = _json_out(capsys)
+        outputs.append(((tmp_path / trials / "variance_validation.csv").read_bytes(),
+                        maxdist["fit"], maxdist["inputs"]["points"]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][2] == 10
+
+
 @pytest.mark.parametrize("argv", [["optimize", "--T", "0.3", "--N", "2"],
                                   ["keyrate", "--T", "0.3", "--N", "2"]])
 def test_block_too_small_to_search_r_asks_to_pin_it(capsys, argv):
@@ -339,6 +376,23 @@ def test_sweep_without_block_size_names_it(capsys, tmp_path):
     scenario = {key: x for key, x in _TINY_SWEEP.items() if key != "N"}
     assert main_entry(_sweep_argv(tmp_path, scenario)) == 1
     assert "block size 'N'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ({**_TINY_SWEEP, "channel": {"T": 0.5}},
+     "a sweep over d or T takes its channel from the axis; remove the fixed 'channel' entry"),
+    ({**_TINY_SWEEP, "sweep": {**_TINY_SWEEP["sweep"], "variable": "T", "min": 0.1,
+                               "max": 0.5},
+      "channel": {"T": 0.5, "v_eps": 0.001}},
+     "a sweep over d or T takes its channel from the axis; remove the fixed 'channel' entry"),
+    ({**_TINY_SWEEP, "channel": {"T": 0.5},
+      "sweep": {"variable": "N", "min": 1e5, "max": 1e6, "points": 2}},
+     "an N-axis sweep takes its block sizes from the axis; remove the block size 'N'"),
+], ids=["d-axis-channel", "T-axis-channel", "N-axis-N"])
+def test_sweep_refuses_the_key_its_axis_does_not_use(capsys, tmp_path, scenario, message):
+    assert main_entry(_sweep_argv(tmp_path, scenario)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_sweep_rejects_unknown_top_level_key(capsys, tmp_path):
@@ -690,6 +744,18 @@ def test_maxdist_refuses_a_bad_injected_fit(capsys, a, kappa, name):
     assert rc == 1 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
+
+
+@pytest.mark.parametrize("fit", [["--fit-a", "1", "--fit-kappa", "0.02"], []],
+                         ids=["injected", "fitted"])
+@pytest.mark.parametrize("window", [("200", "10"), ("50", "50"), ("0", "150"),
+                                    ("nan", "150")])
+def test_maxdist_refuses_a_bad_window_on_both_paths(capsys, fit, window):
+    rc = main_entry(["maxdist", "--N", "1e6", *fit, "--d-min", window[0],
+                     "--d-max", window[1]])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: distance window must be increasing and positive\n"
 
 
 def test_maxdist_rejects_lone_fit_flag(capsys):

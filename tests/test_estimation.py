@@ -409,19 +409,20 @@ def test_confidence_bounds_refuse_a_non_finite_side():
     for field, value in (("T_low", math.nan), ("veps_up", math.inf), ("T_up", math.nan),
                          ("T_up", math.inf), ("veps_low", -math.inf), ("veps_low", math.nan)):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            ConfidenceBounds(**{**sides, field: value}, z=6.5)
-    # the far side may be left out
-    b = ConfidenceBounds(T_low=0.18, veps_up=0.004, z=6.5)
-    assert b.T_up is None and b.veps_low is None
+            ConfidenceBounds(**{**sides, field: value})
+    # a box is its four sides: none may be left out
+    for field in sides:
+        with pytest.raises(TypeError, match=field):
+            ConfidenceBounds(**{k: x for k, x in sides.items() if k != field})
 
 
 def test_confidence_bounds_refuse_an_inverted_box():
     with pytest.raises(ValueError, match=r"T_up must be >= T_low = 0\.3, got 0\.1"):
-        ConfidenceBounds(T_low=0.3, veps_up=0.001, z=6.5, T_up=0.1, veps_low=0.0)
+        ConfidenceBounds(T_low=0.3, veps_up=0.001, T_up=0.1, veps_low=0.0)
     with pytest.raises(ValueError, match=r"veps_low must be <= veps_up = 0\.001, got 0\.05"):
-        ConfidenceBounds(T_low=0.1, veps_up=0.001, z=6.5, T_up=0.3, veps_low=0.05)
+        ConfidenceBounds(T_low=0.1, veps_up=0.001, T_up=0.3, veps_low=0.05)
     # a degenerate box is a box
-    b = ConfidenceBounds(T_low=0.2, veps_up=0.001, z=0.0, T_up=0.2, veps_low=0.001)
+    b = ConfidenceBounds(T_low=0.2, veps_up=0.001, T_up=0.2, veps_low=0.001)
     assert b.T_low == b.T_up and b.veps_low == b.veps_up
     # a negative estimate whose margin stays below 0: T_low clamps to 0
     # above T_up, so the box is refused
@@ -435,7 +436,8 @@ def test_ideal_bounds_degenerate():
     ch = ChannelParams(0.37, 0.004)
     b = ideal_bounds(ch)
     assert b.T_low == ch.T and b.veps_up == ch.v_eps
-    assert b.z == 0.0
+    assert b.T_up == ch.T and b.veps_low == ch.v_eps  # zero width
+    assert b == ConfidenceBounds(ch.T, ch.v_eps, ch.T, ch.v_eps)
 
 
 def test_expected_bounds_match_scheme_models():

@@ -6,6 +6,7 @@ beamsplitter dilation for lossy channels without excess noise.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from cvqkd import (
     holevo_bound,
     asymptotic_key_rate,
     finite_size_correction,
-    worst_case_corner,
     finite_key_rate,
     expected_bounds,
     ideal_bounds,
@@ -235,8 +235,8 @@ def test_asymptotic_rate_identity_and_values():
 def test_asymptotic_rate_double_uses_key_displacement_only():
     # the public probe displacement v2 never enters the rate
     ch, src = ChannelParams(0.3, 0.003), SourceParams(1.0)
-    reports = [finite_key_rate(ProtocolParams(src, protocol, N=10**6), ch,
-                               ideal_bounds(ch), with_correction=False)
+    reports = [finite_key_rate(ProtocolParams(src, protocol, N=10**6), ideal_bounds(ch),
+                               with_correction=False)
                for protocol in (Protocol("double", 3.0, 10.0),
                                 Protocol("double", 3.0, 40.0),
                                 Protocol("single", 3.0))]
@@ -266,12 +266,12 @@ def test_finite_size_correction_validation():
 
 
 def test_worst_case_corner_default_is_the_minimizer():
-    ch, src = ChannelParams(0.2, 0.002), SourceParams(1.0)
-    bounds = ConfidenceBounds(T_low=0.18, veps_up=0.004, z=6.5,
-                              T_up=0.22, veps_low=0.0)
-    t_c, v_c, agrees = worst_case_corner(bounds, ch, src, 3.0)
-    assert agrees
-    assert (t_c, v_c) == (0.18, 0.004)
+    params = ProtocolParams(SourceParams(1.0), Protocol("single", 3.0, r=0.5), N=10**6)
+    bounds = ConfidenceBounds(T_low=0.18, veps_up=0.004, T_up=0.22, veps_low=0.0)
+    report = finite_key_rate(params, bounds, corner_search=True)
+    assert report.corner_agrees
+    assert (report.T_eval, report.veps_eval) == (0.18, 0.004)
+    assert report == finite_key_rate(params, bounds)
 
 
 @pytest.mark.parametrize("T, v_eps, v_s, v, r, N, agrees, K, K_default", [
@@ -286,8 +286,8 @@ def test_corner_search_takes_the_lowest_corner(T, v_eps, v_s, v, r, N, agrees, K
     ch = ChannelParams(T, v_eps)
     params = ProtocolParams(SourceParams(v_s), Protocol("single", v, r=r), N)
     bounds = expected_bounds(ch, params)
-    default = finite_key_rate(params, ch, bounds)
-    searched = finite_key_rate(params, ch, bounds, corner_search=True)
+    default = finite_key_rate(params, bounds)
+    searched = finite_key_rate(params, bounds, corner_search=True)
     assert default.corner_agrees and searched.corner_agrees == agrees
     assert searched.veps_eval == bounds.veps_up
     assert searched.T_eval == (bounds.T_low if agrees else bounds.T_up)
@@ -296,11 +296,68 @@ def test_corner_search_takes_the_lowest_corner(T, v_eps, v_s, v, r, N, agrees, K
     assert default.K == pytest.approx(K_default, abs=5e-7)
 
 
+def _corner_minimum(params, bounds, with_correction):
+    """The four-corner rule on the public asymptotic rate: ``(index,
+    K, K_inf, I_AB, chi_BE, T_eval, veps_eval)`` of the lowest corner."""
+    corners = [(bounds.T_low, bounds.veps_up), (bounds.T_low, bounds.veps_low),
+               (bounds.T_up, bounds.veps_up), (bounds.T_up, bounds.veps_low)]
+    rated = []
+    for t_c, v_c in corners:
+        channel = ChannelParams(min(max(t_c, 0.0), 1.0), max(v_c, 0.0))
+        k_inf, i_ab, chi = asymptotic_key_rate(channel, params.source, params.protocol.v,
+                                               params.beta)
+        rated.append((k_inf, i_ab, chi, channel.T, channel.v_eps))
+    best = min(range(4), key=lambda i: rated[i][0])  # the first on a tie
+    k_inf = rated[best][0]
+    delta_n = finite_size_correction(params.n, params.delta_star) if with_correction else 0.0
+    return (best, (params.n / params.N) * (k_inf - delta_n), *rated[best])
+
+
+def test_corner_search_is_the_four_corner_minimum_on_random_boxes():
+    rng = np.random.default_rng(2010)
+    moved = refused = 0
+    for _ in range(1200):
+        kind = str(rng.choice(["single", "double", "modified"]))
+        r = 0.0 if kind == "double" else float(rng.uniform(0.01, 0.9))
+        protocol = Protocol(kind, float(10 ** rng.uniform(-2, 2)), r=r)
+        params = ProtocolParams(SourceParams(float(rng.choice([1.0, 2.0, 0.5, 0.1, 1e-7]))),
+                                protocol, int(10 ** rng.uniform(3, 11)),
+                                beta=float(rng.uniform(0.8, 1.0)))
+        T_low, T_up = np.sort(rng.uniform(-0.05, 0.98, 2))
+        veps_low, veps_up = np.sort(rng.uniform(-0.01, 0.1, 2))
+        # some boxes of zero width on a side, whose corners tie in pairs
+        width = rng.integers(3)
+        if width == 1:
+            T_up = T_low = max(T_low, 0.0)
+        elif width == 2:
+            veps_low = veps_up
+        bounds = ConfidenceBounds(float(T_low), float(veps_up), float(T_up), float(veps_low))
+        with_correction = bool(rng.integers(2))
+        try:
+            best, K, k_inf, i_ab, chi, t_eval, veps_eval = _corner_minimum(
+                params, bounds, with_correction)
+        except ValueError as exc:
+            # a corner the rate refuses (a rounded pure state) refuses the search
+            refused += 1
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                finite_key_rate(params, bounds, corner_search=True,
+                                with_correction=with_correction)
+            continue
+        report = finite_key_rate(params, bounds, corner_search=True,
+                                 with_correction=with_correction)
+        assert report.corner_agrees == (best == 0)
+        assert (report.K, report.K_inf, report.I_AB, report.chi_BE) == (K, k_inf, i_ab, chi)
+        assert (report.T_eval, report.veps_eval) == (t_eval, veps_eval)
+        assert (report.T_low, report.veps_up) == (bounds.T_low, bounds.veps_up)
+        moved += best != 0
+    # the rule is exercised away from the default corner too
+    assert moved > 100 and refused < 100
+
+
 def test_finite_key_rate_reduces_to_asymptotic():
     ch, src = ChannelParams(0.5, 0.005), SourceParams(1.0)
     protocol = ProtocolParams(src, Protocol("single", 3.0, r=0.0), N=10**6)
-    report = finite_key_rate(protocol, ch, ideal_bounds(ch),
-                             with_correction=False)
+    report = finite_key_rate(protocol, ideal_bounds(ch), with_correction=False)
     k_inf, i_ab, chi = asymptotic_key_rate(ch, src, 3.0, protocol.beta)
     assert report.K == pytest.approx(k_inf, abs=1e-15)
     assert report.I_AB == i_ab and report.chi_BE == chi
@@ -308,10 +365,10 @@ def test_finite_key_rate_reduces_to_asymptotic():
 
 
 def test_finite_key_rate_assembly():
-    ch, src = ChannelParams(0.5, 0.005), SourceParams(1.0)
+    src = SourceParams(1.0)
     protocol = ProtocolParams(src, Protocol("single", 3.0, r=0.25), N=10**6)
-    bounds = ConfidenceBounds(T_low=0.49, veps_up=0.006, z=6.5)
-    report = finite_key_rate(protocol, ch, bounds)
+    bounds = ConfidenceBounds(T_low=0.49, veps_up=0.006, T_up=0.51, veps_low=0.004)
+    report = finite_key_rate(protocol, bounds)
     assert report.n == 0.75e6 and report.m == 0.25e6
     assert report.K == pytest.approx(
         (report.n / protocol.N) * (report.K_inf - report.Delta_n), abs=1e-15)
@@ -321,23 +378,28 @@ def test_finite_key_rate_assembly():
 def test_finite_key_rate_nothing_left_to_distill():
     ch, src = ChannelParams(0.5, 0.0), SourceParams(1.0)
     protocol = ProtocolParams(src, Protocol("single", 3.0, r=1.0), N=10**6)
-    report = finite_key_rate(protocol, ch, ideal_bounds(ch))
+    report = finite_key_rate(protocol, ideal_bounds(ch))
     assert report.K == 0.0 and report.n == 0.0
 
 
 def test_finite_key_rate_rejects_uncertain_bounds_without_disclosure():
     ch, src = ChannelParams(0.5, 0.0), SourceParams(1.0)
     protocol = ProtocolParams(src, Protocol("single", 3.0, r=0.0), N=10**6)
-    bounds = ConfidenceBounds(T_low=0.49, veps_up=0.001, z=6.5)
-    with pytest.raises(ValueError):
-        finite_key_rate(protocol, ch, bounds)
+    for bounds in (ConfidenceBounds(T_low=0.49, veps_up=0.001, T_up=0.51, veps_low=0.0),
+                   ConfidenceBounds(T_low=0.5, veps_up=0.001, T_up=0.5, veps_low=0.0),
+                   ConfidenceBounds(T_low=0.49, veps_up=0.0, T_up=0.51, veps_low=0.0)):
+        with pytest.raises(ValueError, match="r must be > 0 when the confidence box has width"):
+            finite_key_rate(protocol, bounds)
+    # a zero-width box carries no uncertainty, so nothing needs estimating
+    report = finite_key_rate(protocol, ideal_bounds(ch))
+    assert report.m == 0.0 and report.T_eval == 0.5 and report.veps_eval == 0.0
 
 
 def test_finite_key_rate_clamps_corner_into_physical_range():
-    ch, src = ChannelParams(0.01, 0.0), SourceParams(1.0)
+    src = SourceParams(1.0)
     protocol = ProtocolParams(src, Protocol("single", 3.0, r=0.5), N=10**4)
-    bounds = ConfidenceBounds(T_low=-0.05, veps_up=-0.002, z=6.5)
-    report = finite_key_rate(protocol, ch, bounds)
+    bounds = ConfidenceBounds(T_low=-0.05, veps_up=-0.002, T_up=0.07, veps_low=-0.004)
+    report = finite_key_rate(protocol, bounds)
     assert report.T_eval == 0.0 and report.veps_eval == 0.0
     assert math.isfinite(report.K)
 

@@ -7,6 +7,10 @@ import math
 import multiprocessing
 import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -166,7 +170,7 @@ def test_evaluate_point_matches_direct_assembly():
     protocol = Protocol("single", 1.5, r=0.5)
     params = ProtocolParams(problem.params.source, protocol, 10**6)
     bounds = expected_bounds(problem.channel, params)
-    expected = finite_key_rate(params, problem.channel, bounds)
+    expected = finite_key_rate(params, bounds)
     assert report.K == expected.K
 
 
@@ -207,7 +211,7 @@ def test_planning_rate_equals_reference(kind, T, v_eps, v_s, v, v2, r, N, budget
                                   free=())
     core = _outcome(_planning_rate(problem), v, v2, r)
     reference = _outcome(
-        lambda: finite_key_rate(params, channel, expected_bounds(channel, params)).K)
+        lambda: finite_key_rate(params, expected_bounds(channel, params)).K)
     assert core == reference
 
 
@@ -445,6 +449,60 @@ def test_optimize_each_runs_in_process_without_a_second_worker(monkeypatch, cpus
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     batch = [OptimizationProblem(_channel(0.3), _params(1.0, "double", 10**6))] * problems
     assert optimize_each(batch) == [optimize_key_rate(batch[0])] * problems
+
+
+_KILLED_SWEEP = """
+import os
+from cvqkd import (ChannelParams, OptimizationProblem, Protocol, ProtocolParams,
+                   SourceParams, optimize_each)
+
+os.sched_getaffinity = lambda pid: {0, 1}
+problem = OptimizationProblem(ChannelParams(0.3, 0.003), ProtocolParams(
+    SourceParams(1.0), Protocol("single", 1.0, r=0.2), 10**6))
+optimize_each([problem] * 5000)
+"""
+
+
+def _alive(pid):
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def test_optimize_each_workers_end_when_their_parent_is_killed():
+    import ctypes
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method")
+    if not hasattr(ctypes.CDLL(None), "prctl"):
+        pytest.skip("no prctl")
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_SWEEP])
+    workers = []
+    try:
+        children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+        deadline = time.monotonic() + 30.0
+        while len(workers) < 2 and time.monotonic() < deadline:
+            assert proc.poll() is None, "the sweep ended before its workers started"
+            try:
+                with open(children) as handle:
+                    workers = [int(pid) for pid in handle.read().split()]
+            except FileNotFoundError:
+                pytest.skip("no /proc children list")
+            time.sleep(0.02)
+        assert len(workers) == 2
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=30)
+        time.sleep(2.0)
+        assert [pid for pid in workers if _alive(pid)] == []
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_ratio_curve_is_the_same_on_one_cpu(monkeypatch):
