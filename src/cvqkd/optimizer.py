@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -240,50 +241,110 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
                               infeasible, rounds, converged)
 
 
+_TOKEN = 4  # bytes per token of optimize_each's index pipe
+
+
 def optimize_each(problems) -> list[OptimizationResult]:
-    """``[optimize_key_rate(p) for p in problems]``, on one worker process
-    per CPU of this process's affinity mask.
+    """``[optimize_key_rate(p) for p in problems]``, on this process and
+    one forked child per other CPU of its affinity mask.
 
     Each result is a deterministic function of its problem, so the list
     is the same whichever process computes each entry; the first problem
-    in order that raises raises here, with its own message. One task per
-    problem lets cheap rows balance against dear ones. With one CPU, one
-    problem or no ``fork`` start method the problems run in this process.
-    Every worker is joined before this returns or raises; on Linux a
-    worker also ends when this process is killed.
+    in order that raises raises here, with its own type and message.
+    Every process takes the next problem index from one shared pipe, so
+    cheap rows balance against dear ones. Each child returns its results
+    pickled over a pipe of its own; a child that ends without reporting
+    makes this raise a :class:`RuntimeError` with its exit status. With
+    one CPU, one problem or no ``os.fork`` the problems run in this
+    process. Every child is reaped before this returns or raises; when
+    this process is interrupted, or a child fails, the children still
+    running are killed first. On Linux a child also ends when this
+    process is killed.
 
-    Workers are forked, not spawned: spawned ones import the library
-    afresh, and on a 2-core machine a 2-worker pool then took about
-    0.2 s to start and stop against 15 ms forked, more than a 70-row
-    sweep saves. The pool forks its workers before it starts its own
-    thread, and the library starts no thread of its own.
+    Children are forked, not spawned: a spawned one imports the library
+    afresh, which on a 2-core machine cost more than a 70-row sweep saves.
+    The library starts no thread, so no lock is held across the fork.
     """
-    import os
-
     problems = list(problems)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(problems), cpus)
-    if workers > 1:
-        # loaded here, so that importing the library never pays for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    others = min(len(problems), cpus) - 1
+    if others < 1 or not hasattr(os, "fork"):
+        return [optimize_key_rate(problem) for problem in problems]
+    # loaded here, so that importing the library never pays for them
+    import pickle
+    import signal
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                     initializer=_end_with_parent,
-                                     initargs=(os.getpid(),)) as pool:
-                return list(pool.map(optimize_key_rate, problems, chunksize=1))
-    return [optimize_key_rate(problem) for problem in problems]
+    tokens, write_end = os.pipe()
+    # each token is the first index of a run of `step` problems; all of
+    # them fit in one atomic write, made before any process reads
+    step = -(-_TOKEN * len(problems) // os.fpathconf(tokens, "PC_PIPE_BUF"))
+    os.write(write_end, b"".join(start.to_bytes(_TOKEN, "little")
+                                 for start in range(0, len(problems), step)))
+    os.close(write_end)
+    parent = os.getpid()
+    children = {}  # pid -> read end of its report pipe, until reaped
+    try:
+        for _ in range(others):
+            report, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:  # the child never returns into the caller
+                    _end_with_parent(parent)
+                    with open(write_end, "wb") as out:
+                        out.write(pickle.dumps(_take(problems, tokens, step)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            children[pid] = open(report, "rb")
+        outcomes = _take(problems, tokens, step)
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status != 0:
+                raise RuntimeError(f"child process {pid} ended with exit status "
+                                   f"{status} before it reported its results")
+            outcomes += pickle.loads(data)
+    finally:
+        os.close(tokens)
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = [None] * len(problems)
+    for index, outcome in outcomes:
+        results[index] = outcome
+    for outcome in results:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return results
+
+
+
+def _take(problems, tokens, step) -> list:
+    """``(index, result or exception)`` of each problem that this process
+    takes from the token pipe of :func:`optimize_each`, until it is empty."""
+    outcomes = []
+    while token := os.read(tokens, _TOKEN):
+        start = int.from_bytes(token, "little")
+        for index in range(start, min(start + step, len(problems))):
+            try:
+                outcomes.append((index, optimize_key_rate(problems[index])))
+            except Exception as exc:
+                outcomes.append((index, exc))
+    return outcomes
 
 
 def _end_with_parent(parent: int) -> None:
-    """Pool initializer: ask Linux for SIGTERM when the forking thread
-    dies (``prctl(PR_SET_PDEATHSIG)``), and exit at once if the parent is
-    already gone. A worker blocks on its task pipe, whose write end it
-    holds itself, so without this it would outlive a killed parent.
-    Where there is no ``prctl`` the worker goes on as before."""
+    """Ask Linux to SIGTERM this forked child when the thread that forked
+    it dies (``prctl(PR_SET_PDEATHSIG)``), and exit at once if the parent
+    is already gone. Without this a child of a killed parent would go on
+    through the problems left in the token pipe. Where there is no
+    ``prctl`` the child goes on as before."""
     import ctypes
-    import os
     import signal
 
     try:

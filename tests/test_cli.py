@@ -2,7 +2,6 @@
 
 import json
 import math
-import multiprocessing
 import os
 import re
 import subprocess
@@ -235,8 +234,9 @@ def test_smallest_block_still_optimizes_the_double_scheme(capsys):
 
 
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import cvqkd.cli
+os.sched_getaffinity = lambda pid: {0, 1}  # the sweep forks a child
 report = {
     "loaded": [m for m in ("scipy", "numpy", "concurrent", "multiprocessing")
                if m in sys.modules],
@@ -249,6 +249,7 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cvqkd.cli.main_entry(argv)
     report["queries"].append([argv[0], code, "numpy" in sys.modules])
+report["loaded_after"] = [m for m in ("concurrent", "multiprocessing") if m in sys.modules]
 print(json.dumps(report))
 """
 
@@ -256,7 +257,8 @@ print(json.dumps(report))
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # numpy loads on first use only, so a planning query never pays for it;
     # every layer module is still imported eagerly, which the bench's
-    # tracer reads from sys.modules
+    # tracer reads from sys.modules; a sweep on 2 CPUs forks its child
+    # without loading multiprocessing or concurrent.futures
     scenario = tmp_path / "linear.json"
     scenario.write_text(json.dumps({
         "command": "sweep", "name": "linear", "N": 1000000,
@@ -276,7 +278,7 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "loaded": [], "missing": [],
-        "queries": [[argv[0], 0, False] for argv in queries]}
+        "queries": [[argv[0], 0, False] for argv in queries], "loaded_after": []}
 
 
 def test_keyrate_insecure_exit_code(capsys):
@@ -451,12 +453,21 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+def _childless():
+    """Whether this process has no child left, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def test_sweep_on_worker_processes_matches_one_cpu(monkeypatch, tmp_path):
     runs = []
     for cpus in (2, 1):
         _cpus(monkeypatch, cpus)
         paths = run_sweep(_THREE_KINDS, str(tmp_path / f"cpus{cpus}"))
-        assert not multiprocessing.active_children()
+        assert _childless()
         runs.append([(Path(path).name, Path(path).read_bytes()) for path in paths])
     assert len(runs[0]) == 3 and runs[0] == runs[1]
 
@@ -473,7 +484,7 @@ def test_sweep_joins_its_workers_when_a_row_fails(monkeypatch, tmp_path):
         run_sweep(_THREE_KINDS, str(tmp_path))
     assert str(refused.value) == ("every grid point was infeasible; check the channel "
                                   "and block size: refused (157 of 157 points)")
-    assert not multiprocessing.active_children()
+    assert _childless()
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -1,10 +1,8 @@
 """Parameter search, scaling fits and the block-size range bound."""
 
-import concurrent.futures
 import inspect
 import itertools
 import math
-import multiprocessing
 import os
 import random
 import signal
@@ -395,11 +393,25 @@ def test_ratio_curve_needs_live_points():
 
 
 # --------------------------------------------------------------------------
-# independent problems on worker processes
+# independent problems on this process and forked children
 
 
 def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _childless():
+    """Whether this process has no child left, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _until_a_child_exits():
+    """Block until a child of this process has exited, leaving it unreaped."""
+    os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
 
 
 def test_optimize_each_equals_the_in_process_loop(monkeypatch):
@@ -413,7 +425,7 @@ def test_optimize_each_equals_the_in_process_loop(monkeypatch):
     assert optimize_each(problems) == expected
     assert optimize_each(iter(problems)) == expected
     assert optimize_each([]) == []
-    assert not multiprocessing.active_children()
+    assert _childless()
 
 
 def test_optimize_each_raises_the_first_refusal_in_order(monkeypatch):
@@ -430,23 +442,102 @@ def test_optimize_each_raises_the_first_refusal_in_order(monkeypatch):
     assert messages[opaque] != messages[no_sample]
     _cpus(monkeypatch, 2)
     for first, second in ((opaque, no_sample), (no_sample, opaque)):
-        with pytest.raises(ValueError) as pooled:
+        with pytest.raises(ValueError) as forked:
             optimize_each([live, first, live, second])
-        assert str(pooled.value) == messages[first]
-        assert not multiprocessing.active_children()
+        assert str(forked.value) == messages[first]
+        assert _childless()
+
+
+def test_optimize_each_raises_a_child_error_with_its_type_in_order(monkeypatch):
+    problems = [OptimizationProblem(_channel(T), _params(1.0, "double", 10**6))
+                for T in (0.1, 0.2, 0.3, 0.4)]
+    parent, taken = os.getpid(), []
+
+    def refusing(problem):
+        index = problems.index(problem)
+        if os.getpid() == parent:
+            # hold this one problem until the child has done all the others
+            _until_a_child_exits()
+            taken.append(index)
+        elif index % 2:
+            raise TypeError(f"problem {index} refused")
+        return optimize_key_rate(problem)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(optimizer, "optimize_key_rate", refusing)
+    with pytest.raises(TypeError) as refused:
+        optimize_each(problems)
+    assert len(taken) == 1
+    first = min(index for index in (1, 3) if index not in taken)
+    assert str(refused.value) == f"problem {first} refused"
+    assert _childless()
+
+
+def test_optimize_each_names_the_status_of_a_child_that_never_reports(monkeypatch):
+    problems = [OptimizationProblem(_channel(T), _params(1.0, "double", 10**6))
+                for T in (0.1, 0.2, 0.3)]
+    parent = os.getpid()
+
+    def dying(problem):
+        if os.getpid() != parent:
+            os._exit(3)
+        _until_a_child_exits()
+        return optimize_key_rate(problem)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(optimizer, "optimize_key_rate", dying)
+    with pytest.raises(RuntimeError, match=r"ended with exit status 3 before it reported"):
+        optimize_each(problems)
+    assert _childless()
+
+
+def test_optimize_each_kills_its_children_when_interrupted(monkeypatch):
+    problems = [OptimizationProblem(_channel(T), _params(1.0, "double", 10**6))
+                for T in (0.1, 0.2, 0.3)]
+    parent = os.getpid()
+
+    def interrupted(problem):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60.0)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(optimizer, "optimize_key_rate", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        optimize_each(problems)
+    assert _childless()
+    assert time.monotonic() - start < 30.0
+
+
+def test_optimize_each_takes_more_problems_than_its_pipe_holds_tokens(monkeypatch):
+    # 4-byte tokens: 20,000 of them overflow a 64 KiB pipe, let alone PIPE_BUF
+    problems = [OptimizationProblem(_channel(0.3), ProtocolParams(
+                    SourceParams(1.0), Protocol("single", 1.0 + i / 20000, r=0.2), 10**6),
+                    free=())
+                for i in range(20000)]
+    expected = [optimize_key_rate(problem) for problem in problems]
+    assert {result.evaluations for result in expected} == {1}
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    _cpus(monkeypatch, 2)
+    assert optimize_each(problems) == expected
+    assert forks == [1]
+    assert _childless()
 
 
 @pytest.mark.parametrize("cpus, problems, fork", [(1, 3, True), (2, 1, True), (2, 3, False)],
                          ids=["one-cpu", "one-problem", "no-fork"])
 def test_optimize_each_runs_in_process_without_a_second_worker(monkeypatch, cpus,
                                                                 problems, fork):
-    def refuse(*args, **kwargs):
-        raise AssertionError("no pool expected")
+    def refuse():
+        raise AssertionError("no fork expected")
 
     _cpus(monkeypatch, cpus)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    if not fork:
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    if fork:
+        monkeypatch.setattr(os, "fork", refuse)
+    else:
+        monkeypatch.delattr(os, "fork")
     batch = [OptimizationProblem(_channel(0.3), _params(1.0, "double", 10**6))] * problems
     assert optimize_each(batch) == [optimize_key_rate(batch[0])] * problems
 
@@ -475,32 +566,33 @@ def _alive(pid):
 def test_optimize_each_workers_end_when_their_parent_is_killed():
     import ctypes
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("no fork start method")
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
     if not hasattr(ctypes.CDLL(None), "prctl"):
         pytest.skip("no prctl")
     proc = subprocess.Popen([sys.executable, "-c", _KILLED_SWEEP])
-    workers = []
+    # two CPUs: the sweep runs in its own process and in one forked child
+    forked = []
     try:
         children = f"/proc/{proc.pid}/task/{proc.pid}/children"
         deadline = time.monotonic() + 30.0
-        while len(workers) < 2 and time.monotonic() < deadline:
-            assert proc.poll() is None, "the sweep ended before its workers started"
+        while not forked and time.monotonic() < deadline:
+            assert proc.poll() is None, "the sweep ended before its child started"
             try:
                 with open(children) as handle:
-                    workers = [int(pid) for pid in handle.read().split()]
+                    forked = [int(pid) for pid in handle.read().split()]
             except FileNotFoundError:
                 pytest.skip("no /proc children list")
             time.sleep(0.02)
-        assert len(workers) == 2
+        assert len(forked) == 1
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=30)
         time.sleep(2.0)
-        assert [pid for pid in workers if _alive(pid)] == []
+        assert [pid for pid in forked if _alive(pid)] == []
     finally:
         proc.kill()
         proc.wait()
-        for pid in workers:
+        for pid in forked:
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)
 
@@ -509,9 +601,9 @@ def test_ratio_curve_is_the_same_on_one_cpu(monkeypatch):
     template = OptimizationProblem(_channel(0.3), _params(1.0, "single", 1000))
     n_values = np.logspace(5, 8, 4)
     _cpus(monkeypatch, 2)
-    pooled = optimal_ratio_curve(template, n_values)
+    forked = optimal_ratio_curve(template, n_values)
     _cpus(monkeypatch, 1)
-    assert optimal_ratio_curve(template, n_values) == pooled
+    assert optimal_ratio_curve(template, n_values) == forked
 
 
 # --------------------------------------------------------------------------
