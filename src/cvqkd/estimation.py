@@ -24,7 +24,8 @@ validates them on the same arms.
 
 numpy is imported inside :class:`SampleSet` and the sample reductions, on
 first use, so the planning path (variance models and confidence bounds)
-never loads it.
+never loads it. As in :mod:`cvqkd.keyrate`, the public functions check
+types and the private scalar cores compare values only.
 """
 
 from __future__ import annotations
@@ -72,13 +73,6 @@ class SampleSet:
         object.__setattr__(self, "B", b)
 
 
-def _require_variances(sigma_sq: float, s_sq: float) -> None:
-    if not (_finite(sigma_sq) and sigma_sq >= 0.0):
-        raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq!r}")
-    if not (_finite(s_sq) and s_sq >= 0.0):
-        raise ValueError(f"s_sq must be >= 0, got {s_sq!r}")
-
-
 @dataclass(frozen=True)
 class VarianceModel:
     """Analytic variances of the transmittance and excess-noise estimators."""
@@ -88,7 +82,10 @@ class VarianceModel:
     per_arm: tuple = ()  # (sigma_sq, s_sq) of each arm before combination
 
     def __post_init__(self):
-        _require_variances(self.sigma_sq, self.s_sq)
+        _require(_finite(self.sigma_sq) and self.sigma_sq >= 0.0,
+                 f"sigma_sq must be >= 0, got {self.sigma_sq!r}")
+        _require(_finite(self.s_sq) and self.s_sq >= 0.0,
+                 f"s_sq must be >= 0, got {self.s_sq!r}")
 
     @property
     def sigma(self) -> float:
@@ -204,8 +201,11 @@ def _arms(kind: str, v: float, v2: float, kept: float,
           disclosed: float) -> tuple[tuple[float, float, float], ...]:
     if kind == SINGLE:
         return ((disclosed, v, 0.0),)
-    arms = ((kept, v2, v), (disclosed, v + v2, 0.0))
-    return tuple(arm for arm in arms if arm[0] != 0.0)
+    if disclosed == 0.0:
+        return ((kept, v2, v),) if kept != 0.0 else ()
+    if kept == 0.0:
+        return ((disclosed, v + v2, 0.0),)
+    return ((kept, v2, v), (disclosed, v + v2, 0.0))
 
 
 def _inverse_variance(variances: list[float]) -> float:
@@ -213,7 +213,7 @@ def _inverse_variance(variances: list[float]) -> float:
     one estimator passes through unchanged."""
     total = variances[0]
     for w in variances[1:]:
-        if not (_finite(total) and total > 0.0 and _finite(w) and w > 0.0):
+        if not (math.isfinite(total) and total > 0.0 and math.isfinite(w) and w > 0.0):
             raise ValueError(f"arm variances must be finite and > 0, got {variances!r}")
         total = total * w / (total + w)
     return total
@@ -230,22 +230,38 @@ def variance_model(channel: ChannelParams, source: SourceParams, arms) -> Varian
     displacement is degenerate at T = 0, so only a block with a withheld
     displacement is accepted there.
     """
-    return VarianceModel(*_variance_model(channel.T, channel.v_eps, source.v_s, arms))
+    # the core compares values only, so here an arm's sample count and
+    # revealed variance that are not floats must be reals a float can hold
+    for m, revealed, _ in arms:
+        if not (isinstance(revealed, float) or _finite(revealed)):
+            raise ValueError(f"modulation variance must be > 0, got {revealed!r}")
+        if not (isinstance(m, float) or _finite(m)):
+            raise ValueError(f"sample count must be > 0, got {m!r}")
+    sigma_sq, s_sq, sigmas, s_arms = _variance_model(channel.T, channel.v_eps, source.v_s,
+                                                     arms)
+    return VarianceModel(sigma_sq, s_sq, tuple(zip(sigmas, s_arms)))
 
 
 def _variance_model(T: float, v_eps: float, v_s: float,
-                    arms) -> tuple[float, float, tuple]:
-    """``(sigma_sq, s_sq, per_arm)`` of :func:`variance_model`; it runs the
-    checks of :class:`VarianceModel` too, so it refuses what the wrapper
-    refuses."""
-    _require(len(arms) > 0, "an estimation needs at least one arm")
-    _require(T > 0.0 or any(withheld > 0.0 for _, _, withheld in arms),
-             "estimation that reveals every displacement is degenerate at T = 0")
+                    arms) -> tuple[float, float, list, list]:
+    """``(sigma_sq, s_sq, sigmas, s_arms)``: the variances of
+    :func:`variance_model` and of each arm before combination. It compares
+    values only, and refuses the variances that :class:`VarianceModel`
+    refuses, so that the planning path, which builds none, refuses them
+    too."""
+    if len(arms) == 0:
+        raise ValueError("an estimation needs at least one arm")
+    if not T > 0.0:
+        for _, _, withheld in arms:
+            if withheld > 0.0:
+                break
+        else:
+            raise ValueError("estimation that reveals every displacement is degenerate at T = 0")
     sigmas, noises, gains = [], [], []
     for m, revealed, withheld in arms:
-        if not (_finite(revealed) and revealed > 0.0):
+        if not (math.isfinite(revealed) and revealed > 0.0):
             raise ValueError(f"modulation variance must be > 0, got {revealed!r}")
-        if not (_finite(m) and m > 0.0):
+        if not (math.isfinite(m) and m > 0.0):
             raise ValueError(f"sample count must be > 0, got {m!r}")
         vn = _noise_variance(T, v_eps, v_s, withheld)
         sigmas.append((4.0 / m) * (2.0 * T * T + T * vn / revealed))
@@ -257,10 +273,15 @@ def _variance_model(T: float, v_eps: float, v_s: float,
                              f"at v={withheld!r}, v_s={v_s!r}") from None
     # zero only at T = 0, where every arm vanishes
     sigma_sq = _inverse_variance(sigmas) if min(sigmas) > 0.0 else 0.0
-    s_arms = [noise + gain * sigma_sq for noise, gain in zip(noises, gains)]
+    s_arms = []  # a loop: a comprehension would cost a call per evaluation
+    for noise, gain in zip(noises, gains):
+        s_arms.append(noise + gain * sigma_sq)
     s_sq = _inverse_variance(s_arms)
-    _require_variances(sigma_sq, s_sq)
-    return sigma_sq, s_sq, tuple(zip(sigmas, s_arms))
+    if not (math.isfinite(sigma_sq) and sigma_sq >= 0.0):
+        raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq!r}")
+    if not (math.isfinite(s_sq) and s_sq >= 0.0):
+        raise ValueError(f"s_sq must be >= 0, got {s_sq!r}")
+    return sigma_sq, s_sq, sigmas, s_arms
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,10 @@ formula: the channel parameters are only known inside a confidence box, so
 the rate is taken at the pessimistic corner, and a penalty shrinking as
 ``1/sqrt(n)`` accounts for using ``n`` rather than infinitely many
 symbols.
+
+The public functions check their raw arguments' types, as the
+dataclasses check their fields; the private scalar cores behind them,
+which the optimizer runs on every evaluation, compare values only.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ def _thermal_entropy_bits(x: float) -> float:
 
 def _require_bona_fide(nus) -> None:
     for nu in nus:
-        _require(_finite(nu), "symplectic eigenvalues must be finite")
+        if not math.isfinite(nu):
+            raise ValueError("symplectic eigenvalues must be finite")
         if nu < 1.0 - NU_TOLERANCE:
             raise ValueError(f"symplectic eigenvalue {nu!r} below 1; state is not bona fide")
 
@@ -67,11 +72,12 @@ def _symplectic_pair(delta: float, disc: float,
     ``delta``, the discriminant of the characteristic polynomial of the
     squared spectrum and the determinant."""
     if disc < 0.0:
-        _require(disc >= -1e-9 * max(1.0, delta * delta),
-                 "two-mode covariance has complex symplectic invariants")
+        if not disc >= -1e-9 * max(1.0, delta * delta):
+            raise ValueError("two-mode covariance has complex symplectic invariants")
         disc = 0.0
     nu_sq_plus = 0.5 * (delta + math.sqrt(disc))
-    _require(nu_sq_plus > 0.0, "two-mode covariance is singular")
+    if not nu_sq_plus > 0.0:
+        raise ValueError("two-mode covariance is singular")
     nu_plus = math.sqrt(nu_sq_plus)
     # the small eigenvalue via the determinant, which avoids cancellation
     # in (delta - sqrt(disc)) when the eigenvalues are far apart
@@ -81,7 +87,10 @@ def _symplectic_pair(delta: float, disc: float,
 
 def _entropy_bits(nus) -> float:
     """Entropy in bits of the Gaussian state with symplectic spectrum ``nus``."""
-    return sum(_thermal_entropy_bits((nu - 1.0) / 2.0) for nu in nus)
+    total = 0.0
+    for nu in nus:
+        total += _thermal_entropy_bits((nu - 1.0) / 2.0)
+    return total
 
 
 def _eb_entries(T: float, veps: float, v_s: float,
@@ -91,9 +100,9 @@ def _eb_entries(T: float, veps: float, v_s: float,
     ``mu``, the receiver's x and p variances and the x and p correlations.
     ``build_eb_covariance`` in ``tests/matrix_reference.py`` lays them out
     as the 4x4 matrix."""
-    if not (_finite(v_mod_x) and v_mod_x >= 0.0):
+    if not (math.isfinite(v_mod_x) and v_mod_x >= 0.0):
         raise ValueError(f"x modulation variance must be >= 0, got {v_mod_x!r}")
-    if not (_finite(v_mod_p) and v_mod_p >= 0.0):
+    if not (math.isfinite(v_mod_p) and v_mod_p >= 0.0):
         raise ValueError(f"p modulation variance must be >= 0, got {v_mod_p!r}")
     vx = v_s + v_mod_x
     vp = 1.0 / v_s + v_mod_p
@@ -102,26 +111,35 @@ def _eb_entries(T: float, veps: float, v_s: float,
     if not math.isfinite(mu):
         raise ValueError("modulation variance too large: mu overflows at "
                          f"v_mod_x={v_mod_x!r}, v_mod_p={v_mod_p!r}")
-    _require(mu >= 1.0 - 1e-9,
-             "prepared ensemble violates the uncertainty bound (mu < 1)")
+    if not mu >= 1.0 - 1e-9:
+        raise ValueError("prepared ensemble violates the uncertainty bound (mu < 1)")
     corr = math.sqrt(T * max(mu * mu - 1.0, 0.0))
     t = math.sqrt(vx / mu)
     return (mu, T * vx + 1.0 - T + veps, T * vp + 1.0 - T + veps,
             corr * t, -corr / t)
 
 
+def _require_modulation(quadrature: str, value) -> None:
+    # the public wrappers' check of a raw modulation variance, its type
+    # included; the cores check its value first, with the same message
+    if not (_finite(value) and value >= 0.0):
+        raise ValueError(f"{quadrature} modulation variance must be >= 0, got {value!r}")
+
+
 def mutual_information(channel: ChannelParams, source: SourceParams,
                        v_key: float) -> float:
     """Shannon information per symbol between the key displacement and the
     receiver's homodyne outcome, in bits."""
+    _require_modulation("key", v_key)
     return _mutual_information(channel.T, channel.v_eps, source.v_s, v_key)
 
 
 def _mutual_information(T: float, v_eps: float, v_s: float, v_key: float) -> float:
-    if not (_finite(v_key) and v_key >= 0.0):
+    if not (math.isfinite(v_key) and v_key >= 0.0):
         raise ValueError(f"key modulation variance must be >= 0, got {v_key!r}")
     vn = _noise_variance(T, v_eps, v_s, 0.0)
-    _require(vn > 0.0, "aggregated noise variance must be positive")
+    if not vn > 0.0:
+        raise ValueError("aggregated noise variance must be positive")
     return 0.5 * math.log1p(T * v_key / vn) / _LOG2
 
 
@@ -140,6 +158,8 @@ def holevo_bound(channel: ChannelParams, source: SourceParams,
     entropy of each spectrum; the tests require the two to agree with
     ``==``.
     """
+    _require_modulation("x", v_mod_x)
+    _require_modulation("p", v_mod_p)
     return _holevo_bound(channel.T, channel.v_eps, source.v_s, v_mod_x, v_mod_p)
 
 
@@ -165,11 +185,13 @@ def _holevo_bound(T: float, v_eps: float, v_s: float,
     nus = _symplectic_pair(delta, disc, det_gamma)
     _require_bona_fide(nus)
     s_joint = _entropy_bits(nus)
-    _require(b_x > 0.0, "receiver x variance must be positive")
+    if not b_x > 0.0:
+        raise ValueError("receiver x variance must be positive")
     # sender covariance conditioned on a homodyne x outcome at the receiver
     a_cond = mu - c_x * c_x / b_x
     det_cond = a_cond * mu
-    _require(det_cond >= -NU_TOLERANCE, "conditional state is not bona fide")
+    if not det_cond >= -NU_TOLERANCE:
+        raise ValueError("conditional state is not bona fide")
     nu_cond = math.sqrt(max(det_cond, 0.0))
     s_cond = _thermal_entropy_bits((nu_cond - 1.0) / 2.0)
     return s_joint - s_cond
@@ -188,6 +210,7 @@ def asymptotic_key_rate(channel: ChannelParams, source: SourceParams,
     removes it, so it neither carries information nor strengthens the
     eavesdropper.
     """
+    _require_modulation("key", v_key)
     return _asymptotic_key_rate(channel.T, channel.v_eps, source.v_s, v_key, beta)
 
 

@@ -28,20 +28,23 @@ DEFAULT_BETA = 0.95
 
 
 def _require(condition: bool, message: str) -> None:
-    # an f-string message is formatted even when the condition holds, so the
-    # scalar rate cores, which run on every optimizer evaluation, raise
-    # directly wherever a message quotes a value
+    # for the dataclasses and the public wrappers; the scalar rate cores,
+    # which run on every optimizer evaluation, raise inline, so that a
+    # point that passes costs them no call here and no formatted message
     if not condition:
         raise ValueError(message)
 
 
 def _finite(x) -> bool:
-    # any real scalar, numpy's included, but not a bool; a float skips the
-    # slower abstract-class check, which the point checks of the scalar
-    # rate cores run on every optimizer evaluation
+    # the type check at the public door: any real scalar, numpy's included,
+    # that a float can hold, but not a bool. The scalar rate cores compare
+    # values only, with math.isfinite, on what this has let through.
     if not isinstance(x, float) and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
         return False
-    return math.isfinite(x)
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int, or a fraction, beyond the float range
+        return False
 
 
 def _require_beta(beta) -> None:
@@ -126,6 +129,7 @@ class ProtocolParams:
     def __post_init__(self):
         _require(isinstance(self.N, int) and self.N >= 2,
                  f"block size N must be an integer >= 2, got {self.N!r}")
+        _require(_finite(self.N), f"block size N must lie in the float range, got {self.N!r}")
         _require_beta(self.beta)
         _require(_finite(self.delta) and 0.0 < self.delta < 1.0,
                  f"confidence budget delta must lie in (0, 1), got {self.delta!r}")

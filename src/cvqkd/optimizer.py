@@ -4,8 +4,9 @@ The objective is always the planning-mode finite-size key rate: expected
 confidence bounds from the analytic variance models, no sampling. That
 makes every optimization deterministic, cheap, and exactly reproducible.
 
-It validates once per problem: each evaluation runs the scalar cores
-behind the public wrappers on the point's ``(v, v2, r)`` and builds no
+It checks types once per problem, when the problem's dataclasses are
+built: each evaluation runs the scalar cores behind the public wrappers
+on the point's ``(v, v2, r)``, which compare values only and build no
 dataclass, with the rate and the refusals of :func:`evaluate_point`, the
 public reference that builds the final report.
 
@@ -144,7 +145,7 @@ def _planning_rate(problem: OptimizationProblem):
 
     def rate(v: float, v2: float, r: float) -> float:
         n = _key_samples(r, N)
-        sigma_sq, s_sq, _ = _variance_model(T, v_eps, v_s, _arms(kind, v, v2, n, r * N))
+        sigma_sq, s_sq, _, _ = _variance_model(T, v_eps, v_s, _arms(kind, v, v2, n, r * N))
         t_low, veps_up, _, _ = _confidence_box(T, v_eps, sigma_sq, s_sq, z)
         return _finite_key_rate(t_low, veps_up, v_s, v, beta, n, N, log_term)[0]
 

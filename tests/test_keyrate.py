@@ -147,6 +147,38 @@ def test_covariance_matrix_validation():
         holevo_bound(channel, source, 3.0, -1.0)
 
 
+_CH, _SRC = ChannelParams(0.5, 0.005), SourceParams(1.0)
+# each public door to a scalar core, and the message it refuses a bad value with
+_DOORS = {
+    "holevo_bound-x": (lambda bad: holevo_bound(_CH, _SRC, bad, 0.0),
+                       "x modulation variance must be >= 0"),
+    "holevo_bound-p": (lambda bad: holevo_bound(_CH, _SRC, 3.0, bad),
+                       "p modulation variance must be >= 0"),
+    "mutual_information": (lambda bad: mutual_information(_CH, _SRC, bad),
+                           "key modulation variance must be >= 0"),
+    "asymptotic_key_rate": (lambda bad: asymptotic_key_rate(_CH, _SRC, bad),
+                            "key modulation variance must be >= 0"),
+    "variance_model-count": (lambda bad: variance_model(_CH, _SRC, [(bad, 3.0, 0.0)]),
+                             "sample count must be > 0"),
+    "variance_model-variance": (lambda bad: variance_model(_CH, _SRC, [(1e5, bad, 0.0)]),
+                                "modulation variance must be > 0"),
+}
+
+
+@pytest.mark.parametrize("bad", [True, "3", math.nan, math.inf, 10**400],
+                         ids=["bool", "str", "nan", "inf", "huge-int"])
+@pytest.mark.parametrize("door", list(_DOORS))
+def test_public_doors_refuse_what_the_cores_do_not_check(door, bad):
+    # the cores compare values only: a bool would pass their checks as 1 and
+    # a string would raise TypeError, so the wrapper refuses both, with the
+    # message of a bad value; an int beyond the float range must not escape
+    # as an OverflowError
+    call, message = _DOORS[door]
+    with pytest.raises(ValueError) as refused:
+        call(bad)
+    assert str(refused.value) == f"{message}, got {bad!r}"
+
+
 # --------------------------------------------------------------------------
 # entropies
 

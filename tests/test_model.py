@@ -168,6 +168,26 @@ def test_protocol_params_validation():
         ProtocolParams(SourceParams(1.0), mod, N=100, delta_star=0.0)
 
 
+_HUGE = 10**400  # an int beyond the float range
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ChannelParams(_HUGE), "transmittance must lie in [0, 1]"),
+    (lambda: ChannelParams(0.5, _HUGE), "excess noise must be >= 0"),
+    (lambda: SourceParams(_HUGE), "source variance must be > 0"),
+    (lambda: Protocol("single", v=_HUGE), "key variance v must be >= 0"),
+    (lambda: Protocol("double", 1.0, v2=_HUGE), "probe variance v2 must be > 0"),
+    (lambda: ProtocolParams(SourceParams(1.0), Protocol("single", 3.0, r=0.5), N=_HUGE),
+     "block size N must lie in the float range"),
+], ids=["T", "v_eps", "v_s", "v", "v2", "N"])
+def test_an_int_no_float_can_hold_is_refused_by_name(build, message):
+    # refused by the field's name, not by an OverflowError from a float
+    # conversion in the check or, for N, in .n later
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == f"{message}, got {_HUGE!r}"
+
+
 def test_fiber_model_validation():
     with pytest.raises(ValueError):
         FiberModel(attenuation_db_per_km=0.0)

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 from collections import Counter
 from dataclasses import replace
 
@@ -39,6 +40,7 @@ from cvqkd import (
     ExponentialFit,
     asymptotic_key_rate,
 )
+import cvqkd
 from cvqkd import numeric, optimizer
 from cvqkd.cli import load_preset
 from cvqkd.estimation import ConfidenceBounds, VarianceModel
@@ -235,6 +237,19 @@ def test_optimize_validates_once_per_problem(monkeypatch):
             built[_name] += 1
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counting)
+    # the type check, wherever a module calls it: the dataclasses and the
+    # public wrappers, never the scalar cores that each evaluation runs
+    real_finite = cvqkd.model._finite
+
+    def counting_finite(x):
+        built["_finite"] += 1
+        return real_finite(x)
+    checking = [module for module in vars(cvqkd).values()
+                if isinstance(module, types.ModuleType) and hasattr(module, "_finite")]
+    assert {module.__name__ for module in checking} >= {
+        "cvqkd.model", "cvqkd.estimation", "cvqkd.keyrate", "cvqkd.optimizer"}
+    for module in checking:
+        monkeypatch.setattr(module, "_finite", counting_finite)
     params = ProtocolParams(SourceParams(1.0), Protocol("single", 1.0, r=0.2), 10**7)
     counts = []
     for free in (("v",), ("v", "r")):
@@ -244,7 +259,7 @@ def test_optimize_validates_once_per_problem(monkeypatch):
         counts.append((result.evaluations, dict(built)))
     (few, one), (many, two) = counts
     assert many > 3 * few
-    assert one == two and one["KeyRateReport"] == 1
+    assert one == two and one["KeyRateReport"] == 1 and one["_finite"] > 0
 
 
 # (channel T, source v_s, scheme, N) -> point, K and evaluations at the
