@@ -59,9 +59,9 @@ from .model import (SINGLE, MODIFIED, KINDS, DEFAULT_BETA, DEFAULT_DELTA,
 from .estimation import expected_bounds, ideal_bounds
 from .keyrate import finite_key_rate, theoretical_key_rate_limit
 from .montecarlo import _whole, validate_variance_models
-from .optimizer import (FIT_POINTS, FIT_WINDOW_KM, FREE, LEGACY, ExponentialFit,
-                        OptimizationProblem, optimize_each, optimize_key_rate,
-                        fit_exponential_keyrate, max_distance)
+from .optimizer import (FIT_POINTS, FIT_WINDOW_KM, FREE, LEGACY, OptimizationProblem,
+                        optimize_each, optimize_key_rate, fit_exponential_keyrate,
+                        max_distance)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -467,18 +467,8 @@ def cmd_optimize(args) -> int:
 
 def cmd_maxdist(args) -> int:
     fiber = FiberModel(eps_ratio=args.eps_ratio)
-    if (args.fit_a is None) != (args.fit_kappa is None):
-        raise ValueError("--fit-a and --fit-kappa must be given together")
-    # an injected fit reports the window as its range, so both paths check it
-    _require(args.d_max > args.d_min > 0.0, "distance window must be increasing and positive")
-    if args.fit_a is not None:
-        # injected synthetic fit: bypasses the per-distance optimization
-        fit = ExponentialFit(a=args.fit_a, kappa=args.fit_kappa,
-                             fit_range=(args.d_min, args.d_max), residual=0.0)
-    else:
-        fit = fit_exponential_keyrate(fiber, args.beta, v_s=args.vs,
-                                      d_range=(args.d_min, args.d_max),
-                                      points=args.points)
+    fit = fit_exponential_keyrate(fiber, args.beta, v_s=args.vs,
+                                  d_range=(args.d_min, args.d_max), points=args.points)
     table = [{"N": n_val, "d_max_km": max_distance(fit, n_val, args.delta_star)}
              for n_val in args.N]
     inputs = {"command": "maxdist", "beta": args.beta, "v_s": args.vs,
@@ -628,10 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     maxdist.add_argument("--points", type=_whole_flag("point count must be a whole number"),
                          default=FIT_POINTS)
     maxdist.add_argument("--delta-star", type=float, default=DEFAULT_DELTA_STAR)
-    maxdist.add_argument("--fit-a", type=float, default=None,
-                         help="inject a synthetic fit prefactor (with --fit-kappa)")
-    maxdist.add_argument("--fit-kappa", type=float, default=None,
-                         help="inject a synthetic decay constant (with --fit-a)")
     maxdist.add_argument("--out", help="also write the JSON report here")
     maxdist.set_defaults(func=cmd_maxdist)
 

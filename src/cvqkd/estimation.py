@@ -231,12 +231,15 @@ def variance_model(channel: ChannelParams, source: SourceParams, arms) -> Varian
     displacement is accepted there.
     """
     # the core compares values only, so here an arm's sample count and
-    # revealed variance that are not floats must be reals a float can hold
-    for m, revealed, _ in arms:
+    # revealed variance that are not floats must be reals a float can hold,
+    # and its withheld variance, which the core never checks, a real >= 0
+    for m, revealed, withheld in arms:
         if not (isinstance(revealed, float) or _finite(revealed)):
             raise ValueError(f"modulation variance must be > 0, got {revealed!r}")
         if not (isinstance(m, float) or _finite(m)):
             raise ValueError(f"sample count must be > 0, got {m!r}")
+        if not (_finite(withheld) and withheld >= 0.0):
+            raise ValueError(f"withheld variance must be >= 0, got {withheld!r}")
     sigma_sq, s_sq, sigmas, s_arms = _variance_model(channel.T, channel.v_eps, source.v_s,
                                                      arms)
     return VarianceModel(sigma_sq, s_sq, tuple(zip(sigmas, s_arms)))

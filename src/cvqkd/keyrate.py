@@ -17,7 +17,11 @@ symbols.
 
 The public functions check their raw arguments' types, as the
 dataclasses check their fields; the private scalar cores behind them,
-which the optimizer runs on every evaluation, compare values only.
+which the optimizer runs on every evaluation, compare values only, and
+only values they compute. A modulation variance is checked once, where
+it enters: by ``_require_modulation`` at a public function, by
+:class:`~cvqkd.model.Protocol` for a protocol's variances, and by the
+search box or grid of the optimizers; the cores take it as checked.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .model import (
     _finite,
     _noise_variance,
     _require,
+    _require_beta,
 )
 
 _LOG2 = math.log(2.0)
@@ -100,10 +105,6 @@ def _eb_entries(T: float, veps: float, v_s: float,
     ``mu``, the receiver's x and p variances and the x and p correlations.
     ``build_eb_covariance`` in ``tests/matrix_reference.py`` lays them out
     as the 4x4 matrix."""
-    if not (math.isfinite(v_mod_x) and v_mod_x >= 0.0):
-        raise ValueError(f"x modulation variance must be >= 0, got {v_mod_x!r}")
-    if not (math.isfinite(v_mod_p) and v_mod_p >= 0.0):
-        raise ValueError(f"p modulation variance must be >= 0, got {v_mod_p!r}")
     vx = v_s + v_mod_x
     vp = 1.0 / v_s + v_mod_p
     mu = math.sqrt(vx * vp)
@@ -120,8 +121,8 @@ def _eb_entries(T: float, veps: float, v_s: float,
 
 
 def _require_modulation(quadrature: str, value) -> None:
-    # the public wrappers' check of a raw modulation variance, its type
-    # included; the cores check its value first, with the same message
+    # the one check of a raw modulation variance, its type included; the
+    # cores take the variances as checked
     if not (_finite(value) and value >= 0.0):
         raise ValueError(f"{quadrature} modulation variance must be >= 0, got {value!r}")
 
@@ -135,8 +136,6 @@ def mutual_information(channel: ChannelParams, source: SourceParams,
 
 
 def _mutual_information(T: float, v_eps: float, v_s: float, v_key: float) -> float:
-    if not (math.isfinite(v_key) and v_key >= 0.0):
-        raise ValueError(f"key modulation variance must be >= 0, got {v_key!r}")
     vn = _noise_variance(T, v_eps, v_s, 0.0)
     if not vn > 0.0:
         raise ValueError("aggregated noise variance must be positive")
@@ -211,6 +210,7 @@ def asymptotic_key_rate(channel: ChannelParams, source: SourceParams,
     eavesdropper.
     """
     _require_modulation("key", v_key)
+    _require_beta(beta)
     return _asymptotic_key_rate(channel.T, channel.v_eps, source.v_s, v_key, beta)
 
 
@@ -342,6 +342,7 @@ def optimal_asymptotic_rate(channel: ChannelParams, beta: float = DEFAULT_BETA,
     ``v_s = None`` evaluates the strong-squeezing limit. Returns
     ``(rate, v_opt)``.
     """
+    _require_beta(beta)
     source = SourceParams(SQUEEZING_LIMIT_VS if v_s is None else v_s)
 
     def rate_of(v: float) -> float:
@@ -363,6 +364,7 @@ def theoretical_key_rate_limit(channel: ChannelParams, N: float,
     limit, the transmittance is taken as known. The source is arbitrarily
     strongly squeezed and the modulation optimised.
     """
+    _require_beta(beta)
     veps_eval = max(channel.v_eps, theoretical_noise_limit(channel, N))
     k_inf, _ = optimal_asymptotic_rate(ChannelParams(channel.T, veps_eval), beta)
     return k_inf - finite_size_correction(N, delta_star)

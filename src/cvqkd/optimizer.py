@@ -259,12 +259,19 @@ def optimize_each(problems) -> list[OptimizationResult]:
     one CPU, one problem or no ``os.fork`` the problems run in this
     process. Every child is reaped before this returns or raises; when
     this process is interrupted, or a child fails, the children still
-    running are killed first. On Linux a child also ends when this
-    process is killed.
+    running are killed first. When this process is killed, each child
+    finishes at most the problem it is on: it takes no further problem
+    once its parent pid changes, and it holds no read end of any report
+    pipe, so its report fails and it exits.
 
     Children are forked, not spawned: a spawned one imports the library
     afresh, which on a 2-core machine cost more than a 70-row sweep saves.
     The library starts no thread, so no lock is held across the fork.
+    Keep the shared token pipe: a strided split (process k takes problems
+    k, k + w, ...) lost every one of 12 alternating ``sweep`` benchmark
+    pairs on a 2-core machine, 461 against 591 rows/s in the median,
+    although its even and odd rows cost the same to 3 %; only taking
+    problems as each process frees up absorbs unequal CPU time.
     """
     problems = list(problems)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -291,9 +298,11 @@ def optimize_each(problems) -> list[OptimizationResult]:
             if pid == 0:
                 code = 1
                 try:  # the child never returns into the caller
-                    _end_with_parent(parent)
+                    os.close(report)
+                    for pipe in children.values():
+                        pipe.close()
                     with open(write_end, "wb") as out:
-                        out.write(pickle.dumps(_take(problems, tokens, step)))
+                        out.write(pickle.dumps(_take(problems, tokens, step, parent)))
                     code = 0
                 finally:
                     os._exit(code)
@@ -324,36 +333,21 @@ def optimize_each(problems) -> list[OptimizationResult]:
     return results
 
 
-
-def _take(problems, tokens, step) -> list:
+def _take(problems, tokens, step, parent=None) -> list:
     """``(index, result or exception)`` of each problem that this process
-    takes from the token pipe of :func:`optimize_each`, until it is empty."""
+    takes from the token pipe of :func:`optimize_each`, until it is empty,
+    or, in a forked child, until ``parent`` is no longer its parent."""
     outcomes = []
     while token := os.read(tokens, _TOKEN):
         start = int.from_bytes(token, "little")
         for index in range(start, min(start + step, len(problems))):
+            if parent is not None and os.getppid() != parent:
+                return outcomes
             try:
                 outcomes.append((index, optimize_key_rate(problems[index])))
             except Exception as exc:
                 outcomes.append((index, exc))
     return outcomes
-
-
-def _end_with_parent(parent: int) -> None:
-    """Ask Linux to SIGTERM this forked child when the thread that forked
-    it dies (``prctl(PR_SET_PDEATHSIG)``), and exit at once if the parent
-    is already gone. Without this a child of a killed parent would go on
-    through the problems left in the token pipe. Where there is no
-    ``prctl`` the child goes on as before."""
-    import ctypes
-    import signal
-
-    try:
-        ctypes.CDLL(None).prctl(1, signal.SIGTERM)  # 1: PR_SET_PDEATHSIG
-    except (AttributeError, OSError):
-        pass
-    if os.getppid() != parent:
-        os._exit(1)
 
 
 # --------------------------------------------------------------------------

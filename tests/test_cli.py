@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, file formats, reproducibility."""
 
 import json
-import math
 import os
 import re
 import subprocess
@@ -10,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from cvqkd import (ChannelParams, FiberModel, OptimizationProblem, Protocol,
-                   ProtocolParams, SourceParams, cli, optimize_key_rate, optimizer)
+from cvqkd import (ChannelParams, ExponentialFit, FiberModel, OptimizationProblem,
+                   Protocol, ProtocolParams, SourceParams, cli, fit_exponential_keyrate,
+                   max_distance, optimize_key_rate, optimizer)
 from cvqkd.model import KINDS
 from cvqkd.cli import (main_entry, scenario_digest, preset_names, load_preset,
                        run_sweep)
@@ -270,7 +270,6 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
          "--corner-search"],
         ["optimize", "--T", "0.1", "--scheme", "double", "--N", "1e8"],
         ["sweep", "--scenario", str(scenario), "--out", str(tmp_path)],
-        ["maxdist", "--N", "1e6", "--fit-a", "1", "--fit-kappa", "0.02"],
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(queries)],
@@ -729,56 +728,38 @@ def test_montecarlo_refuses_a_thread_count_below_one(capsys, tmp_path, threads):
 # maxdist command
 
 
-def test_maxdist_with_injected_fit(capsys):
-    rc = main_entry(["maxdist", "--fit-a", "1.2", "--fit-kappa", "0.02",
-                     "--N", "1e6", "1e8"])
+def test_maxdist_reports_the_bound_of_its_fit(capsys):
+    rc = main_entry(["maxdist", "--N", "1e6", "1e8"])
     payload = _json_out(capsys)
     assert rc == 0
-    assert payload["fit"]["a"] == 1.2 and payload["fit"]["kappa"] == 0.02
-    assert payload["km_per_decade"] == pytest.approx(25.0, rel=1e-12)
-    threshold = 7.0 * math.sqrt(math.log2(2.0 / 1e-10) / 1e6)
-    expected = math.log10(1.2 / threshold) / 0.02
-    table = {row["N"]: row["d_max_km"] for row in payload["d_max"]}
-    assert table[1e6] == pytest.approx(expected, rel=1e-12)
-    assert table[1e8] - table[1e6] == pytest.approx(50.0, rel=1e-12)
+    reported = payload["fit"]
+    fit = ExponentialFit(reported["a"], reported["kappa"],
+                         tuple(reported["fit_range_km"]), reported["residual"])
+    assert fit == fit_exponential_keyrate()
+    assert payload["km_per_decade"] == 0.5 / fit.kappa
+    assert [(row["N"], row["d_max_km"]) for row in payload["d_max"]] == [
+        (n_val, max_distance(fit, n_val)) for n_val in (1e6, 1e8)]
 
 
-@pytest.mark.parametrize("a, kappa, name", [
-    ("0", "0.01", "fitted amplitude"), ("-1", "0.01", "fitted amplitude"),
-    ("inf", "0.01", "fitted amplitude"), ("nan", "0.01", "fitted amplitude"),
-    ("1", "0", "decay constant"), ("1", "-0.01", "decay constant"),
-    ("1", "inf", "decay constant"),
-])
-def test_maxdist_refuses_a_bad_injected_fit(capsys, a, kappa, name):
-    rc = main_entry(["maxdist", "--N", "1e6", "--fit-a", a, "--fit-kappa", kappa])
-    captured = capsys.readouterr()
-    assert rc == 1 and captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
-
-
-@pytest.mark.parametrize("fit", [["--fit-a", "1", "--fit-kappa", "0.02"], []],
-                         ids=["injected", "fitted"])
+@pytest.mark.parametrize("path", ["fitted", "library"])
 @pytest.mark.parametrize("window", [("200", "10"), ("50", "50"), ("0", "150"),
                                     ("nan", "150")])
-def test_maxdist_refuses_a_bad_window_on_both_paths(capsys, fit, window):
-    rc = main_entry(["maxdist", "--N", "1e6", *fit, "--d-min", window[0],
-                     "--d-max", window[1]])
+def test_maxdist_refuses_a_bad_window_on_both_paths(capsys, path, window):
+    # the query leaves the window to the library fit, which refuses it
+    if path == "library":
+        with pytest.raises(ValueError) as refused:
+            fit_exponential_keyrate(d_range=(float(window[0]), float(window[1])))
+        assert str(refused.value) == "distance window must be increasing and positive"
+        return
+    rc = main_entry(["maxdist", "--N", "1e6", "--d-min", window[0], "--d-max", window[1]])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err == "error: distance window must be increasing and positive\n"
 
 
-def test_maxdist_rejects_lone_fit_flag(capsys):
-    assert main_entry(["maxdist", "--fit-a", "1.2"]) == 1
-    assert "together" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("flags, message", [
-    (["--fit-a", "1.2", "--fit-kappa", "0.02", "--delta-star", "0"],
-     "delta_star must lie in (0, 1), got 0.0"),
-    (["--fit-a", "1.2", "--fit-kappa", "0.02", "--delta-star", "2"],
-     "delta_star must lie in (0, 1), got 2.0"),
+    (["--delta-star", "0"], "delta_star must lie in (0, 1), got 0.0"),
+    (["--delta-star", "2"], "delta_star must lie in (0, 1), got 2.0"),
     (["--beta", "2"], "reconciliation efficiency must lie in (0, 1], got 2.0"),
 ], ids=["delta_star-0", "delta_star-2", "beta-2"])
 def test_maxdist_refuses_out_of_range_budgets(capsys, flags, message):

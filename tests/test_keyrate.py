@@ -162,11 +162,13 @@ _DOORS = {
                              "sample count must be > 0"),
     "variance_model-variance": (lambda bad: variance_model(_CH, _SRC, [(1e5, bad, 0.0)]),
                                 "modulation variance must be > 0"),
+    "variance_model-withheld": (lambda bad: variance_model(_CH, _SRC, [(1e5, 3.0, bad)]),
+                                "withheld variance must be >= 0"),
 }
 
 
-@pytest.mark.parametrize("bad", [True, "3", math.nan, math.inf, 10**400],
-                         ids=["bool", "str", "nan", "inf", "huge-int"])
+@pytest.mark.parametrize("bad", [True, "3", math.nan, math.inf, 10**400, -1.0],
+                         ids=["bool", "str", "nan", "inf", "huge-int", "negative"])
 @pytest.mark.parametrize("door", list(_DOORS))
 def test_public_doors_refuse_what_the_cores_do_not_check(door, bad):
     # the cores compare values only: a bool would pass their checks as 1 and
@@ -177,6 +179,23 @@ def test_public_doors_refuse_what_the_cores_do_not_check(door, bad):
     with pytest.raises(ValueError) as refused:
         call(bad)
     assert str(refused.value) == f"{message}, got {bad!r}"
+
+
+_BETA_DOORS = {
+    "asymptotic_key_rate": lambda beta: asymptotic_key_rate(_CH, _SRC, 3.0, beta),
+    "optimal_asymptotic_rate": lambda beta: optimal_asymptotic_rate(_CH, beta),
+    "theoretical_key_rate_limit": lambda beta: theoretical_key_rate_limit(_CH, 1e8, beta),
+}
+
+
+@pytest.mark.parametrize("beta", [5.0, 0.0, math.nan, True, "x"],
+                         ids=["above-1", "zero", "nan", "bool", "str"])
+@pytest.mark.parametrize("door", list(_BETA_DOORS))
+def test_rate_doors_refuse_a_bad_reconciliation_efficiency(door, beta):
+    with pytest.raises(ValueError) as refused:
+        _BETA_DOORS[door](beta)
+    assert str(refused.value) == (
+        f"reconciliation efficiency must lie in (0, 1], got {beta!r}")
 
 
 # --------------------------------------------------------------------------

@@ -578,38 +578,100 @@ def _alive(pid):
         return False
 
 
-def test_optimize_each_workers_end_when_their_parent_is_killed():
-    import ctypes
+def _stat(pid):
+    """The state letter and the CPU ticks of ``pid`` from ``/proc``."""
+    with open(f"/proc/{pid}/stat") as handle:
+        fields = handle.read().rpartition(")")[2].split()
+    return fields[0], int(fields[11]) + int(fields[12])
 
+
+def _forked_child(proc):
+    """The pid of the one child that ``proc`` forks, once it has."""
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork")
-    if not hasattr(ctypes.CDLL(None), "prctl"):
-        pytest.skip("no prctl")
+    children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        assert proc.poll() is None, "the sweep ended before its child started"
+        try:
+            with open(children) as handle:
+                forked = [int(pid) for pid in handle.read().split()]
+        except FileNotFoundError:
+            pytest.skip("no /proc children list")
+        if forked:
+            # two CPUs: the sweep runs in its own process and in one child
+            assert len(forked) == 1
+            return forked[0]
+        time.sleep(0.02)
+    raise AssertionError("no child was forked within 30 s")
+
+
+def _reap(proc, child):
+    proc.kill()
+    proc.wait()
+    if child is not None and _alive(child):
+        os.kill(child, signal.SIGKILL)
+
+
+def test_optimize_each_workers_end_when_their_parent_is_killed():
     proc = subprocess.Popen([sys.executable, "-c", _KILLED_SWEEP])
-    # two CPUs: the sweep runs in its own process and in one forked child
-    forked = []
+    child = None
     try:
-        children = f"/proc/{proc.pid}/task/{proc.pid}/children"
-        deadline = time.monotonic() + 30.0
-        while not forked and time.monotonic() < deadline:
-            assert proc.poll() is None, "the sweep ended before its child started"
-            try:
-                with open(children) as handle:
-                    forked = [int(pid) for pid in handle.read().split()]
-            except FileNotFoundError:
-                pytest.skip("no /proc children list")
-            time.sleep(0.02)
-        assert len(forked) == 1
+        child = _forked_child(proc)
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=30)
         time.sleep(2.0)
-        assert [pid for pid in forked if _alive(pid)] == []
+        assert not _alive(child)
     finally:
+        _reap(proc, child)
+
+
+_BLOCKED_REPORT = """
+import os, time
+from cvqkd import (ChannelParams, OptimizationProblem, Protocol, ProtocolParams,
+                   SourceParams, optimize_each, optimizer)
+
+os.sched_getaffinity = lambda pid: {0, 1}
+parent, run = os.getpid(), optimizer.optimize_key_rate
+
+
+def held(problem):
+    if os.getpid() == parent:  # held in its first problem: it never reads
+        time.sleep(3600.0)
+    return run(problem)
+
+
+optimizer.optimize_key_rate = held
+optimize_each([OptimizationProblem(ChannelParams(0.3, 0.003), ProtocolParams(
+    SourceParams(1.0), Protocol("single", 1.0 + i / 20000, r=0.2), 10**6), free=())
+    for i in range(20000)])
+"""
+
+
+def test_optimize_each_worker_blocked_on_its_report_ends_when_its_parent_is_killed():
+    # the child does every problem but the parent's one and then blocks
+    # writing a report far larger than the pipe holds; once the parent is
+    # gone no process may hold the pipe's read end, or it blocks for ever
+    proc = subprocess.Popen([sys.executable, "-c", _BLOCKED_REPORT])
+    child = None
+    try:
+        child = _forked_child(proc)
+        deadline = time.monotonic() + 120.0
+        last = None
+        while True:
+            assert time.monotonic() < deadline, "the child never blocked on its report"
+            time.sleep(0.25)
+            state, ticks = _stat(child)
+            # asleep, and no CPU time spent since the last look
+            if state == "S" and last == ticks:
+                break
+            last = ticks if state == "S" else None
         proc.kill()
-        proc.wait()
-        for pid in forked:
-            if _alive(pid):
-                os.kill(pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+        time.sleep(2.0)
+        assert not _alive(child)
+    finally:
+        _reap(proc, child)
 
 
 def test_ratio_curve_is_the_same_on_one_cpu(monkeypatch):

@@ -68,7 +68,6 @@ QUERIES = (
     ("optimize", "--T", "0.3", "--v", "3", "--r", "0.3", "--N", "1e6"),
     ("optimize", "--T", "0.5", "--scheme", "modified", "--v2", "4", "--N", "1e9"),
     ("maxdist", "--N", "1e6", "1e8", "1e10"),
-    ("maxdist", "--N", "1e6", "--fit-a", "1", "--fit-kappa", "0.02"),
 )
 _TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 
