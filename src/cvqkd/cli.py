@@ -26,8 +26,10 @@ gives a default, and the others are optional:
     template      N*, r*, v_s=1, v*, v1*, v2*;  a schemes entry: kind*, v_s=1
 
 A d or T axis needs N and refuses a channel, an N axis the reverse.
-Numbers must be JSON numbers, not strings or bools, and N, points, trials
-and seed whole ones. Any other key, at any level, is rejected by name.
+Numbers must be JSON numbers a float can hold, and N, points, trials and
+seed whole ones: a string, a bool, NaN, Infinity or an integer beyond the
+float range is refused under its key, seeds included. Any other key, at
+any level, is rejected by name.
 
 Every output file starts with a manifest line identifying the tool
 version, a digest of the scenario that produced it, and the seed.  The
@@ -55,10 +57,11 @@ from importlib import resources
 from . import __version__, numeric
 from .model import (SINGLE, MODIFIED, KINDS, DEFAULT_BETA, DEFAULT_DELTA,
                     DEFAULT_DELTA_STAR, ChannelParams, SourceParams, Protocol,
-                    ProtocolParams, FiberModel, channel_at_distance, _require)
+                    ProtocolParams, FiberModel, channel_at_distance,
+                    excess_noise_from_fiber, _finite, _require, _whole)
 from .estimation import expected_bounds, ideal_bounds
 from .keyrate import finite_key_rate, theoretical_key_rate_limit
-from .montecarlo import _whole, validate_variance_models
+from .montecarlo import validate_variance_models
 from .optimizer import (FIT_POINTS, FIT_WINDOW_KM, FREE, LEGACY, OptimizationProblem,
                         optimize_each, optimize_key_rate, fit_exponential_keyrate,
                         max_distance)
@@ -152,10 +155,9 @@ def _object(schema: dict, where: str, build=dict):
     return lambda spec: build(**_read(spec, schema, where))
 
 
-# a JSON number: a bool (an int subclass to Python) or a string is refused
-_number = _check(lambda x: type(x) in (int, float), "a number", float)
-_count = _check(lambda x: type(x) is int or type(x) is float and x.is_integer(),
-                "a whole number", int)
+# a number a float can hold, as model._finite says; not a bool or a string
+_number = _check(_finite, "a number", float)
+_count = _check(lambda x: _finite(x) and float(x).is_integer(), "a whole number", int)
 _text = _check(lambda x: isinstance(x, str), "a string")
 _schemes = _check(lambda x: isinstance(x, list) and len(x) > 0,
                   "a list of at least one scheme")
@@ -252,15 +254,14 @@ def _sweep_points(s: dict) -> list[tuple]:
         _require(s["N"] is None, "an N-axis sweep takes its block sizes from the axis; "
                                  "remove the block size 'N'")
         T, v_eps = s["channel"]["T"], s["channel"]["v_eps"]
-        channel = ChannelParams(T, fiber.eps_ratio * T if v_eps is None else v_eps)
+        channel = ChannelParams(T, excess_noise_from_fiber(T, fiber) if v_eps is None else v_eps)
         return [(x, channel, int(round(float(x)))) for x in values]
     _require(s["N"] is not None, "a sweep over d or T needs the block size 'N'")
     _require(s["channel"] is None, "a sweep over d or T takes its channel from the axis; "
                                    "remove the fixed 'channel' entry")
     if variable == "d":
         return [(x, channel_at_distance(float(x), fiber), s["N"]) for x in values]
-    return [(x, ChannelParams(float(x), fiber.eps_ratio * float(x)), s["N"])
-            for x in values]
+    return [(T, ChannelParams(T, excess_noise_from_fiber(T, fiber)), s["N"]) for T in values]
 
 
 # ------------------------------------------------------------------
@@ -365,7 +366,7 @@ def _channel_from_args(args) -> ChannelParams:
     _require(args.T is not None or args.d is not None,
              "need --T or --d to fix the channel")
     T = channel_at_distance(args.d, fiber).T if args.d is not None else args.T
-    veps = args.veps if args.veps is not None else fiber.eps_ratio * T
+    veps = args.veps if args.veps is not None else excess_noise_from_fiber(T, fiber)
     return ChannelParams(T, veps)
 
 

@@ -47,6 +47,16 @@ def _finite(x) -> bool:
         return False
 
 
+def _whole(x, floor: int) -> bool:
+    """Whether ``x`` is an int, and not a bool, of at least ``floor``."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= floor
+
+
+def _require_count(x, floor: int, what: str) -> None:
+    _require(_whole(x, floor), f"{what} must be an integer >= {floor}, got {x!r}")
+    _require(_finite(x), f"{what} must lie in the float range, got {x!r}")
+
+
 def _require_beta(beta) -> None:
     _require(_finite(beta) and 0.0 < beta <= 1.0,
              f"reconciliation efficiency must lie in (0, 1], got {beta!r}")
@@ -127,9 +137,7 @@ class ProtocolParams:
     delta_star: float = DEFAULT_DELTA_STAR
 
     def __post_init__(self):
-        _require(isinstance(self.N, int) and self.N >= 2,
-                 f"block size N must be an integer >= 2, got {self.N!r}")
-        _require(_finite(self.N), f"block size N must lie in the float range, got {self.N!r}")
+        _require_count(self.N, 2, "block size N")
         _require_beta(self.beta)
         _require(_finite(self.delta) and 0.0 < self.delta < 1.0,
                  f"confidence budget delta must lie in (0, 1), got {self.delta!r}")

@@ -33,17 +33,14 @@ from .model import (
     Protocol,
     SourceParams,
     _require,
+    _require_count,
+    _whole,
     aggregated_noise_variance,
     excess_noise_from_fiber,
 )
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def _whole(x, floor: int) -> bool:
-    """Whether ``x`` is an int, and not a bool, of at least ``floor``."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= floor
 
 
 @dataclass(frozen=True)
@@ -58,10 +55,8 @@ class TrialConfig:
     seed: int
 
     def __post_init__(self):
-        _require(_whole(self.N, 2),
-                 f"block size N must be an integer >= 2, got {self.N!r}")
-        _require(_whole(self.trials, 1),
-                 f"trial count must be an integer >= 1, got {self.trials!r}")
+        _require_count(self.N, 2, "block size N")
+        _require_count(self.trials, 1, "trial count")
         _require(_whole(self.seed, 0),
                  f"seed must be a non-negative integer, got {self.seed!r}")
         kind = self.scheme.kind
@@ -188,9 +183,7 @@ def _run_rows(configs: list[TrialConfig]) -> list[EmpiricalStats]:
     for config in configs:
         rng = np.random.default_rng(config.seed)
         draws.append([_arm_means(rng, config, *arm) for arm in arms])
-    # a lone row is viewed as a stack; np.stack would copy it
-    stack = (lambda rows: rows[0][np.newaxis]) if len(configs) == 1 else np.stack
-    means = [[stack(rows) for rows in zip(*arm)] for arm in zip(*draws)]
+    means = [[np.stack(rows) for rows in zip(*arm)] for arm in zip(*draws)]
     # per arm, the column of the rows' weights from sigma^2 (T) and s^2 (V_eps)
     weights = np.array([[_weights(v) for v in zip(*m.per_arm)] for m in models])
     t_weights, v_weights = weights.transpose(1, 2, 0)[..., np.newaxis]

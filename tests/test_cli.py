@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file formats, reproducibility."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -519,6 +520,7 @@ def _without(scenario, key):
 
 _MC = load_preset("variance_validation")
 _AXIS = _TINY_SWEEP["sweep"]
+_HUGE = 10**400  # an integer beyond the float range
 
 
 @pytest.mark.parametrize("scenario, message", [
@@ -552,10 +554,37 @@ _AXIS = _TINY_SWEEP["sweep"]
      "'t_grid' must run from min > 0 up to max > min, got min=0.0, max=0.5"),
     ({**_MC, "t_grid": {**_MC["t_grid"], "points": 1}},
      "'t_grid' needs at least 2 points, got points=1"),
+    # a number is one a float can hold: NaN, Infinity and an int beyond the
+    # float range are refused under their key, seeds included
+    ({**_TINY_SWEEP, "sweep": {**_AXIS, "max": _HUGE}},
+     f"the upper end 'max' in 'sweep' must be a number, got {_HUGE}"),
+    ({**_TINY_SWEEP, "beta": _HUGE},
+     f"the reconciliation efficiency 'beta' in a sweep scenario must be a number, got {_HUGE}"),
+    ({**_TINY_SWEEP, "fiber": {"eps_ratio": _HUGE}},
+     f"the excess-noise ratio 'eps_ratio' in 'fiber' must be a number, got {_HUGE}"),
+    ({**_TINY_SWEEP, "sweep": {**_AXIS, "points": _HUGE}},
+     f"the point count 'points' in 'sweep' must be a whole number, got {_HUGE}"),
+    ({**_MC, "t_grid": {**_MC["t_grid"], "points": _HUGE}},
+     f"the point count 'points' in 't_grid' must be a whole number, got {_HUGE}"),
+    ({**_MC, "template": {**_MC["template"], "N": _HUGE}},
+     f"the block size 'N' in 'template' must be a whole number, got {_HUGE}"),
+    ({**_TINY_SWEEP, "N": _HUGE},
+     f"the block size 'N' in a sweep scenario must be a whole number, got {_HUGE}"),
+    ({**_MC, "trials": _HUGE},
+     f"the trial count 'trials' in a montecarlo scenario must be a whole number, got {_HUGE}"),
+    ({**_MC, "seed": _HUGE},
+     f"the seed 'seed' in a montecarlo scenario must be a whole number, got {_HUGE}"),
+    ({**_TINY_SWEEP, "beta": math.nan},
+     "the reconciliation efficiency 'beta' in a sweep scenario must be a number, got nan"),
+    ({**_TINY_SWEEP, "beta": math.inf},
+     "the reconciliation efficiency 'beta' in a sweep scenario must be a number, got inf"),
 ], ids=["no-schemes", "no-trials", "no-seed", "no-template", "points-word",
         "points-string", "points-fraction", "beta-bool", "N-string",
         "schemes-object", "sweep-schemes-empty", "mc-schemes-empty", "axis-list",
-        "axis-from-zero", "axis-one-point", "t-grid-from-zero", "t-grid-one-point"])
+        "axis-from-zero", "axis-one-point", "t-grid-from-zero", "t-grid-one-point",
+        "max-huge", "beta-huge", "eps-ratio-huge", "points-huge", "t-grid-points-huge",
+        "template-N-huge", "sweep-N-huge", "trials-huge", "seed-huge", "beta-nan",
+        "beta-infinity"])
 def test_scenario_reader_names_the_bad_key(capsys, tmp_path, scenario, message):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))

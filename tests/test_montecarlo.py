@@ -350,6 +350,11 @@ def test_trial_config_validation():
                                   (100, 1, False, "seed")):
         with pytest.raises(ValueError, match=name):
             TrialConfig(ch, src, single, n, trials, seed)   # a bool is no count
+    # refused by name, in ProtocolParams' wording, before round(r * N) overflows
+    for protocol in (single, Protocol("double", 3.0, 10.0), Protocol("modified", 3.0, 10.0, 0.5)):
+        for n, trials, name in ((10**400, 1, "block size N"), (100, 10**400, "trial count")):
+            with pytest.raises(ValueError, match=f"^{name} must lie in the float range, got 1000"):
+                TrialConfig(ch, src, protocol, n, trials, 0)
     with pytest.raises(ValueError):
         TrialConfig(ch, src, Protocol("single", 3.0, r=0.001),
                     100, 1, 0)    # discloses zero samples
