@@ -194,12 +194,8 @@ def estimation_arms(protocol: Protocol, kept: float,
     """The arms of ``protocol`` on a block split into ``kept`` samples
     whose key displacement stays secret and ``disclosed`` samples that
     reveal it; a probe-carrying scheme leaves out an arm of zero size."""
-    return _arms(protocol.kind, protocol.v, protocol.v2, kept, disclosed)
-
-
-def _arms(kind: str, v: float, v2: float, kept: float,
-          disclosed: float) -> tuple[tuple[float, float, float], ...]:
-    if kind == SINGLE:
+    v, v2 = protocol.v, protocol.v2
+    if protocol.kind == SINGLE:
         return ((disclosed, v, 0.0),)
     if disclosed == 0.0:
         return ((kept, v2, v),) if kept != 0.0 else ()
@@ -214,9 +210,19 @@ def _inverse_variance(variances: list[float]) -> float:
     total = variances[0]
     for w in variances[1:]:
         if not (math.isfinite(total) and total > 0.0 and math.isfinite(w) and w > 0.0):
-            raise ValueError(f"arm variances must be finite and > 0, got {variances!r}")
+            raise _unmerged(variances)
         total = total * w / (total + w)
     return total
+
+
+# the refusals that the optimizer's objective shares with variance_model
+def _unmerged(variances: list[float]) -> ValueError:
+    return ValueError(f"arm variances must be finite and > 0, got {variances!r}")
+
+
+def _overflow(withheld: float, v_s: float) -> ValueError:
+    return ValueError(f"key variance too large: (v + v_s - 1)**2 overflows at "
+                      f"v={withheld!r}, v_s={v_s!r}")
 
 
 def variance_model(channel: ChannelParams, source: SourceParams, arms) -> VarianceModel:
@@ -230,9 +236,8 @@ def variance_model(channel: ChannelParams, source: SourceParams, arms) -> Varian
     displacement is degenerate at T = 0, so only a block with a withheld
     displacement is accepted there.
     """
-    # the core compares values only, so here an arm's sample count and
-    # revealed variance that are not floats must be reals a float can hold,
-    # and its withheld variance, which the core never checks, a real >= 0
+    # an arm's sample count and revealed variance that are not floats must
+    # be reals a float can hold, and its withheld variance a real >= 0
     for m, revealed, withheld in arms:
         if not (isinstance(revealed, float) or _finite(revealed)):
             raise ValueError(f"modulation variance must be > 0, got {revealed!r}")
@@ -240,20 +245,9 @@ def variance_model(channel: ChannelParams, source: SourceParams, arms) -> Varian
             raise ValueError(f"sample count must be > 0, got {m!r}")
         if not (_finite(withheld) and withheld >= 0.0):
             raise ValueError(f"withheld variance must be >= 0, got {withheld!r}")
-    sigma_sq, s_sq, sigmas, s_arms = _variance_model(channel.T, channel.v_eps, source.v_s,
-                                                     arms)
-    return VarianceModel(sigma_sq, s_sq, tuple(zip(sigmas, s_arms)))
-
-
-def _variance_model(T: float, v_eps: float, v_s: float,
-                    arms) -> tuple[float, float, list, list]:
-    """``(sigma_sq, s_sq, sigmas, s_arms)``: the variances of
-    :func:`variance_model` and of each arm before combination. It compares
-    values only, and refuses the variances that :class:`VarianceModel`
-    refuses, so that the planning path, which builds none, refuses them
-    too."""
     if len(arms) == 0:
         raise ValueError("an estimation needs at least one arm")
+    T, v_eps, v_s = channel.T, channel.v_eps, source.v_s
     if not T > 0.0:
         for _, _, withheld in arms:
             if withheld > 0.0:
@@ -272,19 +266,11 @@ def _variance_model(T: float, v_eps: float, v_s: float,
         try:  # a float ** raises where numpy would return inf
             gains.append((withheld + v_s - 1.0) ** 2)
         except OverflowError:
-            raise ValueError("key variance too large: (v + v_s - 1)**2 overflows "
-                             f"at v={withheld!r}, v_s={v_s!r}") from None
+            raise _overflow(withheld, v_s) from None
     # zero only at T = 0, where every arm vanishes
     sigma_sq = _inverse_variance(sigmas) if min(sigmas) > 0.0 else 0.0
-    s_arms = []  # a loop: a comprehension would cost a call per evaluation
-    for noise, gain in zip(noises, gains):
-        s_arms.append(noise + gain * sigma_sq)
-    s_sq = _inverse_variance(s_arms)
-    if not (math.isfinite(sigma_sq) and sigma_sq >= 0.0):
-        raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq!r}")
-    if not (math.isfinite(s_sq) and s_sq >= 0.0):
-        raise ValueError(f"s_sq must be >= 0, got {s_sq!r}")
-    return sigma_sq, s_sq, sigmas, s_arms
+    s_arms = [noise + gain * sigma_sq for noise, gain in zip(noises, gains)]
+    return VarianceModel(sigma_sq, _inverse_variance(s_arms), tuple(zip(sigmas, s_arms)))
 
 
 # --------------------------------------------------------------------------
@@ -366,18 +352,11 @@ def confidence_bounds(t_hat: float, veps_hat: float, model: VarianceModel,
     bound is left raw (a strongly negative estimate plus the margin can
     still be negative, and the evaluation layer clamps at use).
     """
-    return ConfidenceBounds(*_confidence_box(t_hat, veps_hat, model.sigma_sq, model.s_sq,
-                                             confidence_coefficient(delta)))
-
-
-def _confidence_box(t_hat: float, veps_hat: float, sigma_sq: float, s_sq: float,
-                    z: float) -> tuple[float, float, float, float]:
-    """``(T_low, veps_up, T_up, veps_low)``: margins of ``z`` standard
-    deviations around the estimates."""
-    t_margin = z * math.sqrt(sigma_sq)
-    v_margin = z * math.sqrt(s_sq)
-    return (max(0.0, t_hat - t_margin), veps_hat + v_margin,
-            t_hat + t_margin, veps_hat - v_margin)
+    z = confidence_coefficient(delta)
+    t_margin = z * math.sqrt(model.sigma_sq)
+    v_margin = z * math.sqrt(model.s_sq)
+    return ConfidenceBounds(max(0.0, t_hat - t_margin), veps_hat + v_margin,
+                            t_hat + t_margin, veps_hat - v_margin)
 
 
 def ideal_bounds(channel: ChannelParams) -> ConfidenceBounds:

@@ -16,9 +16,10 @@ the rate is taken at the pessimistic corner, and a penalty shrinking as
 symbols.
 
 The public functions check their raw arguments' types, as the
-dataclasses check their fields; the private scalar cores behind them,
-which the optimizer runs on every evaluation, compare values only, and
-only values they compute. A modulation variance is checked once, where
+dataclasses check their fields; the private scalar cores behind them
+compare values only, and only values they compute. The optimizer's
+objective calls the Holevo kernel, ``_holevo_bound``, on every
+evaluation. A modulation variance is checked once, where
 it enters: by ``_require_modulation`` at a public function, by
 :class:`~cvqkd.model.Protocol` for a protocol's variances, and by the
 search box or grid of the optimizers; the cores take it as checked.
@@ -293,35 +294,28 @@ def finite_key_rate(params: ProtocolParams, bounds: ConfidenceBounds,
     if corner_search:
         corners += [(bounds.T_low, bounds.veps_low), (bounds.T_up, bounds.veps_up),
                     (bounds.T_up, bounds.veps_low)]
+    v_s, v_key, beta, N = params.source.v_s, protocol.v, params.beta, params.N
     log_term = _penalty_log(params.delta_star) if with_correction else None
-    rated = [_finite_key_rate(t_c, v_c, params.source.v_s, protocol.v, params.beta, n,
-                              params.N, log_term)
-             for t_c, v_c in corners]
+    rated = []
+    for t_corner, v_corner in corners:
+        t_eval = min(max(float(t_corner), 0.0), 1.0)
+        veps_eval = max(float(v_corner), 0.0)
+        k_inf, i_ab, chi = _asymptotic_key_rate(t_eval, veps_eval, v_s, v_key, beta)
+        if n >= 1.0:
+            delta_n = _penalty(n, log_term) if log_term is not None else 0.0
+            key_rate = (n / N) * (k_inf - delta_n)
+        else:
+            # nothing left to distill from
+            delta_n = 0.0
+            key_rate = 0.0
+        rated.append((key_rate, k_inf, i_ab, chi, delta_n, t_eval, veps_eval))
     i_min = min(range(len(rated)), key=lambda i: rated[i][1])
     key_rate, k_inf, i_ab, chi, delta_n, t_eval, veps_eval = rated[i_min]
     return KeyRateReport(K=key_rate, K_inf=k_inf, I_AB=i_ab, chi_BE=chi,
                          Delta_n=delta_n, T_low=bounds.T_low,
                          veps_up=bounds.veps_up, T_eval=t_eval,
-                         veps_eval=veps_eval, n=n, m=m, N=params.N,
+                         veps_eval=veps_eval, n=n, m=m, N=N,
                          corner_agrees=i_min == 0)
-
-
-def _finite_key_rate(t_corner: float, v_corner: float, v_s: float, v_key: float,
-                     beta: float, n: float, N: int, log_term: float | None) -> tuple:
-    """``(K, K_inf, I_AB, chi_BE, Delta_n, T_eval, veps_eval)`` of
-    :func:`finite_key_rate` at the corner ``(t_corner, v_corner)``;
-    ``log_term`` is ``log2(2 / delta_star)``, or None for no penalty."""
-    t_eval = min(max(float(t_corner), 0.0), 1.0)
-    veps_eval = max(float(v_corner), 0.0)
-    k_inf, i_ab, chi = _asymptotic_key_rate(t_eval, veps_eval, v_s, v_key, beta)
-    if n >= 1.0:
-        delta_n = _penalty(n, log_term) if log_term is not None else 0.0
-        key_rate = (n / N) * (k_inf - delta_n)
-    else:
-        # nothing left to distill from
-        delta_n = 0.0
-        key_rate = 0.0
-    return key_rate, k_inf, i_ab, chi, delta_n, t_eval, veps_eval
 
 
 # --------------------------------------------------------------------------

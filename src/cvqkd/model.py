@@ -28,9 +28,9 @@ DEFAULT_BETA = 0.95
 
 
 def _require(condition: bool, message: str) -> None:
-    # for the dataclasses and the public wrappers; the scalar rate cores,
-    # which run on every optimizer evaluation, raise inline, so that a
-    # point that passes costs them no call here and no formatted message
+    # for the dataclasses and the public wrappers; the scalar rate cores
+    # and the optimizer's objective raise inline, so that a point that
+    # passes costs them no call here and no formatted message
     if not condition:
         raise ValueError(message)
 
@@ -147,7 +147,7 @@ class ProtocolParams:
     @property
     def n(self) -> float:
         """Samples left for key distillation."""
-        return _key_samples(self.protocol.r, self.N)
+        return (1.0 - self.protocol.r) * self.N
 
     @property
     def m(self) -> float:
@@ -178,10 +178,6 @@ class FiberModel:
 
 # --------------------------------------------------------------------------
 # noise algebra
-
-
-def _key_samples(r: float, N: int) -> float:
-    return (1.0 - r) * N
 
 
 def aggregated_noise_variance(channel: ChannelParams, source: SourceParams,

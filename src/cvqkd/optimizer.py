@@ -4,11 +4,9 @@ The objective is always the planning-mode finite-size key rate: expected
 confidence bounds from the analytic variance models, no sampling. That
 makes every optimization deterministic, cheap, and exactly reproducible.
 
-It checks types once per problem, when the problem's dataclasses are
-built: each evaluation runs the scalar cores behind the public wrappers
-on the point's ``(v, v2, r)``, which compare values only and build no
-dataclass, with the rate and the refusals of :func:`evaluate_point`, the
-public reference that builds the final report.
+Types are checked once per problem, when its dataclasses are built;
+each evaluation runs ``_planning_rate``, the rate of
+:func:`evaluate_point` specialised to the problem.
 
 The search is deliberately simple: a coarse geometric grid over each free
 variable's fixed range locates the basin, then cyclic per-coordinate
@@ -28,16 +26,11 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from . import numeric
-from .estimation import (
-    _arms,
-    _confidence_box,
-    _variance_model,
-    confidence_coefficient,
-    expected_bounds,
-)
+from .estimation import _overflow, _unmerged, confidence_coefficient, expected_bounds
 from .keyrate import (
+    _LOG2,
     KeyRateReport,
-    _finite_key_rate,
+    _holevo_bound,
     _penalty_log,
     finite_key_rate,
     finite_size_correction,
@@ -54,7 +47,7 @@ from .model import (
     Protocol,
     ProtocolParams,
     _finite,
-    _key_samples,
+    _noise_variance,
     _require,
     _require_beta,
     channel_at_distance,
@@ -132,22 +125,98 @@ def evaluate_point(problem: OptimizationProblem, point: dict) -> KeyRateReport:
 def _planning_rate(problem: OptimizationProblem):
     """``K`` of :func:`evaluate_point` as a function of ``(v, v2, r)``.
 
-    The problem's fields, z(delta) and log2(2/delta_star) are read once
-    here. The returned function runs the scalar cores with every check
-    that depends on the point and builds no dataclass. Points lie in the
-    search box, where the :class:`Protocol` checks it skips always hold.
+    Read once: z(delta), log2(2/delta_star), 1 + V_eps, 2 T^2, v_s - 1,
+    an arm's noise and squared gain when it withholds nothing, the
+    p-quadrature rule and the arm layout. Each point runs the reference's
+    arithmetic and checks in its order and shares its Holevo kernel.
+    Float sums and products do not associate, so only a left-most term is
+    hoisted and K equals the reference bit for bit. Points lie in the
+    search box, where the :class:`Protocol` checks hold.
     """
     channel, params = problem.channel, problem.params
     T, v_eps, v_s = channel.T, channel.v_eps, params.source.v_s
-    kind, N, beta = params.protocol.kind, params.N, params.beta
+    N, beta, single = params.N, params.beta, params.protocol.kind == SINGLE
     z = confidence_coefficient(params.delta)
     log_term = _penalty_log(params.delta_star)
+    one_eps, two_t_sq, degenerate = 1.0 + v_eps, 2.0 * T * T, not T > 0.0
+    vs_less_1 = 0.0 + v_s - 1.0
+    vn0 = _noise_variance(T, v_eps, v_s, 0.0)
+    try:  # refused at the point, after the checks before it
+        gain0 = vs_less_1 ** 2
+    except OverflowError:
+        gain0 = None
+    p_rule = v_s >= 1.0
+    inf, sqrt = math.inf, math.sqrt
 
     def rate(v: float, v2: float, r: float) -> float:
-        n = _key_samples(r, N)
-        sigma_sq, s_sq, _, _ = _variance_model(T, v_eps, v_s, _arms(kind, v, v2, n, r * N))
-        t_low, veps_up, _, _ = _confidence_box(T, v_eps, sigma_sq, s_sq, z)
-        return _finite_key_rate(t_low, veps_up, v_s, v, beta, n, N, log_term)[0]
+        n = (1.0 - r) * N
+        shown = r * N
+        probe = not single and n != 0.0    # the arm (n, v2, v)
+        reveal = single or shown != 0.0    # the arm (shown, v or v + v2, 0)
+        if not (probe or reveal):
+            raise ValueError("an estimation needs at least one arm")
+        if degenerate and not (probe and v > 0.0):
+            raise ValueError("estimation that reveals every displacement is degenerate "
+                             "at T = 0")
+        if probe:
+            if not 0.0 < v2 < inf:
+                raise ValueError(f"modulation variance must be > 0, got {v2!r}")
+            if not 0.0 < n < inf:
+                raise ValueError(f"sample count must be > 0, got {n!r}")
+            w = v + v_s - 1.0
+            vn = one_eps + T * w
+            sigma = (4.0 / n) * (two_t_sq + T * vn / v2)
+            noise = (2.0 / n) * vn * vn
+            try:
+                gain = w ** 2
+            except OverflowError:
+                raise _overflow(v, v_s) from None
+        if reveal:
+            shown_v = v if single else v + v2
+            if not 0.0 < shown_v < inf:
+                raise ValueError(f"modulation variance must be > 0, got {shown_v!r}")
+            if not 0.0 < shown < inf:
+                raise ValueError(f"sample count must be > 0, got {shown!r}")
+            sigma_d = (4.0 / shown) * (two_t_sq + T * vn0 / shown_v)
+            noise_d = (2.0 / shown) * vn0 * vn0
+            if gain0 is None:
+                raise _overflow(0.0, v_s)
+            if not probe:
+                sigma, noise, gain = sigma_d, noise_d, gain0
+        if probe and reveal:  # merged by inverse variance once min(sigmas) > 0
+            if (sigma_d if sigma_d < sigma else sigma) > 0.0:
+                if not (0.0 < sigma < inf and 0.0 < sigma_d < inf):
+                    raise _unmerged([sigma, sigma_d])
+                sigma_sq = sigma * sigma_d / (sigma + sigma_d)
+            else:
+                sigma_sq = 0.0
+            s_p = noise + gain * sigma_sq
+            s_d = noise_d + gain0 * sigma_sq
+            if not (0.0 < s_p < inf and 0.0 < s_d < inf):
+                raise _unmerged([s_p, s_d])
+            s_sq = s_p * s_d / (s_p + s_d)
+        else:
+            sigma_sq = sigma if sigma > 0.0 else 0.0
+            s_sq = noise + gain * sigma_sq
+        if not 0.0 <= sigma_sq < inf:
+            raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq!r}")
+        if not 0.0 <= s_sq < inf:
+            raise ValueError(f"s_sq must be >= 0, got {s_sq!r}")
+        # the corner (T_low, veps_up), clamped; T_low <= T <= 1 already
+        t_eval = T - z * sqrt(sigma_sq)
+        if not t_eval > 0.0:
+            t_eval = 0.0
+        veps_eval = v_eps + z * sqrt(s_sq)
+        if 0.0 > veps_eval:
+            veps_eval = 0.0
+        vn = 1.0 + veps_eval + t_eval * vs_less_1
+        if not vn > 0.0:
+            raise ValueError("aggregated noise variance must be positive")
+        i_ab = 0.5 * math.log1p(t_eval * v / vn) / _LOG2
+        k_inf = beta * i_ab - _holevo_bound(t_eval, veps_eval, v_s, v, v if p_rule else 0.0)
+        if n >= 1.0:
+            return (n / N) * (k_inf - 7.0 * sqrt(log_term / n))
+        return 0.0  # nothing left to distill from
 
     return rate
 
@@ -176,18 +245,22 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
     fixed = problem.params.protocol
     kind = fixed.kind
     rate = _planning_rate(problem)
+    v_fixed, v2, r_fixed = fixed.v, fixed.v2, fixed.r
     infeasible: Counter = Counter()
 
-    def objective(point: dict) -> float:
+    def objective(v: float, r: float) -> float:
         nonlocal evaluations
         evaluations += 1
         try:
-            return rate(point.get("v", fixed.v), fixed.v2, point.get("r", fixed.r))
+            return rate(v, v2, r)
         except ValueError as exc:
             if not free:  # the one point there is: its fault is the answer
                 raise
             infeasible[str(exc)] += 1
             return -math.inf
+
+    def at(point: dict) -> float:
+        return objective(point.get("v", v_fixed), point.get("r", r_fixed))
 
     grids = {name: _coordinate_grid(problem, name) for name in free}
     candidates = [dict(zip(free, xs)) for xs in itertools.product(*grids.values())]
@@ -197,7 +270,7 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
     best_point: dict = {}
     best_value = -math.inf
     for point in candidates:
-        value = objective(point)
+        value = at(point)
         if value > best_value:
             best_point, best_value = point, value
     # with nothing free, {} is the one point and a valid one
@@ -219,9 +292,10 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
             i = xs.index(best_point[name])
             lo = xs[max(i - 1, 0)]
             hi = xs[min(i + 1, len(xs) - 1)]
+            v, r = best_point.get("v", v_fixed), best_point.get("r", r_fixed)
             x_ref, f_ref = numeric.golden_section_max(
-                lambda x: objective({**best_point, name: x}), lo, hi,
-                tol=1e-7 * max(1.0, abs(hi)))
+                (lambda x: objective(x, r)) if name == "v" else (lambda x: objective(v, x)),
+                lo, hi, tol=1e-7 * max(1.0, abs(hi)))
             if f_ref > best_value:
                 best_point[name] = x_ref
                 best_value = f_ref
@@ -232,9 +306,9 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
     if kind == MODIFIED and "r" in free and best_point.get("r", 0.0) > 0.0:
         at_zero = dict(best_point)
         at_zero["r"] = 0.0
-        if objective(at_zero) >= best_value - _TOL * scale:
+        if at(at_zero) >= best_value - _TOL * scale:
             best_point = at_zero
-            best_value = objective(at_zero)
+            best_value = at(at_zero)
 
     report = evaluate_point(problem, best_point)
     status = "ok" if report.K > 0.0 else "no_positive_rate"

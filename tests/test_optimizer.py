@@ -1,5 +1,6 @@
 """Parameter search, scaling fits and the block-size range bound."""
 
+import importlib.util
 import inspect
 import itertools
 import math
@@ -12,6 +13,7 @@ import time
 import types
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +203,62 @@ _SOURCES = st.sampled_from((1e-7, 0.1, 1.0, 2.0))
          budgets=(0.95, 1e-10, 1e-10))
 @example(kind="modified", T=0.3, v_eps=0.003, v_s=0.1, v=3.0, v2=10.0, r=0.9, N=3,
          budgets=(0.95, 1e-10, 1e-10))
+# each branch of the objective: T = 0 where a displacement stays withheld,
+# the probe arm alone, the disclosed arm alone, T = 0 where every arm
+# withholds nothing (a pinned v = 0 included), the p-quadrature rule on
+# each side of v_s = 1, and n < 1 at the smallest blocks
+@example(kind="double", T=0.0, v_eps=0.0, v_s=1.0, v=3.0, v2=10.0, r=0.0, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="modified", T=0.3, v_eps=0.003, v_s=0.1, v=3.0, v2=10.0, r=0.0, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="modified", T=0.3, v_eps=0.003, v_s=0.1, v=3.0, v2=10.0, r=1.0, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="modified", T=0.0, v_eps=0.0, v_s=0.1, v=3.0, v2=10.0, r=1.0, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="modified", T=0.0, v_eps=0.0, v_s=0.1, v=0.0, v2=10.0, r=0.0, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="modified", T=0.3, v_eps=0.003, v_s=0.1, v=3.0, v2=10.0, r=0.2, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="modified", T=0.3, v_eps=0.003, v_s=1.0, v=3.0, v2=10.0, r=0.2, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="modified", T=0.3, v_eps=0.003, v_s=2.0, v=3.0, v2=10.0, r=0.2, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="single", T=0.3, v_eps=0.003, v_s=1.0, v=3.0, v2=10.0, r=0.9, N=2,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="modified", T=0.3, v_eps=0.003, v_s=0.1, v=3.0, v2=10.0, r=0.6, N=2,
+         budgets=(0.95, 1e-10, 1e-10))
+# each refusal a search found at a point of the search box: a squared gain
+# that overflows on the probe arm and on a disclosed arm, arm variances
+# that do not merge (sigma, then s), a variance that is not finite, and
+# the noise of I_AB at the corner T_eval = 1
+@example(kind="double", T=0.3, v_eps=0.003, v_s=1e160, v=3.0, v2=10.0, r=0.0, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="single", T=0.3, v_eps=0.003, v_s=1e160, v=3.0, v2=10.0, r=0.5, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="modified", T=0.3, v_eps=0.003, v_s=1.0, v=3.0, v2=5e-324, r=0.5, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="modified", T=0.3, v_eps=1e200, v_s=1.0, v=3.0, v2=10.0, r=0.5, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="double", T=0.3, v_eps=0.003, v_s=1.0, v=3.0, v2=5e-324, r=0.0, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="double", T=0.3, v_eps=1e200, v_s=1.0, v=3.0, v2=10.0, r=0.0, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="double", T=1.0, v_eps=0.0, v_s=1e-300, v=3.0, v2=10.0, r=0.0, N=10**300,
+         budgets=(0.95, 1e-10, 1e-10))
+# and those of the Holevo kernel it calls: mu overflows, the invariants
+# overflow or are complex, a singular state, spectra not finite or below 1
+@example(kind="double", T=0.3, v_eps=0.003, v_s=1e-320, v=3.0, v2=10.0, r=0.0, N=10**6,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="double", T=0.0, v_eps=0.0, v_s=1e-289, v=100.0, v2=10.0, r=0.0, N=10**8,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="single", T=1.0, v_eps=0.0, v_s=1.1168979842338823e-49, v=100.0, v2=10.0,
+         r=0.9, N=36719559876380560435759376498688, budgets=(0.95, 4.3540757074994124e-246, 1e-10))
+@example(kind="double", T=1.0, v_eps=1e187, v_s=1.0, v=0.15, v2=10.0, r=0.0, N=10**300,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="modified", T=0.0, v_eps=5e197, v_s=0.1, v=1.2, v2=10.0, r=0.0, N=10**300,
+         budgets=(0.95, 1e-10, 1e-10))
+@example(kind="double", T=1.0, v_eps=0.0, v_s=1e-7, v=100.0, v2=10.0, r=0.0, N=10**300,
+         budgets=(0.08, 1e-190, 1e-10))
 def test_planning_rate_equals_reference(kind, T, v_eps, v_s, v, v2, r, N, budgets):
     # the same K, or the same refusal, as the public wrappers give; the
     # problem's own protocol differs from the point on purpose
@@ -283,6 +341,21 @@ def test_search_path_is_pinned(problem, point, K, evaluations):
     result = optimize_key_rate(OptimizationProblem(_channel(T), _params(v_s, kind, N)))
     assert (result.point, result.K, result.evaluations) == (point, K, evaluations)
     assert result.report.K == K
+
+
+def test_objective_equals_evaluate_point_on_sweep_traffic():
+    # every point the search visits on the 138 rows of the distance_sweep
+    # and blocksize_sweep presets, recorded by tools/objective_timing.py;
+    # every 10th of each row's is held to the public reference bit for
+    # bit, refusals by their text
+    path = Path(__file__).resolve().parents[1] / "tools" / "objective_timing.py"
+    spec = importlib.util.spec_from_file_location("objective_timing", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    visits = tool.visited_points()
+    sample = [(problem, points[::10]) for problem, points in visits]
+    assert len(visits) == 138 and sum(len(points) for _, points in sample) > 3000
+    assert tool.mismatches(sample) == []
 
 
 def test_infeasible_points_are_counted_by_reason(monkeypatch):

@@ -1,0 +1,122 @@
+"""Time the optimizer's objective per evaluation, on the points the sweep benchmark visits.
+
+Runs the rows of the ``distance_sweep`` and ``blocksize_sweep`` presets
+(the 138 problems of the benchmark's ``sweep`` workload) in this process
+and records every ``(v, v2, r)`` that ``optimize_key_rate`` evaluates. It
+then checks the objective ``optimizer._planning_rate(problem)`` at each
+recorded point against ``evaluate_point``, the public reference, bit for
+bit: the same ``K``, or a ``ValueError`` with the same text. Last, it
+evaluates every recorded point in 11 passes, building each problem's
+objective once per pass as the optimizer does, and prints the median and
+quartiles of the process CPU time per evaluation, in µs, with this
+process pinned to one CPU. That is the cost of one planning
+evaluation, without the search around it:
+
+    PYTHONPATH=src python3 tools/objective_timing.py
+    PYTHONPATH=old/src python3 tools/objective_timing.py
+
+Uses only the standard library and whichever ``cvqkd`` is importable, so
+one copy of this script can time any checkout. Exits 1 if any point
+differs from the reference.
+"""
+
+from __future__ import annotations
+
+import os
+import statistics
+import sys
+import tempfile
+import time
+
+import cvqkd
+from cvqkd import cli, optimizer
+
+PRESETS = ("distance_sweep", "blocksize_sweep")
+REPEATS = 11  # timed passes over the recorded points
+
+
+def visited_points() -> list[tuple]:
+    """``(problem, [(v, v2, r), ...])`` for each sweep row, in order, with
+    every point its optimisation evaluates, repeats included."""
+    visits = []
+    real_rate, real_each = optimizer._planning_rate, cli.optimize_each
+
+    def recording(problem):
+        rate = real_rate(problem)
+        points = []
+        visits.append((problem, points))
+
+        def wrapped(v, v2, r):
+            points.append((v, v2, r))
+            return rate(v, v2, r)
+        return wrapped
+
+    # every row in this process, so that each evaluation is recorded here
+    optimizer._planning_rate = recording
+    cli.optimize_each = lambda problems: [optimizer.optimize_key_rate(p) for p in problems]
+    try:
+        with tempfile.TemporaryDirectory() as work:
+            for name in PRESETS:
+                cli.run_sweep(cli.load_preset(name), work)
+    finally:
+        optimizer._planning_rate, cli.optimize_each = real_rate, real_each
+    return visits
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args).hex()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def mismatches(visits) -> list[str]:
+    """Each point where the objective and ``evaluate_point`` differ."""
+    bad = []
+    for problem, points in visits:
+        rate = optimizer._planning_rate(problem)
+        for v, v2, r in points:
+            core = _outcome(rate, v, v2, r)
+            reference = _outcome(lambda: optimizer.evaluate_point(
+                problem, {"v": v, "v2": v2, "r": r}).K)
+            if core != reference:
+                bad.append(f"{problem} at (v, v2, r) = {(v, v2, r)!r}: "
+                           f"{core} against {reference}")
+    return bad
+
+
+def cpu_seconds(visits) -> float:
+    """Process CPU time of one pass over every recorded point."""
+    start = time.process_time()
+    for problem, points in visits:
+        rate = optimizer._planning_rate(problem)
+        for v, v2, r in points:
+            try:
+                rate(v, v2, r)
+            except ValueError:
+                pass
+    return time.process_time() - start
+
+
+def main() -> int:
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    print(f"cvqkd from {os.path.dirname(cvqkd.__file__)}", file=sys.stderr)
+    visits = visited_points()
+    total = sum(len(points) for _, points in visits)
+    distinct = len({(id(problem), point) for problem, points in visits for point in points})
+    print(f"{len(visits)} problems, {total} evaluations, {distinct} distinct points")
+    bad = mismatches(visits)
+    for line in bad:
+        print(f"mismatch: {line}", file=sys.stderr)
+    print(f"{total - len(bad)} of {total} points equal evaluate_point bit for bit")
+    cpu_seconds(visits)  # untimed warm pass
+    per_eval = [1e6 * cpu_seconds(visits) / total for _ in range(REPEATS)]
+    q1, median, q3 = statistics.quantiles(per_eval, n=4)
+    print(f"objective: median {median:.3f} µs per evaluation, quartiles "
+          f"{q1:.3f}–{q3:.3f} µs, over {REPEATS} passes of process CPU time on one CPU")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
