@@ -5,9 +5,11 @@ entanglement-based picture: the prepare-and-measure modulation is replaced
 by an equivalent two-mode state shared between sender and channel input,
 the eavesdropper is given the channel purification, and the Holevo bound
 is computed from symplectic spectra of the joint and conditional
-covariance matrices. The kernel works on the distinct entries of those
-matrices in scalars; the 4x4 matrix route it reproduces bit for bit lives
-beside its tests, in ``tests/matrix_reference.py``.
+covariance matrices. The kernel, ``_holevo_bound``, works on the distinct
+entries of those matrices in scalars, in one frame of ``math`` calls; the
+4x4 matrix route it reproduces bit for bit, with its own helpers for the
+entries, the spectrum and the entropies, lives beside its tests, in
+``tests/matrix_reference.py``.
 
 The finite-size rate prices in two effects on top of the asymptotic
 formula: the channel parameters are only known inside a confidence box, so
@@ -57,70 +59,6 @@ NU_TOLERANCE = 1e-9
 SQUEEZING_LIMIT_VS = 1e-7
 
 
-def _thermal_entropy_bits(x: float) -> float:
-    # (x+1) log2(x+1) - x log2(x), continuously extended by 0 at x <= 0
-    if x <= 0.0:
-        return 0.0
-    return ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LOG2
-
-
-def _require_bona_fide(nus) -> None:
-    for nu in nus:
-        if not math.isfinite(nu):
-            raise ValueError("symplectic eigenvalues must be finite")
-        if nu < 1.0 - NU_TOLERANCE:
-            raise ValueError(f"symplectic eigenvalue {nu!r} below 1; state is not bona fide")
-
-
-def _symplectic_pair(delta: float, disc: float,
-                     det_gamma: float) -> tuple[float, float]:
-    """``(nu_plus, nu_minus)`` of a two-mode state from the invariant
-    ``delta``, the discriminant of the characteristic polynomial of the
-    squared spectrum and the determinant."""
-    if disc < 0.0:
-        if not disc >= -1e-9 * max(1.0, delta * delta):
-            raise ValueError("two-mode covariance has complex symplectic invariants")
-        disc = 0.0
-    nu_sq_plus = 0.5 * (delta + math.sqrt(disc))
-    if not nu_sq_plus > 0.0:
-        raise ValueError("two-mode covariance is singular")
-    nu_plus = math.sqrt(nu_sq_plus)
-    # the small eigenvalue via the determinant, which avoids cancellation
-    # in (delta - sqrt(disc)) when the eigenvalues are far apart
-    nu_minus = math.sqrt(max(det_gamma, 0.0)) / nu_plus
-    return nu_plus, nu_minus
-
-
-def _entropy_bits(nus) -> float:
-    """Entropy in bits of the Gaussian state with symplectic spectrum ``nus``."""
-    total = 0.0
-    for nu in nus:
-        total += _thermal_entropy_bits((nu - 1.0) / 2.0)
-    return total
-
-
-def _eb_entries(T: float, veps: float, v_s: float,
-                v_mod_x: float, v_mod_p: float) -> tuple[float, ...]:
-    """The distinct entries ``(mu, b_x, b_p, c_x, c_p)`` of the
-    entanglement-based covariance matrix: the sender's isotropic variance
-    ``mu``, the receiver's x and p variances and the x and p correlations.
-    ``build_eb_covariance`` in ``tests/matrix_reference.py`` lays them out
-    as the 4x4 matrix."""
-    vx = v_s + v_mod_x
-    vp = 1.0 / v_s + v_mod_p
-    mu = math.sqrt(vx * vp)
-    # an infinite mu would zero t below and divide by it
-    if not math.isfinite(mu):
-        raise ValueError("modulation variance too large: mu overflows at "
-                         f"v_mod_x={v_mod_x!r}, v_mod_p={v_mod_p!r}")
-    if not mu >= 1.0 - 1e-9:
-        raise ValueError("prepared ensemble violates the uncertainty bound (mu < 1)")
-    corr = math.sqrt(T * max(mu * mu - 1.0, 0.0))
-    t = math.sqrt(vx / mu)
-    return (mu, T * vx + 1.0 - T + veps, T * vp + 1.0 - T + veps,
-            corr * t, -corr / t)
-
-
 def _require_modulation(quadrature: str, value) -> None:
     # the one check of a raw modulation variance, its type included; the
     # cores take the variances as checked
@@ -152,11 +90,12 @@ def holevo_bound(channel: ChannelParams, source: SourceParams,
     purification gives the eavesdropper everything outside the two-mode
     state, so those entropies coincide with the eavesdropper's.
 
-    Evaluated in scalars with the checks and the floating-point operations
-    of the 4x4 matrix route in ``tests/matrix_reference.py``
-    (``build_eb_covariance``, ``symplectic_eigenvalues``) followed by the
-    entropy of each spectrum; the tests require the two to agree with
-    ``==``.
+    Evaluated in scalars, in one function, with the checks and the
+    floating-point operations of the 4x4 matrix route in
+    ``tests/matrix_reference.py`` (``build_eb_covariance``,
+    ``symplectic_eigenvalues``, then the entropy of each spectrum); the
+    tests require the two to agree with ``==`` and pin each refusal's
+    text.
     """
     _require_modulation("x", v_mod_x)
     _require_modulation("p", v_mod_p)
@@ -165,13 +104,33 @@ def holevo_bound(channel: ChannelParams, source: SourceParams,
 
 def _holevo_bound(T: float, v_eps: float, v_s: float,
                   v_mod_x: float, v_mod_p: float) -> float:
-    mu, b_x, b_p, c_x, c_p = _eb_entries(T, v_eps, v_s, v_mod_x, v_mod_p)
+    # One frame that calls only math builtins, with the matrix reference's
+    # operations in their operand order and its refusals in their order.
+    # max(x, 0.0) is written 0.0 if 0.0 > x else x, which keeps NaN and
+    # -0.0 as max does. First the distinct entries (mu, b_x, b_p, c_x, c_p)
+    # of the entanglement-based covariance matrix.
+    vx = v_s + v_mod_x
+    vp = 1.0 / v_s + v_mod_p
+    mu = math.sqrt(vx * vp)
+    # an infinite mu would zero t below and divide by it
+    if not math.isfinite(mu):
+        raise ValueError("modulation variance too large: mu overflows at "
+                         f"v_mod_x={v_mod_x!r}, v_mod_p={v_mod_p!r}")
+    if not mu >= 1.0 - 1e-9:
+        raise ValueError("prepared ensemble violates the uncertainty bound (mu < 1)")
+    x = mu * mu - 1.0
+    corr = math.sqrt(T * (0.0 if 0.0 > x else x))
+    t = math.sqrt(vx / mu)
+    b_x = T * vx + 1.0 - T + v_eps
+    b_p = T * vp + 1.0 - T + v_eps
+    c_x = corr * t
+    c_p = -corr / t
     # the matrix symmetrises as 0.5 * (m + m.T), which overflows beyond
     # half the largest float
     if not (math.isfinite(mu + mu) and math.isfinite(b_x + b_x) and math.isfinite(b_p + b_p)
             and math.isfinite(c_x + c_x) and math.isfinite(c_p + c_p)):
         raise ValueError("covariance entries must be finite")
-    # invariants of the x/p sector product, as in the matrix reference
+    # invariants of the x/p sector product, whose eigenvalues are the nu^2
     m11 = mu * mu + c_x * c_p
     m12 = mu * c_p + c_x * b_p
     m21 = c_x * mu + b_x * c_p
@@ -181,10 +140,34 @@ def _holevo_bound(T: float, v_eps: float, v_s: float,
         disc = (m11 - m22) ** 2 + 4.0 * m12 * m21
     except OverflowError:  # the reference's numpy inf, which its spectrum rejects
         raise ValueError("symplectic invariants overflow") from None
-    det_gamma = max(mu * b_x - c_x * c_x, 0.0) * max(mu * b_p - c_p * c_p, 0.0)
-    nus = _symplectic_pair(delta, disc, det_gamma)
-    _require_bona_fide(nus)
-    s_joint = _entropy_bits(nus)
+    x = mu * b_x - c_x * c_x
+    y = mu * b_p - c_p * c_p
+    det_gamma = (0.0 if 0.0 > x else x) * (0.0 if 0.0 > y else y)
+    if disc < 0.0:
+        d = delta * delta
+        if not disc >= -1e-9 * (d if d > 1.0 else 1.0):
+            raise ValueError("two-mode covariance has complex symplectic invariants")
+        disc = 0.0
+    nu_sq_plus = 0.5 * (delta + math.sqrt(disc))
+    if not nu_sq_plus > 0.0:
+        raise ValueError("two-mode covariance is singular")
+    nu_plus = math.sqrt(nu_sq_plus)
+    # the small eigenvalue via the determinant, which avoids cancellation
+    # in (delta - sqrt(disc)) when the eigenvalues are far apart
+    nu_minus = math.sqrt(0.0 if 0.0 > det_gamma else det_gamma) / nu_plus
+    if not math.isfinite(nu_plus):
+        raise ValueError("symplectic eigenvalues must be finite")
+    if nu_plus < 1.0 - NU_TOLERANCE:
+        raise ValueError(f"symplectic eigenvalue {nu_plus!r} below 1; state is not bona fide")
+    if not math.isfinite(nu_minus):
+        raise ValueError("symplectic eigenvalues must be finite")
+    if nu_minus < 1.0 - NU_TOLERANCE:
+        raise ValueError(f"symplectic eigenvalue {nu_minus!r} below 1; state is not bona fide")
+    # entropy g((nu - 1) / 2) of each thermal mode, 0 at x <= 0, in bits
+    x = (nu_plus - 1.0) / 2.0
+    y = (nu_minus - 1.0) / 2.0
+    s_joint = (0.0 + (0.0 if x <= 0.0 else ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LOG2)
+               + (0.0 if y <= 0.0 else ((y + 1.0) * math.log1p(y) - y * math.log(y)) / _LOG2))
     if not b_x > 0.0:
         raise ValueError("receiver x variance must be positive")
     # sender covariance conditioned on a homodyne x outcome at the receiver
@@ -192,9 +175,8 @@ def _holevo_bound(T: float, v_eps: float, v_s: float,
     det_cond = a_cond * mu
     if not det_cond >= -NU_TOLERANCE:
         raise ValueError("conditional state is not bona fide")
-    nu_cond = math.sqrt(max(det_cond, 0.0))
-    s_cond = _thermal_entropy_bits((nu_cond - 1.0) / 2.0)
-    return s_joint - s_cond
+    x = (math.sqrt(0.0 if 0.0 > det_cond else det_cond) - 1.0) / 2.0
+    return s_joint - (0.0 if x <= 0.0 else ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LOG2)
 
 
 def asymptotic_key_rate(channel: ChannelParams, source: SourceParams,

@@ -1,22 +1,89 @@
 """The covariance-matrix route to the Holevo bound, kept as the reference
 the scalar kernel :func:`cvqkd.keyrate.holevo_bound` is tested against.
 
-It builds the 4x4 entanglement-based covariance matrix in numpy and takes
-its symplectic spectrum from the x/p sector matrices. The library computes
-the same numbers in plain ``math`` from the shared ``_eb_entries`` and
-``_symplectic_pair``; the tests require ``==`` between the two routes.
-Every matrix built here has uncoupled x and p sectors, so the reference
-covers that case only.
+It builds the 4x4 entanglement-based covariance matrix in numpy, takes
+its symplectic spectrum from the x/p sector matrices and sums the thermal
+entropies of each spectrum, in small helpers that share no code with the
+library. The library's kernel, ``keyrate._holevo_bound``, codes the same
+operations in one frame of plain ``math``; the tests require ``==``
+between the two routes, or a ``ValueError`` from both. Every matrix built
+here has uncoupled x and p sectors, so the reference covers that case
+only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from cvqkd.keyrate import _eb_entries, _require_bona_fide, _symplectic_pair
+from cvqkd.keyrate import NU_TOLERANCE
 from cvqkd.model import ChannelParams, SourceParams, _require
+
+_LOG2 = math.log(2.0)
+
+
+def _thermal_entropy_bits(x: float) -> float:
+    # (x+1) log2(x+1) - x log2(x), continuously extended by 0 at x <= 0
+    if x <= 0.0:
+        return 0.0
+    return ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LOG2
+
+
+def _entropy_bits(nus) -> float:
+    """Entropy in bits of the Gaussian state with symplectic spectrum ``nus``."""
+    total = 0.0
+    for nu in nus:
+        total += _thermal_entropy_bits((nu - 1.0) / 2.0)
+    return total
+
+
+def _require_bona_fide(nus) -> None:
+    for nu in nus:
+        if not math.isfinite(nu):
+            raise ValueError("symplectic eigenvalues must be finite")
+        if nu < 1.0 - NU_TOLERANCE:
+            raise ValueError(f"symplectic eigenvalue {nu!r} below 1; state is not bona fide")
+
+
+def _symplectic_pair(delta: float, disc: float,
+                     det_gamma: float) -> tuple[float, float]:
+    """``(nu_plus, nu_minus)`` of a two-mode state from the invariant
+    ``delta``, the discriminant of the characteristic polynomial of the
+    squared spectrum and the determinant."""
+    if disc < 0.0:
+        if not disc >= -1e-9 * max(1.0, delta * delta):
+            raise ValueError("two-mode covariance has complex symplectic invariants")
+        disc = 0.0
+    nu_sq_plus = 0.5 * (delta + math.sqrt(disc))
+    if not nu_sq_plus > 0.0:
+        raise ValueError("two-mode covariance is singular")
+    nu_plus = math.sqrt(nu_sq_plus)
+    # the small eigenvalue via the determinant, which avoids cancellation
+    # in (delta - sqrt(disc)) when the eigenvalues are far apart
+    nu_minus = math.sqrt(max(det_gamma, 0.0)) / nu_plus
+    return nu_plus, nu_minus
+
+
+def _eb_entries(T: float, veps: float, v_s: float,
+                v_mod_x: float, v_mod_p: float) -> tuple[float, ...]:
+    """The distinct entries ``(mu, b_x, b_p, c_x, c_p)`` of the
+    entanglement-based covariance matrix: the sender's isotropic variance
+    ``mu``, the receiver's x and p variances and the x and p correlations."""
+    vx = v_s + v_mod_x
+    vp = 1.0 / v_s + v_mod_p
+    mu = math.sqrt(vx * vp)
+    # an infinite mu would zero t below and divide by it
+    if not math.isfinite(mu):
+        raise ValueError("modulation variance too large: mu overflows at "
+                         f"v_mod_x={v_mod_x!r}, v_mod_p={v_mod_p!r}")
+    if not mu >= 1.0 - 1e-9:
+        raise ValueError("prepared ensemble violates the uncertainty bound (mu < 1)")
+    corr = math.sqrt(T * max(mu * mu - 1.0, 0.0))
+    t = math.sqrt(vx / mu)
+    return (mu, T * vx + 1.0 - T + veps, T * vp + 1.0 - T + veps,
+            corr * t, -corr / t)
 
 
 @dataclass(frozen=True)
@@ -87,3 +154,20 @@ def build_eb_covariance(channel: ChannelParams, source: SourceParams,
     m[0, 2] = m[2, 0] = c_x
     m[1, 3] = m[3, 1] = c_p
     return CovarianceMatrix2Mode(m)
+
+
+def holevo_reference(channel: ChannelParams, source: SourceParams,
+                     v_mod_x: float, v_mod_p: float) -> float:
+    """The Holevo bound S(joint) - S(sender | receiver x outcome) through
+    the matrix built by :func:`build_eb_covariance`."""
+    gamma = build_eb_covariance(channel, source, v_mod_x, v_mod_p)
+    s_joint = _entropy_bits(symplectic_eigenvalues(gamma))
+    e = gamma.entries
+    mu, b_x, c_x = e[0, 0], e[2, 2], e[0, 2]
+    if not b_x > 0.0:
+        raise ValueError("receiver x variance must be positive")
+    det_cond = (mu - c_x * c_x / b_x) * mu
+    if not det_cond >= -NU_TOLERANCE:
+        raise ValueError("conditional state is not bona fide")
+    nu_cond = math.sqrt(max(det_cond, 0.0))
+    return s_joint - _thermal_entropy_bits((nu_cond - 1.0) / 2.0)

@@ -33,11 +33,10 @@ from cvqkd import (
     optimize_key_rate,
     evaluate_point,
 )
-from cvqkd.keyrate import (NU_TOLERANCE, SQUEEZING_LIMIT_VS, _entropy_bits,
-                           _require_bona_fide, _thermal_entropy_bits,
-                           optimal_asymptotic_rate)
-from matrix_reference import (CovarianceMatrix2Mode, build_eb_covariance,
-                              symplectic_eigenvalues)
+from cvqkd.keyrate import SQUEEZING_LIMIT_VS, optimal_asymptotic_rate
+from matrix_reference import (CovarianceMatrix2Mode, _entropy_bits,
+                              _require_bona_fide, build_eb_covariance,
+                              holevo_reference, symplectic_eigenvalues)
 
 
 def _g(x):
@@ -459,24 +458,10 @@ def test_finite_key_rate_clamps_corner_into_physical_range():
 # the scalar Holevo kernel against the matrix route it replaces
 
 
-def _holevo_reference(channel, source, v_mod_x, v_mod_p):
-    gamma = build_eb_covariance(channel, source, v_mod_x, v_mod_p)
-    s_joint = _entropy_bits(symplectic_eigenvalues(gamma))
-    e = gamma.entries
-    mu, b_x, c_x = e[0, 0], e[2, 2], e[0, 2]
-    if not b_x > 0.0:
-        raise ValueError("receiver x variance must be positive")
-    det_cond = (mu - c_x * c_x / b_x) * mu
-    if not det_cond >= -NU_TOLERANCE:
-        raise ValueError("conditional state is not bona fide")
-    nu_cond = math.sqrt(max(det_cond, 0.0))
-    return s_joint - _thermal_entropy_bits((nu_cond - 1.0) / 2.0)
-
-
 def _same_outcome(T, v_eps, v_s, v_mod_x, v_mod_p):
     args = (ChannelParams(T, v_eps), SourceParams(v_s), v_mod_x, v_mod_p)
     outcomes = []
-    for f in (holevo_bound, _holevo_reference):
+    for f in (holevo_bound, holevo_reference):
         try:
             outcomes.append(f(*args))
         except ValueError:
@@ -514,6 +499,42 @@ def test_scalar_holevo_equals_matrix_reference_at_edges():
     # sent (no modulation of a coherent source)
     assert holevo_bound(ChannelParams(0.0, 0.0), SourceParams(1.0), 3.0, 3.0) == 0.0
     assert holevo_bound(ChannelParams(1.0, 0.0), SourceParams(1.0), 0.0, 0.0) == 0.0
+
+
+# one public input per refusal of the kernel that an input reaches, in the
+# kernel's order, with its exact text. Three are never reached. mu < 1:
+# mu^2 >= v_s * (1 / v_s), which rounds to within 1e-15 of 1 wherever
+# 1 / v_s is finite, and mu overflows where it is not. The receiver's x
+# variance <= 0: it is >= 0 for T in [0, 1], and at 0 the determinant and
+# so nu_minus are 0, refused as below 1 first. The conditional state: no
+# search of 3 million inputs got past the joint spectrum's checks to it.
+_KERNEL_REFUSALS = [
+    ((0.5, 0.005, 1.0, 1e308, 1e308),
+     "modulation variance too large: mu overflows at v_mod_x=1e+308, v_mod_p=1e+308"),
+    ((1.0, 0.0, 1.0, 1e308, 0.0), "covariance entries must be finite"),
+    ((0.0, 0.0, 1e-300, 0.15, 0.0), "symplectic invariants overflow"),
+    ((1.0, 0.0, 2.5e-11, 10.0, 0.0),  # disc = -2.8e-9 delta^2: pins the 1e-9
+     "two-mode covariance has complex symplectic invariants"),
+    ((1e-300, 1e187, 1e160, 1e80, 1e80), "two-mode covariance is singular"),
+    # nu_plus = inf and nu_minus = 0: pins that nu_plus is checked first
+    ((1.0, 0.0, 1e-129, 1e45, 0.0), "symplectic eigenvalues must be finite"),
+    ((0.9, 0.0, 1e-7, 100.0, 0.0),
+     "symplectic eigenvalue 0.9999999791552411 below 1; state is not bona fide"),
+]
+
+
+@pytest.mark.parametrize("args, message", _KERNEL_REFUSALS,
+                         ids=["mu-overflows", "entries-not-finite", "invariants-overflow",
+                              "complex-invariants", "singular", "eigenvalue-not-finite",
+                              "eigenvalue-below-1"])
+def test_holevo_kernel_refusals_are_pinned(args, message):
+    T, v_eps, v_s, v_mod_x, v_mod_p = args
+    with pytest.raises(ValueError) as refused:
+        holevo_bound(ChannelParams(T, v_eps), SourceParams(v_s), v_mod_x, v_mod_p)
+    assert str(refused.value) == message
+    # the matrix route refuses the same states, at times in other words
+    with pytest.raises(ValueError):
+        holevo_reference(ChannelParams(T, v_eps), SourceParams(v_s), v_mod_x, v_mod_p)
 
 
 # --------------------------------------------------------------------------

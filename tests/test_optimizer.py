@@ -46,8 +46,9 @@ import cvqkd
 from cvqkd import numeric, optimizer
 from cvqkd.cli import load_preset
 from cvqkd.estimation import ConfidenceBounds, VarianceModel
-from cvqkd.keyrate import KeyRateReport, _asymptotic_key_rate
+from cvqkd.keyrate import KeyRateReport, _asymptotic_key_rate, _holevo_bound
 from cvqkd.optimizer import _planning_rate
+from matrix_reference import holevo_reference
 
 
 def _channel(T):
@@ -347,15 +348,27 @@ def test_objective_equals_evaluate_point_on_sweep_traffic():
     # every point the search visits on the 138 rows of the distance_sweep
     # and blocksize_sweep presets, recorded by tools/objective_timing.py;
     # every 10th of each row's is held to the public reference bit for
-    # bit, refusals by their text
+    # bit, refusals by their text, and every 10th input those points gave
+    # the Holevo kernel to the matrix route, bit for bit or both refused
     path = Path(__file__).resolve().parents[1] / "tools" / "objective_timing.py"
     spec = importlib.util.spec_from_file_location("objective_timing", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    visits = tool.visited_points()
+    visits, kernel_inputs = tool.visited_points()
     sample = [(problem, points[::10]) for problem, points in visits]
     assert len(visits) == 138 and sum(len(points) for _, points in sample) > 3000
     assert tool.mismatches(sample) == []
+    assert len(kernel_inputs[::10]) > 3000
+    for T, v_eps, v_s, v_mod_x, v_mod_p in kernel_inputs[::10]:
+        outcomes = []
+        for chi in (lambda: _holevo_bound(T, v_eps, v_s, v_mod_x, v_mod_p),
+                    lambda: holevo_reference(ChannelParams(T, v_eps), SourceParams(v_s),
+                                             v_mod_x, v_mod_p)):
+            try:
+                outcomes.append(chi().hex())
+            except ValueError:
+                outcomes.append(ValueError)
+        assert outcomes[0] == outcomes[1], ((T, v_eps, v_s, v_mod_x, v_mod_p), outcomes)
 
 
 def test_infeasible_points_are_counted_by_reason(monkeypatch):

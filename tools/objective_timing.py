@@ -2,15 +2,18 @@
 
 Runs the rows of the ``distance_sweep`` and ``blocksize_sweep`` presets
 (the 138 problems of the benchmark's ``sweep`` workload) in this process
-and records every ``(v, v2, r)`` that ``optimize_key_rate`` evaluates. It
-then checks the objective ``optimizer._planning_rate(problem)`` at each
-recorded point against ``evaluate_point``, the public reference, bit for
-bit: the same ``K``, or a ``ValueError`` with the same text. Last, it
-evaluates every recorded point in 11 passes, building each problem's
-objective once per pass as the optimizer does, and prints the median and
-quartiles of the process CPU time per evaluation, in µs, with this
-process pinned to one CPU. That is the cost of one planning
-evaluation, without the search around it:
+and records every ``(v, v2, r)`` that ``optimize_key_rate`` evaluates,
+and every ``(T, V_eps, v_s, v_mod_x, v_mod_p)`` that those evaluations
+pass to the Holevo kernel ``keyrate._holevo_bound``. It then checks the
+objective ``optimizer._planning_rate(problem)`` at each recorded point
+against ``evaluate_point``, the public reference, bit for bit: the same
+``K``, or a ``ValueError`` with the same text. Last, it evaluates every
+recorded point in 11 passes, building each problem's objective once per
+pass as the optimizer does, then the kernel at every recorded input in 11
+passes, and prints the median and quartiles of the process CPU time per
+evaluation and per kernel call, in µs, with this process pinned to one
+CPU. Those are the cost of one planning evaluation, without the search
+around it, and of the χ it spends most of that on:
 
     PYTHONPATH=src python3 tools/objective_timing.py
     PYTHONPATH=old/src python3 tools/objective_timing.py
@@ -29,17 +32,20 @@ import tempfile
 import time
 
 import cvqkd
-from cvqkd import cli, optimizer
+from cvqkd import cli, keyrate, optimizer
 
 PRESETS = ("distance_sweep", "blocksize_sweep")
 REPEATS = 11  # timed passes over the recorded points
 
 
-def visited_points() -> list[tuple]:
-    """``(problem, [(v, v2, r), ...])`` for each sweep row, in order, with
-    every point its optimisation evaluates, repeats included."""
-    visits = []
+def visited_points() -> tuple[list[tuple], list[tuple]]:
+    """``(visits, kernel_inputs)``: ``(problem, [(v, v2, r), ...])`` for
+    each sweep row, in order, with every point its optimisation evaluates,
+    repeats included, and the arguments of each Holevo kernel call those
+    points made, in call order."""
+    visits, kernel_inputs = [], []
     real_rate, real_each = optimizer._planning_rate, cli.optimize_each
+    real_kernel = optimizer._holevo_bound
 
     def recording(problem):
         rate = real_rate(problem)
@@ -51,8 +57,12 @@ def visited_points() -> list[tuple]:
             return rate(v, v2, r)
         return wrapped
 
+    def kernel(*args):
+        kernel_inputs.append(args)
+        return real_kernel(*args)
+
     # every row in this process, so that each evaluation is recorded here
-    optimizer._planning_rate = recording
+    optimizer._planning_rate, optimizer._holevo_bound = recording, kernel
     cli.optimize_each = lambda problems: [optimizer.optimize_key_rate(p) for p in problems]
     try:
         with tempfile.TemporaryDirectory() as work:
@@ -60,7 +70,8 @@ def visited_points() -> list[tuple]:
                 cli.run_sweep(cli.load_preset(name), work)
     finally:
         optimizer._planning_rate, cli.optimize_each = real_rate, real_each
-    return visits
+        optimizer._holevo_bound = real_kernel
+    return visits, kernel_inputs
 
 
 def _outcome(f, *args):
@@ -98,11 +109,29 @@ def cpu_seconds(visits) -> float:
     return time.process_time() - start
 
 
+def kernel_cpu_seconds(kernel_inputs) -> float:
+    """Process CPU time of one pass of the Holevo kernel over every recorded input."""
+    kernel = keyrate._holevo_bound
+    start = time.process_time()
+    for args in kernel_inputs:
+        try:
+            kernel(*args)
+        except ValueError:
+            pass
+    return time.process_time() - start
+
+
+def _quartiles(timer, recorded, count: int) -> list[float]:
+    timer(recorded)  # untimed warm pass
+    per_item = [1e6 * timer(recorded) / count for _ in range(REPEATS)]
+    return statistics.quantiles(per_item, n=4)
+
+
 def main() -> int:
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     print(f"cvqkd from {os.path.dirname(cvqkd.__file__)}", file=sys.stderr)
-    visits = visited_points()
+    visits, kernel_inputs = visited_points()
     total = sum(len(points) for _, points in visits)
     distinct = len({(id(problem), point) for problem, points in visits for point in points})
     print(f"{len(visits)} problems, {total} evaluations, {distinct} distinct points")
@@ -110,11 +139,14 @@ def main() -> int:
     for line in bad:
         print(f"mismatch: {line}", file=sys.stderr)
     print(f"{total - len(bad)} of {total} points equal evaluate_point bit for bit")
-    cpu_seconds(visits)  # untimed warm pass
-    per_eval = [1e6 * cpu_seconds(visits) / total for _ in range(REPEATS)]
-    q1, median, q3 = statistics.quantiles(per_eval, n=4)
+    q1, median, q3 = _quartiles(cpu_seconds, visits, total)
     print(f"objective: median {median:.3f} µs per evaluation, quartiles "
           f"{q1:.3f}–{q3:.3f} µs, over {REPEATS} passes of process CPU time on one CPU")
+    calls = len(kernel_inputs)
+    q1, median, q3 = _quartiles(kernel_cpu_seconds, kernel_inputs, calls)
+    print(f"kernel: median {median:.3f} µs per _holevo_bound call, quartiles "
+          f"{q1:.3f}–{q3:.3f} µs, over {REPEATS} passes of its {calls} recorded inputs "
+          f"on one CPU")
     return 1 if bad else 0
 
 
