@@ -274,6 +274,10 @@ def run_sweep(scenario: dict, out_dir: str) -> list[str]:
     Every row is computed before any file is written, so a sweep writes
     all of its CSVs or none."""
     s = _read(scenario, _SWEEP, "a sweep scenario")
+    paths = [os.path.join(out_dir, f"{s['name']}_{entry['kind']}_vs{entry['v_s']:g}.csv")
+             for entry in s["schemes"]]
+    for i, path in enumerate(paths):  # else the later entry's rows overwrite
+        _require(path not in paths[:i], f"two scheme entries would both write {path}")
     beta, delta, delta_star = s["beta"], s["delta"], s["delta_star"]
     # the two benchmark columns depend on the point, not on the scheme; a
     # bad budget is refused here, before any optimization
@@ -293,8 +297,7 @@ def run_sweep(scenario: dict, out_dir: str) -> list[str]:
     manifest = make_manifest(scenario, s["seed"])
 
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for entry in s["schemes"]:
+    for path in paths:
         rows = []
         # each entry takes the next len(points) results
         for (value, _, _, k_th, k_legacy), result in zip(points, results):
@@ -303,9 +306,7 @@ def run_sweep(scenario: dict, out_dir: str) -> list[str]:
                          report.chi_BE, report.Delta_n, report.T_low,
                          report.veps_up, result.point["v"],
                          result.point.get("r", 0.0), k_th, k_legacy))
-        path = os.path.join(out_dir, f"{s['name']}_{entry['kind']}_vs{entry['v_s']:g}.csv")
         _write_csv(path, manifest, _SWEEP_COLUMNS, rows)
-        paths.append(path)
     return paths
 
 

@@ -210,19 +210,9 @@ def _inverse_variance(variances: list[float]) -> float:
     total = variances[0]
     for w in variances[1:]:
         if not (math.isfinite(total) and total > 0.0 and math.isfinite(w) and w > 0.0):
-            raise _unmerged(variances)
+            raise ValueError(f"arm variances must be finite and > 0, got {variances!r}")
         total = total * w / (total + w)
     return total
-
-
-# the refusals that the optimizer's objective shares with variance_model
-def _unmerged(variances: list[float]) -> ValueError:
-    return ValueError(f"arm variances must be finite and > 0, got {variances!r}")
-
-
-def _overflow(withheld: float, v_s: float) -> ValueError:
-    return ValueError(f"key variance too large: (v + v_s - 1)**2 overflows at "
-                      f"v={withheld!r}, v_s={v_s!r}")
 
 
 def variance_model(channel: ChannelParams, source: SourceParams, arms) -> VarianceModel:
@@ -236,37 +226,28 @@ def variance_model(channel: ChannelParams, source: SourceParams, arms) -> Varian
     displacement is degenerate at T = 0, so only a block with a withheld
     displacement is accepted there.
     """
-    # an arm's sample count and revealed variance that are not floats must
-    # be reals a float can hold, and its withheld variance a real >= 0
+    if len(arms) == 0:
+        raise ValueError("an estimation needs at least one arm")
     for m, revealed, withheld in arms:
-        if not (isinstance(revealed, float) or _finite(revealed)):
+        if not (_finite(revealed) and revealed > 0.0):
             raise ValueError(f"modulation variance must be > 0, got {revealed!r}")
-        if not (isinstance(m, float) or _finite(m)):
+        if not (_finite(m) and m > 0.0):
             raise ValueError(f"sample count must be > 0, got {m!r}")
         if not (_finite(withheld) and withheld >= 0.0):
             raise ValueError(f"withheld variance must be >= 0, got {withheld!r}")
-    if len(arms) == 0:
-        raise ValueError("an estimation needs at least one arm")
     T, v_eps, v_s = channel.T, channel.v_eps, source.v_s
-    if not T > 0.0:
-        for _, _, withheld in arms:
-            if withheld > 0.0:
-                break
-        else:
-            raise ValueError("estimation that reveals every displacement is degenerate at T = 0")
+    if not T > 0.0 and not any(withheld > 0.0 for _, _, withheld in arms):
+        raise ValueError("estimation that reveals every displacement is degenerate at T = 0")
     sigmas, noises, gains = [], [], []
     for m, revealed, withheld in arms:
-        if not (math.isfinite(revealed) and revealed > 0.0):
-            raise ValueError(f"modulation variance must be > 0, got {revealed!r}")
-        if not (math.isfinite(m) and m > 0.0):
-            raise ValueError(f"sample count must be > 0, got {m!r}")
         vn = _noise_variance(T, v_eps, v_s, withheld)
         sigmas.append((4.0 / m) * (2.0 * T * T + T * vn / revealed))
         noises.append((2.0 / m) * vn * vn)
         try:  # a float ** raises where numpy would return inf
             gains.append((withheld + v_s - 1.0) ** 2)
         except OverflowError:
-            raise _overflow(withheld, v_s) from None
+            raise ValueError(f"key variance too large: (v + v_s - 1)**2 overflows at "
+                             f"v={withheld!r}, v_s={v_s!r}") from None
     # zero only at T = 0, where every arm vanishes
     sigma_sq = _inverse_variance(sigmas) if min(sigmas) > 0.0 else 0.0
     s_arms = [noise + gain * sigma_sq for noise, gain in zip(noises, gains)]

@@ -29,8 +29,8 @@ DEFAULT_BETA = 0.95
 
 def _require(condition: bool, message: str) -> None:
     # for the dataclasses and the public wrappers; the scalar rate cores
-    # and the optimizer's objective raise inline, so that a point that
-    # passes costs them no call here and no formatted message
+    # raise inline, so that a point that passes costs them no call here
+    # and no formatted message
     if not condition:
         raise ValueError(message)
 

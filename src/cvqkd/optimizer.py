@@ -6,7 +6,9 @@ makes every optimization deterministic, cheap, and exactly reproducible.
 
 Types are checked once per problem, when its dataclasses are built;
 each evaluation runs ``_planning_rate``, the rate of
-:func:`evaluate_point` specialised to the problem.
+:func:`evaluate_point` specialised to the problem, which hands a point
+outside its domain to :func:`evaluate_point` itself, so every refusal
+has one text in one place.
 
 The search is deliberately simple: a coarse geometric grid over each free
 variable's fixed range locates the basin, then cyclic per-coordinate
@@ -26,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from . import numeric
-from .estimation import _overflow, _unmerged, confidence_coefficient, expected_bounds
+from .estimation import confidence_coefficient, expected_bounds
 from .keyrate import (
     _LOG2,
     KeyRateReport,
@@ -128,9 +130,12 @@ def _planning_rate(problem: OptimizationProblem):
     Read once: z(delta), log2(2/delta_star), 1 + V_eps, 2 T^2, v_s - 1,
     an arm's noise and squared gain when it withholds nothing, the
     p-quadrature rule and the arm layout. Each point runs the reference's
-    arithmetic and checks in its order and shares its Holevo kernel.
+    arithmetic and shares its Holevo kernel, whose refusals pass through.
     Float sums and products do not associate, so only a left-most term is
-    hoisted and K equals the reference bit for bit. Points lie in the
+    hoisted and K equals the reference bit for bit. A point that trips a
+    guard is answered by :func:`evaluate_point` itself, refusal included,
+    so every point the reference refuses must trip one; a guard that trips
+    on a point the reference accepts costs only time. Points lie in the
     search box, where the :class:`Protocol` checks hold.
     """
     channel, params = problem.channel, problem.params
@@ -141,28 +146,25 @@ def _planning_rate(problem: OptimizationProblem):
     one_eps, two_t_sq, degenerate = 1.0 + v_eps, 2.0 * T * T, not T > 0.0
     vs_less_1 = 0.0 + v_s - 1.0
     vn0 = _noise_variance(T, v_eps, v_s, 0.0)
-    try:  # refused at the point, after the checks before it
+    try:  # refused at the point, by the reference
         gain0 = vs_less_1 ** 2
     except OverflowError:
         gain0 = None
     p_rule = v_s >= 1.0
     inf, sqrt = math.inf, math.sqrt
 
+    def reference(v: float, v2: float, r: float) -> float:
+        # looked up at each call, so that a test can count the fallbacks
+        return evaluate_point(problem, {"v": v, "v2": v2, "r": r}).K
+
     def rate(v: float, v2: float, r: float) -> float:
         n = (1.0 - r) * N
         shown = r * N
-        probe = not single and n != 0.0    # the arm (n, v2, v)
+        probe = not single and n != 0.0    # the arm (n, v2, v), n > 0
         reveal = single or shown != 0.0    # the arm (shown, v or v + v2, 0)
-        if not (probe or reveal):
-            raise ValueError("an estimation needs at least one arm")
-        if degenerate and not (probe and v > 0.0):
-            raise ValueError("estimation that reveals every displacement is degenerate "
-                             "at T = 0")
+        if not (probe or reveal) or degenerate and not (probe and v > 0.0):
+            return reference(v, v2, r)
         if probe:
-            if not 0.0 < v2 < inf:
-                raise ValueError(f"modulation variance must be > 0, got {v2!r}")
-            if not 0.0 < n < inf:
-                raise ValueError(f"sample count must be > 0, got {n!r}")
             w = v + v_s - 1.0
             vn = one_eps + T * w
             sigma = (4.0 / n) * (two_t_sq + T * vn / v2)
@@ -170,38 +172,32 @@ def _planning_rate(problem: OptimizationProblem):
             try:
                 gain = w ** 2
             except OverflowError:
-                raise _overflow(v, v_s) from None
+                return reference(v, v2, r)
         if reveal:
             shown_v = v if single else v + v2
-            if not 0.0 < shown_v < inf:
-                raise ValueError(f"modulation variance must be > 0, got {shown_v!r}")
-            if not 0.0 < shown < inf:
-                raise ValueError(f"sample count must be > 0, got {shown!r}")
+            if not (0.0 < shown_v < inf and shown > 0.0) or gain0 is None:
+                return reference(v, v2, r)
             sigma_d = (4.0 / shown) * (two_t_sq + T * vn0 / shown_v)
             noise_d = (2.0 / shown) * vn0 * vn0
-            if gain0 is None:
-                raise _overflow(0.0, v_s)
             if not probe:
                 sigma, noise, gain = sigma_d, noise_d, gain0
         if probe and reveal:  # merged by inverse variance once min(sigmas) > 0
             if (sigma_d if sigma_d < sigma else sigma) > 0.0:
                 if not (0.0 < sigma < inf and 0.0 < sigma_d < inf):
-                    raise _unmerged([sigma, sigma_d])
+                    return reference(v, v2, r)
                 sigma_sq = sigma * sigma_d / (sigma + sigma_d)
             else:
                 sigma_sq = 0.0
             s_p = noise + gain * sigma_sq
             s_d = noise_d + gain0 * sigma_sq
             if not (0.0 < s_p < inf and 0.0 < s_d < inf):
-                raise _unmerged([s_p, s_d])
+                return reference(v, v2, r)
             s_sq = s_p * s_d / (s_p + s_d)
         else:
             sigma_sq = sigma if sigma > 0.0 else 0.0
             s_sq = noise + gain * sigma_sq
-        if not 0.0 <= sigma_sq < inf:
-            raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq!r}")
-        if not 0.0 <= s_sq < inf:
-            raise ValueError(f"s_sq must be >= 0, got {s_sq!r}")
+        if not (0.0 <= sigma_sq < inf and 0.0 <= s_sq < inf):
+            return reference(v, v2, r)
         # the corner (T_low, veps_up), clamped; T_low <= T <= 1 already
         t_eval = T - z * sqrt(sigma_sq)
         if not t_eval > 0.0:
@@ -211,7 +207,7 @@ def _planning_rate(problem: OptimizationProblem):
             veps_eval = 0.0
         vn = 1.0 + veps_eval + t_eval * vs_less_1
         if not vn > 0.0:
-            raise ValueError("aggregated noise variance must be positive")
+            return reference(v, v2, r)
         i_ab = 0.5 * math.log1p(t_eval * v / vn) / _LOG2
         k_inf = beta * i_ab - _holevo_bound(t_eval, veps_eval, v_s, v, v if p_rule else 0.0)
         if n >= 1.0:
@@ -466,7 +462,8 @@ def fit_exponential_decay(x_values, y_values) -> ExponentialFit:
 
     x = np.asarray(x_values, dtype=np.float64)
     y = np.asarray(y_values, dtype=np.float64)
-    _require(x.size == y.size and x.size >= 2, "a fit needs at least 2 points")
+    _require(x.size == y.size, f"x and y differ in length: {x.size} against {y.size}")
+    _require(x.size >= 2, "a fit needs at least 2 points")
     _require(bool(np.all(y > 0.0)), "fitting log10 y needs positive y values")
     ly = np.log10(y)
     slope, intercept = np.polyfit(x, ly, 1)

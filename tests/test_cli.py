@@ -443,6 +443,18 @@ def test_sweep_refused_mid_list_writes_no_csv(capsys, tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("v_s", [0.1, 0.1000000001], ids=["same", "same-at-%g"])
+def test_sweep_refuses_two_entries_that_write_one_csv(capsys, monkeypatch, tmp_path, v_s):
+    # the second file would overwrite the first entry's rows
+    monkeypatch.setattr(cli, "optimize_each", lambda problems: pytest.fail("optimised"))
+    scenario = {**_TINY_SWEEP, "schemes": [{"kind": "single", "v_s": 0.1},
+                                           {"kind": "single", "v_s": v_s}]}
+    assert main_entry(_sweep_argv(tmp_path, scenario)) == 1
+    assert capsys.readouterr().err == ("error: two scheme entries would both write "
+                                       f"{tmp_path / 'typo_single_vs0.1.csv'}\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 _THREE_KINDS = {"command": "sweep", "name": "kinds", "N": 10**7,
                 "sweep": {"variable": "d", "min": 10.0, "max": 60.0, "points": 3},
                 "schemes": [{"kind": "single"}, {"kind": "double", "v_s": 0.5},

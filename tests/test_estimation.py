@@ -177,6 +177,9 @@ def test_arm_model_refusals():
         (ok, Protocol("single", 3.0, r=0.0), "sample count must be > 0"),
         (opaque, Protocol("modified", 3.0, 10.0, 1.0), "degenerate at T = 0"),
         (ok, Protocol("double", 1e308, 10.0), "key variance too large"),
+        # two faults: the arm's revealed v + v2 = inf is checked before T = 0
+        (opaque, Protocol("modified", 1e308, 1e308, 1.0),
+         "modulation variance must be > 0, got inf"),
     ]
     for channel, protocol, message in refused:
         with pytest.raises(ValueError, match=message):

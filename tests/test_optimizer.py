@@ -95,7 +95,7 @@ def test_fit_validation():
         fit_power_law([1.0], [2.0])
     with pytest.raises(ValueError):
         fit_power_law([1.0, 2.0], [2.0, -1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="x and y differ in length: 3 against 2"):
         fit_exponential_decay([1.0, 2.0, 3.0], [2.0, 1.0])
     with pytest.raises(ValueError):
         fit_exponential_decay([1.0, 2.0], [0.0, 1.0])
@@ -344,7 +344,7 @@ def test_search_path_is_pinned(problem, point, K, evaluations):
     assert result.report.K == K
 
 
-def test_objective_equals_evaluate_point_on_sweep_traffic():
+def test_objective_equals_evaluate_point_on_sweep_traffic(monkeypatch):
     # every point the search visits on the 138 rows of the distance_sweep
     # and blocksize_sweep presets, recorded by tools/objective_timing.py;
     # every 10th of each row's is held to the public reference bit for
@@ -354,9 +354,18 @@ def test_objective_equals_evaluate_point_on_sweep_traffic():
     spec = importlib.util.spec_from_file_location("objective_timing", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    visits, kernel_inputs = tool.visited_points()
+    # one report per row: no recorded point falls back to the reference
+    reports = []
+
+    def counting(problem, point, _real=optimizer.evaluate_point):
+        reports.append(point)
+        return _real(problem, point)
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "evaluate_point", counting)
+        visits, kernel_inputs = tool.visited_points()
+    assert len(reports) == len(visits) == 138
     sample = [(problem, points[::10]) for problem, points in visits]
-    assert len(visits) == 138 and sum(len(points) for _, points in sample) > 3000
+    assert sum(len(points) for _, points in sample) > 3000
     assert tool.mismatches(sample) == []
     assert len(kernel_inputs[::10]) > 3000
     for T, v_eps, v_s, v_mod_x, v_mod_p in kernel_inputs[::10]:

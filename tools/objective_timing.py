@@ -7,7 +7,9 @@ and every ``(T, V_eps, v_s, v_mod_x, v_mod_p)`` that those evaluations
 pass to the Holevo kernel ``keyrate._holevo_bound``. It then checks the
 objective ``optimizer._planning_rate(problem)`` at each recorded point
 against ``evaluate_point``, the public reference, bit for bit: the same
-``K``, or a ``ValueError`` with the same text. Last, it evaluates every
+``K``, or a ``ValueError`` with the same text, and counts the points
+that the objective answers by calling ``evaluate_point`` itself, the
+slow path it keeps for points outside its domain. Last, it evaluates every
 recorded point in 11 passes, building each problem's objective once per
 pass as the optimizer does, then the kernel at every recorded input in 11
 passes, and prints the median and quartiles of the process CPU time per
@@ -96,6 +98,21 @@ def mismatches(visits) -> list[str]:
     return bad
 
 
+def fallbacks(visits) -> int:
+    """How many recorded points the objective answers through ``evaluate_point``."""
+    real, calls = optimizer.evaluate_point, []
+
+    def counting(problem, point):
+        calls.append(point)
+        return real(problem, point)
+    optimizer.evaluate_point = counting
+    try:
+        cpu_seconds(visits)
+    finally:
+        optimizer.evaluate_point = real
+    return len(calls)
+
+
 def cpu_seconds(visits) -> float:
     """Process CPU time of one pass over every recorded point."""
     start = time.process_time()
@@ -139,6 +156,7 @@ def main() -> int:
     for line in bad:
         print(f"mismatch: {line}", file=sys.stderr)
     print(f"{total - len(bad)} of {total} points equal evaluate_point bit for bit")
+    print(f"{fallbacks(visits)} of {total} points answered by evaluate_point")
     q1, median, q3 = _quartiles(cpu_seconds, visits, total)
     print(f"objective: median {median:.3f} µs per evaluation, quartiles "
           f"{q1:.3f}–{q3:.3f} µs, over {REPEATS} passes of process CPU time on one CPU")
