@@ -25,11 +25,12 @@ gives a default, and the others are optional:
     t_grid        as the axis, without variable;  channel: T*, v_eps=eps_ratio*T
     template      N*, r*, v_s=1, v*, v1*, v2*;  a schemes entry: kind*, v_s=1
 
-A d or T axis needs N and refuses a channel, an N axis the reverse.
-Numbers must be JSON numbers a float can hold, and N, points, trials and
-seed whole ones: a string, a bool, NaN, Infinity or an integer beyond the
-float range is refused under its key, seeds included. Any other key, at
-any level, is rejected by name.
+A d or T axis needs N and refuses a channel, an N axis the reverse. A
+name starts the output files' names: not "", "." or "..", and no NUL or
+path separator. Numbers must be JSON numbers a float can hold, and N,
+points, trials and seed whole ones: a string, a bool, NaN, Infinity or an
+integer beyond the float range is refused under its key, seeds included.
+Any other key, at any level, is rejected by name.
 
 Every output file starts with a manifest line identifying the tool
 version, a digest of the scenario that produced it, and the seed.  The
@@ -51,8 +52,6 @@ import operator
 import os
 import sys
 import time
-from dataclasses import asdict
-from importlib import resources
 
 from . import __version__, numeric
 from .model import (SINGLE, MODIFIED, KINDS, DEFAULT_BETA, DEFAULT_DELTA,
@@ -113,18 +112,19 @@ def _write_csv(path: str, manifest: dict, columns, rows) -> None:
 # scenario handling
 # ------------------------------------------------------------------
 
-_PRESETS = resources.files("cvqkd") / "presets"
+# beside this file: importlib.resources costs a cold query about 15 ms
+_PRESETS = os.path.join(os.path.dirname(__file__), "presets")
 
 
 def preset_names() -> list[str]:
-    return sorted(entry.name[:-5] for entry in _PRESETS.iterdir()
-                  if entry.name.endswith(".json"))
+    return sorted(name[:-5] for name in os.listdir(_PRESETS) if name.endswith(".json"))
 
 
 def load_preset(name: str) -> dict:
-    entry = _PRESETS / f"{name}.json"
-    _require(entry.is_file(), f"unknown preset {name!r}; try 'cvqkd presets'")
-    return json.loads(entry.read_text())
+    path = os.path.join(_PRESETS, f"{name}.json")
+    _require(os.path.isfile(path), f"unknown preset {name!r}; try 'cvqkd presets'")
+    with open(path) as handle:
+        return json.load(handle)
 
 
 def load_scenario(args) -> dict:
@@ -159,6 +159,10 @@ def _object(schema: dict, where: str, build=dict):
 _number = _check(_finite, "a number", float)
 _count = _check(lambda x: _finite(x) and float(x).is_integer(), "a whole number", int)
 _text = _check(lambda x: isinstance(x, str), "a string")
+# a scenario's name starts its output files' names, inside --out
+_name = _check(lambda x: (isinstance(x, str) and x not in ("", ".", "..") and "\0" not in x
+                          and os.sep not in x and (os.altsep is None or os.altsep not in x)),
+               "a file name, not '', '.' or '..', without a NUL or a path separator")
 _schemes = _check(lambda x: isinstance(x, list) and len(x) > 0,
                   "a list of at least one scheme")
 _kinds = _check(lambda x: isinstance(x, list) and len(x) > 0 and all(k in KINDS for k in x),
@@ -189,7 +193,7 @@ _COMMON = {"description": (_text, None, "description"),
            "fiber": (_object(_FIBER, "'fiber'", FiberModel), FiberModel(), "fiber")}
 # "command" leads, so that a scenario of the other kind is refused by it
 _SWEEP = {"command": (_one_of("sweep"), _REQUIRED, "command"), **_COMMON,
-          "name": (_text, "sweep", "name"),
+          "name": (_name, "sweep", "name"),
           "seed": (_count, None, "seed"),
           "sweep": (_object(_AXIS, "'sweep'"), _REQUIRED, "axis"),
           "channel": (_object(_CHANNEL, "'channel'"), None, "fixed channel"),
@@ -200,7 +204,7 @@ _SWEEP = {"command": (_one_of("sweep"), _REQUIRED, "command"), **_COMMON,
           "schemes": (lambda x: list(map(_object(_SCHEME, "a 'schemes' entry"), _schemes(x))),
                       _REQUIRED, "scheme list")}
 _MONTECARLO = {"command": (_one_of("montecarlo"), _REQUIRED, "command"), **_COMMON,
-               "name": (_text, "montecarlo", "name"),
+               "name": (_name, "montecarlo", "name"),
                "seed": (_count, _REQUIRED, "seed"),
                "t_grid": (_object(_T_GRID, "'t_grid'"), _REQUIRED, "grid"),
                "template": (_object(_TEMPLATE, "'template'"), _REQUIRED, "template"),
@@ -337,7 +341,7 @@ def run_montecarlo(scenario: dict, out_dir: str,
     manifest = make_manifest(scenario, s["seed"])
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{s['name']}.csv")
-    # the columns are the row's fields; astuple would deep-copy every cell
+    # the columns are the row's fields
     _write_csv(path, manifest, _MC_COLUMNS, map(operator.attrgetter(*_MC_COLUMNS), rows))
     return path, rows
 
@@ -452,7 +456,7 @@ def cmd_keyrate(args) -> int:
         report = result.report
         sections["optimum"] = {"point": point, "status": result.status,
                                "evaluations": result.evaluations}
-    _emit_json(inputs, args.out, report=asdict(report), **sections)
+    _emit_json(inputs, args.out, report=vars(report), **sections)
     return EXIT_OK if report.K > 0.0 else EXIT_INSECURE
 
 
@@ -463,7 +467,7 @@ def cmd_optimize(args) -> int:
     _emit_json(_inputs_dict(args, channel), args.out,
                optimum={"point": point, "K": result.K, "status": result.status,
                         "evaluations": result.evaluations},
-               report=asdict(result.report))
+               report=vars(result.report))
     return EXIT_OK if result.status == "ok" else EXIT_INSECURE
 
 

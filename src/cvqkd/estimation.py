@@ -31,7 +31,6 @@ types and the private scalar cores compare values only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .model import (
@@ -40,6 +39,7 @@ from .model import (
     ChannelParams,
     Protocol,
     ProtocolParams,
+    Record,
     SourceParams,
     _finite,
     _noise_variance,
@@ -50,8 +50,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class SampleSet:
+class SampleSet(Record):
     """Paired record of revealed modulation values and received quadratures."""
 
     M: np.ndarray
@@ -73,8 +72,7 @@ class SampleSet:
         object.__setattr__(self, "B", b)
 
 
-@dataclass(frozen=True)
-class VarianceModel:
+class VarianceModel(Record):
     """Analytic variances of the transmittance and excess-noise estimators."""
 
     sigma_sq: float  # variance of the transmittance estimator
@@ -96,8 +94,7 @@ class VarianceModel:
         return math.sqrt(self.s_sq)
 
 
-@dataclass(frozen=True)
-class ConfidenceBounds:
+class ConfidenceBounds(Record):
     """A confidence box on the channel: its four sides, in the order
     :func:`confidence_bounds` builds them.
 

@@ -17,12 +17,12 @@ the rate is taken at the pessimistic corner, and a penalty shrinking as
 ``1/sqrt(n)`` accounts for using ``n`` rather than infinitely many
 symbols.
 
-The public functions check their raw arguments' types, as the
-dataclasses check their fields; the private scalar cores behind them
-compare values only, and only values they compute. The optimizer's
-objective calls the Holevo kernel, ``_holevo_bound``, on every
-evaluation. A modulation variance is checked once, where
-it enters: by ``_require_modulation`` at a public function, by
+The public functions check their raw arguments' types, as the records
+(:class:`~cvqkd.model.Record`) check their fields; the private scalar
+cores behind them compare values only, and only values they compute. The
+optimizer's objective calls the Holevo kernel, ``_holevo_bound``, on
+every evaluation. A modulation variance is checked once, where it enters:
+by ``_require_modulation`` at a public function, by
 :class:`~cvqkd.model.Protocol` for a protocol's variances, and by the
 search box or grid of the optimizers; the cores take it as checked.
 """
@@ -30,7 +30,6 @@ search box or grid of the optimizers; the cores take it as checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import numeric
 from .estimation import ConfidenceBounds
@@ -40,6 +39,7 @@ from .model import (
     SINGLE,
     ChannelParams,
     ProtocolParams,
+    Record,
     SourceParams,
     _finite,
     _noise_variance,
@@ -223,8 +223,7 @@ def _penalty(n: float, log_term: float) -> float:
     return 7.0 * math.sqrt(log_term / n)
 
 
-@dataclass(frozen=True)
-class KeyRateReport:
+class KeyRateReport(Record):
     """Finite-size evaluation broken into its ingredients.
 
     ``K == (n / N) * (K_inf - Delta_n)`` holds exactly as assembled;

@@ -5,15 +5,15 @@ quadrature variance of the vacuum equals 1. A quadrature of variance ``V``
 sent through a channel of transmittance ``T`` with excess noise ``v_eps``
 arrives with variance ``T*V + (1 - T) + v_eps``.
 
-The containers are frozen dataclasses that validate on construction, so a
-value that made it into one of them can be trusted downstream.
+The containers are frozen :class:`Record` objects that validate on
+construction, so a value that made it into one of them can be trusted
+downstream; :func:`replace` copies one with fields changed, checked anew.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 SINGLE = "single"
 DOUBLE = "double"
@@ -28,7 +28,7 @@ DEFAULT_BETA = 0.95
 
 
 def _require(condition: bool, message: str) -> None:
-    # for the dataclasses and the public wrappers; the scalar rate cores
+    # for the records and the public wrappers; the scalar rate cores
     # raise inline, so that a point that passes costs them no call here
     # and no formatted message
     if not condition:
@@ -62,8 +62,55 @@ def _require_beta(beta) -> None:
              f"reconciliation efficiency must lie in (0, 1], got {beta!r}")
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class Record:
+    """Frozen record: the class's annotations are its fields, its class
+    attributes their defaults, and ``__post_init__`` checks it. Replaces
+    ``dataclass(frozen=True)``, whose import slowed every cold query."""
+
+    def __init_subclass__(cls):
+        fields = cls._fields = tuple(cls.__annotations__)
+        defaults = {name: vars(cls)[name] for name in fields if name in vars(cls)}
+        # one plain __init__ per class, written out as dataclass writes it: a
+        # generic *args/**kwargs one made a record 0.4-2.5 us slower to build.
+        # It sets the fields one by one, since a __dict__ written whole slows
+        # every later read of the record.
+        params = "".join(f", {name}" + (f"=_d[{name!r}]" if name in defaults else "")
+                         for name in fields)
+        body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+        namespace = {"_set": object.__setattr__, "_d": defaults}
+        exec(f"def __init__(self{params}):{body}\n    self.__post_init__()", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{key}={value!r}" for key, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(record: Record, /, **changes) -> Record:
+    """``record`` with ``changes`` to its fields: a new record, checked anew."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})
+
+
+class ChannelParams(Record):
     """Lossy bosonic channel: transmittance plus additive excess noise."""
 
     T: float
@@ -76,8 +123,7 @@ class ChannelParams:
                  f"excess noise must be >= 0, got {self.v_eps!r}")
 
 
-@dataclass(frozen=True)
-class SourceParams:
+class SourceParams(Record):
     """Quadrature variance of the sender's source in the modulated direction.
 
     ``v_s = 1`` is a coherent source; ``v_s < 1`` means the modulated
@@ -91,8 +137,7 @@ class SourceParams:
                  f"source variance must be > 0, got {self.v_s!r}")
 
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(Record):
     """One channel-estimation scheme and its parameters.
 
     ``single`` sends one displacement of variance ``v`` that carries key
@@ -121,8 +166,7 @@ class Protocol:
                  "the double scheme discloses no extra samples; r must be 0")
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
+class ProtocolParams(Record):
     """Everything the finite-size rate needs besides the channel itself.
 
     The key is distilled from the ``n = (1 - r) * N`` samples the protocol
@@ -162,8 +206,7 @@ class ProtocolParams:
         return float(self.N)
 
 
-@dataclass(frozen=True)
-class FiberModel:
+class FiberModel(Record):
     """Distance-to-channel map for standard telecom fiber."""
 
     attenuation_db_per_km: float = 0.2

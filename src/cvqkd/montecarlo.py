@@ -14,7 +14,6 @@ imported on the first simulation, not with this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .estimation import (
@@ -31,6 +30,7 @@ from .model import (
     ChannelParams,
     FiberModel,
     Protocol,
+    Record,
     SourceParams,
     _require,
     _require_count,
@@ -43,8 +43,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(Record):
     """One repeatable simulation setup."""
 
     channel: ChannelParams
@@ -78,8 +77,7 @@ class TrialConfig:
         return round(self.scheme.r * self.N)
 
 
-@dataclass(frozen=True)
-class EmpiricalStats:
+class EmpiricalStats(Record):
     """Reduction of one batch of trials against the analytic model.
 
     Standard deviations and relative errors are None when a single trial
@@ -95,8 +93,7 @@ class EmpiricalStats:
     rel_err_Veps: float | None
 
 
-@dataclass(frozen=True)
-class ValidationRow:
+class ValidationRow(Record):
     """One point of the variance-model validation grid."""
 
     scheme: str

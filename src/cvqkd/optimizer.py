@@ -4,11 +4,11 @@ The objective is always the planning-mode finite-size key rate: expected
 confidence bounds from the analytic variance models, no sampling. That
 makes every optimization deterministic, cheap, and exactly reproducible.
 
-Types are checked once per problem, when its dataclasses are built;
-each evaluation runs ``_planning_rate``, the rate of
-:func:`evaluate_point` specialised to the problem, which hands a point
-outside its domain to :func:`evaluate_point` itself, so every refusal
-has one text in one place.
+Types are checked once per problem, when its records
+(:class:`~cvqkd.model.Record`) are built; each evaluation runs
+``_planning_rate``, the rate of :func:`evaluate_point` specialised to the
+problem, which hands a point outside its domain to :func:`evaluate_point`
+itself, so every refusal has one text in one place.
 
 The search is deliberately simple: a coarse geometric grid over each free
 variable's fixed range locates the basin, then cyclic per-coordinate
@@ -25,7 +25,6 @@ import itertools
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
 
 from . import numeric
 from .estimation import confidence_coefficient, expected_bounds
@@ -48,11 +47,13 @@ from .model import (
     FiberModel,
     Protocol,
     ProtocolParams,
+    Record,
     _finite,
     _noise_variance,
     _require,
     _require_beta,
     channel_at_distance,
+    replace,
 )
 
 _GRID_V = 13
@@ -73,8 +74,7 @@ FIT_WINDOW_KM = (30.0, 150.0)
 FIT_POINTS = 13
 
 
-@dataclass(frozen=True)
-class OptimizationProblem:
+class OptimizationProblem(Record):
     """Key-rate maximisation over a subset of the protocol parameters.
 
     ``params`` is the fixed point: the source, block size and budgets, the
@@ -102,8 +102,7 @@ class OptimizationProblem:
         object.__setattr__(self, "free", tuple(free))
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(Record):
     point: dict
     K: float
     report: KeyRateReport
@@ -119,7 +118,7 @@ def evaluate_point(problem: OptimizationProblem, point: dict) -> KeyRateReport:
     maps :class:`Protocol` fields to values that replace the fixed ones.
 
     The reference for the optimizer's objective, which computes the same
-    ``K`` without building the report's dataclasses."""
+    ``K`` without building records; ``replace`` checks the point anew."""
     params = replace(problem.params, protocol=replace(problem.params.protocol, **point))
     return finite_key_rate(params, expected_bounds(problem.channel, params))
 
@@ -424,8 +423,7 @@ def _take(problems, tokens, step, parent=None) -> list:
 # empirical scaling fits
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(Record):
     """Fit of ``y = alpha * x ** gamma`` on log-log axes."""
 
     alpha: float
@@ -433,8 +431,7 @@ class PowerLawFit:
     residual: float  # largest |log10 deviation| over the fitted points
 
 
-@dataclass(frozen=True)
-class ExponentialFit:
+class ExponentialFit(Record):
     """Fit of ``y = a * 10 ** (-kappa * x)``."""
 
     a: float

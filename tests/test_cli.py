@@ -239,8 +239,8 @@ import contextlib, io, json, os, sys
 import cvqkd.cli
 os.sched_getaffinity = lambda pid: {0, 1}  # the sweep forks a child
 report = {
-    "loaded": [m for m in ("scipy", "numpy", "concurrent", "multiprocessing")
-               if m in sys.modules],
+    "loaded": [m for m in ("scipy", "numpy", "concurrent", "multiprocessing",
+                           "dataclasses", "inspect") if m in sys.modules],
     "missing": [layer for layer in ("model", "estimation", "keyrate", "montecarlo",
                                     "optimizer", "cli")
                 if f"cvqkd.{layer}" not in sys.modules],
@@ -256,7 +256,8 @@ print(json.dumps(report))
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # numpy loads on first use only, so a planning query never pays for it;
+    # numpy loads on first use only, so a planning query never pays for it,
+    # and the records need neither dataclasses nor the inspect it imports;
     # every layer module is still imported eagerly, which the bench's
     # tracer reads from sys.modules; a sweep on 2 CPUs forks its child
     # without loading multiprocessing or concurrent.futures
@@ -607,6 +608,27 @@ def test_scenario_reader_names_the_bad_key(capsys, tmp_path, scenario, message):
     assert message in err
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", [_TINY_SWEEP, {**_MC, "trials": 2}],
+                         ids=["sweep", "montecarlo"])
+@pytest.mark.parametrize("name", ["", ".", "..", "../x", "sub/x", "a\0b", os.sep + "x"],
+                         ids=["empty", "dot", "dot-dot", "parent", "subdirectory", "nul",
+                              "absolute"])
+def test_scenario_name_stays_a_file_name_inside_out(capsys, monkeypatch, tmp_path,
+                                                    scenario, name):
+    # the name starts each output file's name: it is refused by its key
+    # before any row runs, and nothing is written inside or beside --out
+    for work in ("optimize_each", "validate_variance_models"):
+        monkeypatch.setattr(cli, work, lambda *args, **kwargs: pytest.fail("rows ran"))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**scenario, "name": name}))
+    out = tmp_path / "out"
+    assert main_entry([scenario["command"], "--scenario", str(path), "--out", str(out)]) == 1
+    assert (f"the name 'name' in a {scenario['command']} scenario must be a file name, "
+            f"not '', '.' or '..', without a NUL or a path separator, got {name!r}"
+            in capsys.readouterr().err)
+    assert not out.exists() and not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("command, preset", [("sweep", "blocksize_sweep"),

@@ -1,8 +1,11 @@
 """Parameter containers and the loss/noise algebra of the link."""
 
+import dataclasses
 import math
+import pickle
 import re
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,12 @@ from cvqkd import (
     excess_noise_from_fiber,
     channel_at_distance,
 )
+from cvqkd.estimation import ConfidenceBounds, SampleSet, VarianceModel
+from cvqkd.keyrate import KeyRateReport
+from cvqkd.model import Record, replace
+from cvqkd.montecarlo import EmpiricalStats, TrialConfig, ValidationRow
+from cvqkd.optimizer import (ExponentialFit, OptimizationProblem, OptimizationResult,
+                             PowerLawFit)
 
 
 def test_aggregated_noise_variance_values():
@@ -193,6 +202,113 @@ def test_fiber_model_validation():
         FiberModel(attenuation_db_per_km=0.0)
     with pytest.raises(ValueError):
         FiberModel(eps_ratio=-0.01)
+
+
+# --------------------------------------------------------------------------
+# the records against frozen dataclasses of the same fields
+
+
+_SINGLE = ProtocolParams(SourceParams(1.0), Protocol("single", 1.0, r=0.2), 10**6)
+_MODEL = VarianceModel(1e-4, 2e-4, ((1e-4, 2e-4),))
+_REPORT = KeyRateReport(0.1, 0.2, 1.0, 0.7, 0.05, 0.29, 0.004, 0.29, 0.004,
+                        8e5, 2e5, 10**6)
+
+# each record class: arguments, a field changed to a good value, and one
+# its check refuses (None where the class checks nothing)
+_RECORDS = [
+    (ChannelParams, (0.3, 0.003), {}, ("v_eps", 0.01), ("T", 2.0)),
+    (SourceParams, (0.5,), {}, ("v_s", 0.2), ("v_s", -1.0)),
+    (Protocol, ("modified", 2.0), {"r": 0.3}, ("r", 0.1), ("r", 1.5)),
+    (ProtocolParams, (SourceParams(1.0), Protocol("single", 1.0, r=0.2)), {"N": 10**6},
+     ("N", 10**7), ("N", 1)),
+    (FiberModel, (), {"eps_ratio": 0.02}, ("eps_ratio", 0.0), ("attenuation_db_per_km", -1.0)),
+    (SampleSet, (np.array([1.0, 2.0]), np.array([0.5, 1.5])), {}, ("B", np.array([0.1, 0.2])),
+     ("B", np.array([1.0]))),
+    (VarianceModel, (1e-4, 2e-4), {}, ("s_sq", 3e-4), ("sigma_sq", -1.0)),
+    (ConfidenceBounds, (0.18, 0.004, 0.22, 0.0), {}, ("veps_low", 0.001), ("T_up", 0.1)),
+    (KeyRateReport, (), {"K": 0.1, "K_inf": 0.2, "I_AB": 1.0, "chi_BE": 0.7, "Delta_n": 0.05,
+                         "T_low": 0.29, "veps_up": 0.004, "T_eval": 0.29, "veps_eval": 0.004,
+                         "n": 8e5, "m": 2e5, "N": 10**6}, ("K", 0.5), None),
+    (TrialConfig, (ChannelParams(0.3, 0.003), SourceParams(1.0), Protocol("single", 3.0, r=0.5),
+                   1000, 5, 7), {}, ("trials", 10), ("trials", 0)),
+    (EmpiricalStats, (0.3, None, 0.003, None, _MODEL, None, None), {}, ("mean_T", 0.31), None),
+    (ValidationRow, ("single", 0.3, 500.0, 0.1, 0.11, 0.1, 0.2, 0.21, 0.05, 0.01), {},
+     ("T", 0.4), None),
+    (OptimizationProblem, (ChannelParams(0.3, 0.003), _SINGLE), {}, ("free", ("v",)),
+     ("free", ("v2",))),
+    (OptimizationResult, ({"v": 1.0, "r": 0.2}, 0.1, _REPORT, "ok", 10, Counter(), 2, True), {},
+     ("status", "no_positive_rate"), None),
+    (PowerLawFit, (2.0, -0.5, 0.01), {}, ("gamma", -0.4), None),
+    (ExponentialFit, (1.0, 0.02, (30.0, 150.0), 0.01), {}, ("kappa", 0.03), None),
+]
+
+
+def _dataclass_twin(cls):
+    """A frozen dataclass with ``cls``'s fields, defaults, check and properties."""
+    spec = [(name, object, dataclasses.field(default=vars(cls)[name]))
+            if name in vars(cls) else (name, object) for name in cls.__annotations__]
+    methods = {key: value for key, value in vars(cls).items()
+               if key == "__post_init__" or isinstance(value, property)}
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True, namespace=methods)
+
+
+def _outcome(act):
+    """What ``act()`` returns, or the type and text of what it raises."""
+    try:
+        return act()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_the_record_table_holds_every_record_class():
+    assert {entry[0] for entry in _RECORDS} == set(Record.__subclasses__())
+    assert len(_RECORDS) == 16
+
+
+@pytest.mark.parametrize("cls, args, kwargs, change, bad", _RECORDS,
+                         ids=[entry[0].__name__ for entry in _RECORDS])
+def test_record_behaves_as_a_frozen_dataclass(cls, args, kwargs, change, bad):
+    twin = _dataclass_twin(cls)
+    record, reference = cls(*args, **kwargs), twin(*args, **kwargs)
+    assert repr(record) == repr(reference)
+    # the field dict, in field order
+    assert list(vars(record)) == [field.name for field in dataclasses.fields(reference)]
+    # equal to an equal record, unequal to a record of another class
+    assert record == cls(*args, **kwargs) and reference == twin(*args, **kwargs)
+    assert not record != cls(*args, **kwargs)
+    assert record != reference and reference != record and not record == reference
+    assert _outcome(lambda: hash(record)) == _outcome(lambda: hash(reference))
+    fields = list(cls.__annotations__)
+    first = fields[0]
+    for act in (lambda obj: setattr(obj, first, None), lambda obj: delattr(obj, first),
+                lambda obj: setattr(obj, "other", None)):
+        refused, expected = _outcome(lambda: act(record)), _outcome(lambda: act(reference))
+        assert issubclass(expected[0], AttributeError)
+        assert refused == (AttributeError, expected[1])
+    # a field named twice, an unknown field, one argument too many, a
+    # required field left out: the dataclass's TypeError, word for word
+    values = [getattr(record, name) for name in fields]
+    calls = [((values[0],), {first: values[0]}),
+             ((), {**dict(zip(fields, values)), "bogus": 1}), ((*values, None), {})]
+    if not all(name in vars(cls) for name in fields):
+        calls.append(((), {}))
+    for call_args, call_kwargs in calls:
+        refused = _outcome(lambda: cls(*call_args, **call_kwargs))
+        assert refused[0] is TypeError
+        assert refused == _outcome(lambda: twin(*call_args, **call_kwargs))
+    restored = pickle.loads(pickle.dumps(record))
+    assert type(restored) is cls and repr(restored) == repr(record)
+    assert vars(restored).keys() == vars(record).keys()
+    # replace builds a new record, so its check runs again
+    name, value = change
+    assert repr(replace(record, **{name: value})) == repr(
+        dataclasses.replace(reference, **{name: value}))
+    assert _outcome(lambda: replace(record, bogus=1))[0] is TypeError
+    if bad is not None:
+        name, value = bad
+        refused = _outcome(lambda: replace(record, **{name: value}))
+        assert refused[0] is ValueError
+        assert refused == _outcome(lambda: dataclasses.replace(reference, **{name: value}))
 
 
 # --------------------------------------------------------------------------

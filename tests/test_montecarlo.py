@@ -4,7 +4,6 @@ The per-arm Wishart draw of ``cvqkd.montecarlo`` is checked against the
 arm model and against the sample-level simulator of ``sample_reference``.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +30,7 @@ from cvqkd import (
     ValidationRow,
 )
 from cvqkd.estimation import _t_estimate, _veps_estimate
+from cvqkd.model import replace
 from cvqkd.montecarlo import _BATCH_TRIALS, _arm_means, _row_seed
 from matrix_reference import build_eb_covariance
 from sample_reference import reference_estimates, simulate_transmission
@@ -219,7 +219,7 @@ def test_sampler_matches_the_arm_model(cfg):
     # the Wishart draw over many trials, and the sample-level simulator over
     # a few hundred blocks, per arm against the same law
     rng = np.random.default_rng(cfg.seed)
-    many = dataclasses.replace(cfg, trials=20000)
+    many = replace(cfg, trials=20000)
     drawn = [np.column_stack(_arm_means(rng, many, *arm)) for arm in arms]
     simulated = [[] for _ in arms]
     for k in range(300):
@@ -426,7 +426,7 @@ def test_validation_rows_equal_lone_runs(trials):
                 stats.std_T, stats.rel_err_T, theoretical_noise_limit(channel, float(N))))
     assert len(rows) == len(expected) == 12
     for row, reference in zip(rows, expected):
-        assert dataclasses.astuple(row) == dataclasses.astuple(reference)
+        assert row == reference
     assert validate_variance_models([], _BATCH_PROTOCOLS, src, N, trials, seed) == []
 
 

@@ -12,7 +12,6 @@ import sys
 import time
 import types
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +46,7 @@ from cvqkd import numeric, optimizer
 from cvqkd.cli import load_preset
 from cvqkd.estimation import ConfidenceBounds, VarianceModel
 from cvqkd.keyrate import KeyRateReport, _asymptotic_key_rate, _holevo_bound
+from cvqkd.model import replace
 from cvqkd.optimizer import _planning_rate
 from matrix_reference import holevo_reference
 
@@ -296,7 +296,7 @@ def test_optimize_validates_once_per_problem(monkeypatch):
             built[_name] += 1
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counting)
-    # the type check, wherever a module calls it: the dataclasses and the
+    # the type check, wherever a module calls it: the records and the
     # public wrappers, never the scalar cores that each evaluation runs
     real_finite = cvqkd.model._finite
 
