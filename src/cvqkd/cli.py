@@ -91,12 +91,6 @@ def make_manifest(scenario: dict, seed: int | None) -> dict:
             "seed": seed, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    return "%.12g" % float(value)
-
-
 def _write_csv(path: str, manifest: dict, columns, rows) -> None:
     # no timestamp here: rerunning a scenario must reproduce files exactly
     seed = "none" if manifest["seed"] is None else manifest["seed"]
@@ -104,8 +98,11 @@ def _write_csv(path: str, manifest: dict, columns, rows) -> None:
         handle.write(f"# cvqkd {manifest['tool_version']} "
                      f"scenario={manifest['scenario_digest']} seed={seed}\n")
         handle.write(",".join(columns) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(cell) for cell in row) + "\n")
+        rows = list(rows)
+        if rows:
+            # one format per table, from its first row: text as is, numbers at %.12g
+            line = ",".join("%s" if isinstance(c, str) else "%.12g" for c in rows[0]) + "\n"
+            handle.writelines(line % row for row in rows)
 
 
 # ------------------------------------------------------------------

@@ -4,11 +4,11 @@ Every estimator reads only three means of an estimation arm, of ``M^2``,
 ``MB`` and ``B^2`` (revealed modulation ``M``, received quadrature ``B``).
 For zero-mean Gaussian samples the arm's scatter matrix is exactly
 Wishart, ``W_2(m, Sigma)``, so each arm of each trial is three variates
-(Bartlett's decomposition) whatever the block size, and the estimators
-run vectorised over the trials. One generator per row, seeded from its
-configuration, makes every result reproducible; a scheme's rows are then
-reduced in stacked batches, bit for bit as each row alone. numpy is
-imported on the first simulation, not with this module.
+(Bartlett's decomposition) whatever the block size. Each row of a table
+draws them from its own generator, seeded from its configuration; the
+draw's arithmetic, the estimators and the reductions then run once on a
+scheme's stacked rows, bit for bit as each row alone. numpy is imported
+on the first simulation, not with this module.
 """
 
 from __future__ import annotations
@@ -63,18 +63,23 @@ class TrialConfig(Record):
             _require(self.disclosed >= 1,
                      "single-scheme trials need at least one disclosed sample")
         if kind == MODIFIED:
-            # an empty disclosed arm is left out; two arms are weighted by
-            # inverse variances, which vanish at T = 0
             _require(self.disclosed <= self.N - 1,
                      "modified-scheme trials need at least one undisclosed sample")
-            _require(self.disclosed == 0 or self.channel.T > 0.0,
-                     "modified-scheme trials need T > 0 to weight the sub-estimates")
+        _weighable(self, self.channel)
 
     @property
     def disclosed(self) -> int:
         """The samples whose key displacement is revealed, ``round(r * N)``;
         the trials draw whole counts."""
         return round(self.scheme.r * self.N)
+
+
+def _weighable(config: TrialConfig, channel: ChannelParams) -> ChannelParams:
+    """``channel``, refused if it leaves ``config``'s two arms no inverse-
+    variance weights: their variances vanish at T = 0."""
+    _require(config.scheme.kind != MODIFIED or config.disclosed == 0 or channel.T > 0.0,
+             "modified-scheme trials need T > 0 to weight the sub-estimates")
+    return channel
 
 
 class EmpiricalStats(Record):
@@ -118,25 +123,32 @@ def _weights(variances) -> tuple[float, ...]:
     return tuple(w / total for w in inverse)
 
 
-def _arm_means(rng: np.random.Generator, config: TrialConfig, m: int, revealed: float,
+def _arm_means(rngs, channels, source: SourceParams, trials: int, m: int, revealed: float,
                withheld: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(mean M^2, mean MB, mean B^2)`` of the arm ``(m, revealed,
-    withheld)`` in each of ``config.trials`` blocks, from the Bartlett draw
-    of its scatter matrix ``X X^T``, ``X = L A``. ``L`` is the Cholesky
-    factor of the arm's covariance ``[[revealed, sqrt(T) revealed],
-    [sqrt(T) revealed, T revealed + noise]]`` and ``A`` is lower triangular
-    with ``a11 = sqrt(chi^2_m)``, ``a22 = sqrt(chi^2_(m-1))`` and
-    ``a21 ~ N(0, 1)``, drawn in that order."""
+    withheld)`` in ``trials`` blocks per row, as ``(rows, trials)`` arrays;
+    row ``i`` is on ``channels[i]`` and draws from ``rngs[i]``. Each is the
+    Bartlett draw of the scatter matrix ``X X^T``, ``X = L A``: ``L`` is the
+    Cholesky factor of ``[[revealed, sqrt(T) revealed], [sqrt(T) revealed,
+    T revealed + noise]]``, ``A`` is lower triangular with ``a11 =
+    sqrt(chi^2_m)``, ``a22 = sqrt(chi^2_(m-1))`` and ``a21 ~ N(0, 1)``, drawn
+    in that order; the rows' noise and ``sqrt(T revealed)`` are columns, so
+    each element takes the operations of a row drawn alone."""
     import numpy as np
 
-    T, trials = config.channel.T, config.trials
-    noise = aggregated_noise_variance(config.channel, config.source, withheld)
-    a11 = np.sqrt(rng.chisquare(m, trials))
+    a11, a21 = np.empty((2, len(rngs), trials))
     # an arm of one sample has chi^2_0 = 0, which numpy refuses to draw
-    a22_sq = rng.chisquare(m - 1, trials) if m > 1 else np.zeros(trials)
-    a21 = rng.standard_normal(trials)
+    a22_sq = np.zeros_like(a11)
+    for rng, row11, row22, row21 in zip(rngs, a11, a22_sq, a21):
+        row11[:] = rng.chisquare(m, trials)
+        if m > 1:
+            row22[:] = rng.chisquare(m - 1, trials)
+        rng.standard_normal(out=row21)
+    np.sqrt(a11, out=a11)
+    noise = np.array([[aggregated_noise_variance(c, source, withheld)] for c in channels])
+    root_t = np.array([[math.sqrt(c.T * revealed)] for c in channels])
     x11 = math.sqrt(revealed) * a11
-    x21 = math.sqrt(T * revealed) * a11 + math.sqrt(noise) * a21
+    x21 = root_t * a11 + np.sqrt(noise) * a21
     return x11 * x11 / m, x11 * x21 / m, (x21 * x21 + noise * a22_sq) / m
 
 
@@ -148,7 +160,7 @@ def run_trials(config: TrialConfig) -> EmpiricalStats:
     size. One generator seeded by ``config.seed`` draws the arms in
     ``estimation_arms`` order.
     """
-    return _run_rows([config])[0]
+    return _run_rows(config, [config.channel], [config.seed])[0]
 
 
 # trials, rows times trials per row, that one stacked batch may hold; a
@@ -162,25 +174,21 @@ def _rel_err(spread, analytic):
             if spread is not None and analytic > 0.0 else None)
 
 
-def _run_rows(configs: list[TrialConfig]) -> list[EmpiricalStats]:
-    """:func:`run_trials` of each of ``configs``, which differ only in
-    their channels and seeds. Each row draws from its own generator; the
-    estimators and reductions then run once on ``(rows, trials)`` stacks
-    of the means, with the rows' weights as columns, and a reduction
-    along a row gives the bits of the same reduction of that row alone.
-    """
+def _run_rows(config: TrialConfig, channels, seeds) -> list[EmpiricalStats]:
+    """:func:`run_trials` of ``config`` on each of ``channels``, row ``i``
+    seeded by ``seeds[i]`` (``config``'s own channel and seed are unread).
+    The draw's arithmetic, the estimators and the reductions run once on
+    ``(rows, trials)`` stacks, the rows' parameters and weights as columns;
+    a reduction along a row gives the bits of that row's alone."""
     import numpy as np
 
-    first = configs[0]
-    shown = first.disclosed
-    arms = estimation_arms(first.scheme, first.N - shown, shown)
+    shown, source = config.disclosed, config.source
+    arms = estimation_arms(config.scheme, config.N - shown, shown)
     # the model at the true parameters weights the arms' sub-estimates
-    models = [variance_model(c.channel, c.source, arms) for c in configs]
-    draws = []
-    for config in configs:
-        rng = np.random.default_rng(config.seed)
-        draws.append([_arm_means(rng, config, *arm) for arm in arms])
-    means = [[np.stack(rows) for rows in zip(*arm)] for arm in zip(*draws)]
+    models = [variance_model(c, source, arms) for c in channels]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # arm by arm, so each row's generator draws its arms in order
+    means = [_arm_means(rngs, channels, source, config.trials, *arm) for arm in arms]
     # per arm, the column of the rows' weights from sigma^2 (T) and s^2 (V_eps)
     weights = np.array([[_weights(v) for v in zip(*m.per_arm)] for m in models])
     t_weights, v_weights = weights.transpose(1, 2, 0)[..., np.newaxis]
@@ -188,15 +196,12 @@ def _run_rows(configs: list[TrialConfig]) -> list[EmpiricalStats]:
                 for (_, mb, _), (_, revealed, _), w in zip(means, arms, t_weights))
     _require(bool(np.all(t_hat >= 0.0)), "t_hat must be >= 0")
     # everything an arm's regression cannot see acts as source noise
-    v_hat = sum(_veps_estimate(mm, mb, bb, t_hat, first.source.v_s + withheld) * u
+    v_hat = sum(_veps_estimate(mm, mb, bb, t_hat, source.v_s + withheld) * u
                 for (mm, mb, bb), (_, _, withheld), u in zip(means, arms, v_weights))
-    mean_t = np.mean(t_hat, axis=1).tolist()
-    mean_v = np.mean(v_hat, axis=1).tolist()
-    if first.trials >= 2:
-        std_t = np.std(t_hat, axis=1, ddof=1).tolist()
-        std_v = np.std(v_hat, axis=1, ddof=1).tolist()
-    else:
-        std_t = std_v = [None] * len(configs)
+    estimates = np.stack((t_hat, v_hat))
+    mean_t, mean_v = np.mean(estimates, axis=2).tolist()
+    std_t, std_v = (np.std(estimates, axis=2, ddof=1).tolist() if config.trials >= 2
+                    else [[None] * len(channels)] * 2)
     return [EmpiricalStats(mt, st, mv, sv, model, _rel_err(st, model.sigma),
                            _rel_err(sv, model.s))
             for model, mt, st, mv, sv in zip(models, mean_t, std_t, mean_v, std_v)]
@@ -217,9 +222,9 @@ def validate_variance_models(t_grid, protocols, source: SourceParams, N: int,
 
     The channel at each grid point takes its excess noise from the fiber
     model. Row seeds derive from ``seed`` and the row position, so the
-    full table is reproducible and rows are independent. Each protocol's
-    rows run in stacked batches of at most ``_BATCH_TRIALS`` trials, each
-    row as :func:`run_trials` runs it alone.
+    full table is reproducible and rows are independent. One record checks
+    each protocol, whose rows run in stacked batches of at most
+    ``_BATCH_TRIALS`` trials, each row as :func:`run_trials` runs it alone.
     """
     _require(_whole(trials, 2),
              f"the validation table compares spreads, so trials must be >= 2, got {trials!r}")
@@ -227,23 +232,21 @@ def validate_variance_models(t_grid, protocols, source: SourceParams, N: int,
     batch = max(1, _BATCH_TRIALS // trials)
     rows: list[ValidationRow] = []
     for s_idx, protocol in enumerate(protocols):
-        configs = [TrialConfig(ChannelParams(T, excess_noise_from_fiber(T, fiber)), source,
-                               protocol, N, trials, _row_seed(seed, s_idx, t_idx))
-                   for t_idx, T in enumerate(map(float, t_grid))]
-        results = [stats for start in range(0, len(configs), batch)
-                   for stats in _run_rows(configs[start:start + batch])]
-        for config, stats in zip(configs, results):
-            samples = config.disclosed if protocol.kind == SINGLE else N
-            rows.append(ValidationRow(
-                scheme=protocol.kind,
-                T=config.channel.T,
-                samples=float(samples),
-                s_analytic=stats.model.s,
-                s_empirical=stats.std_Veps,
-                rel_err_s=stats.rel_err_Veps,
-                sigma_analytic=stats.model.sigma,
-                sigma_empirical=stats.std_T,
-                rel_err_sigma=stats.rel_err_T,
-                veps_th=theoretical_noise_limit(config.channel, float(N)),
-            ))
+        grid = (ChannelParams(T, excess_noise_from_fiber(T, fiber)) for T in map(float, t_grid))
+        first = next(grid, None)
+        if first is None:
+            continue
+        # the rows differ only in their channels and seeds: one record
+        # checks the rest, in the order each row's record would
+        config = TrialConfig(first, source, protocol, N, trials, seed)
+        channels = [first, *(_weighable(config, channel) for channel in grid)]
+        seeds = [_row_seed(seed, s_idx, t_idx) for t_idx in range(len(channels))]
+        results = [stats for start in range(0, len(channels), batch)
+                   for stats in _run_rows(config, channels[start:start + batch],
+                                          seeds[start:start + batch])]
+        samples = float(config.disclosed if protocol.kind == SINGLE else N)
+        rows += [ValidationRow(protocol.kind, channel.T, samples, stats.model.s, stats.std_Veps,
+                               stats.rel_err_Veps, stats.model.sigma, stats.std_T,
+                               stats.rel_err_T, theoretical_noise_limit(channel, float(N)))
+                 for channel, stats in zip(channels, results)]
     return rows

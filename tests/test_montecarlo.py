@@ -30,8 +30,7 @@ from cvqkd import (
     ValidationRow,
 )
 from cvqkd.estimation import _t_estimate, _veps_estimate
-from cvqkd.model import replace
-from cvqkd.montecarlo import _BATCH_TRIALS, _arm_means, _row_seed
+from cvqkd.montecarlo import _BATCH_TRIALS, _arm_means, _row_seed, _run_rows, _weights
 from matrix_reference import build_eb_covariance
 from sample_reference import reference_estimates, simulate_transmission
 
@@ -165,6 +164,12 @@ def _arm_law(cfg, m, revealed, withheld):
     return np.array([sigma[i, j] for i, j in pairs]), spread
 
 
+def _row_means(rng, cfg, trials, arm):
+    # one row's Wishart draw: per trial (mean M^2, mean MB, mean B^2) in a row
+    means = _arm_means([rng], [cfg.channel], cfg.source, trials, *arm)
+    return np.column_stack([row for [row] in means])
+
+
 def _mean_agrees(draws, mean, spread):
     # per trial (mean M^2, mean MB, mean B^2) in the rows of ``draws``: the
     # sample mean within 4 standard errors of ``mean``
@@ -219,8 +224,7 @@ def test_sampler_matches_the_arm_model(cfg):
     # the Wishart draw over many trials, and the sample-level simulator over
     # a few hundred blocks, per arm against the same law
     rng = np.random.default_rng(cfg.seed)
-    many = replace(cfg, trials=20000)
-    drawn = [np.column_stack(_arm_means(rng, many, *arm)) for arm in arms]
+    drawn = [_row_means(rng, cfg, 20000, arm) for arm in arms]
     simulated = [[] for _ in arms]
     for k in range(300):
         for rows, s in zip(simulated, simulate_transmission(cfg, k)):
@@ -299,7 +303,7 @@ def test_arms_of_one_sample_match_the_sample_level_simulator(protocol, N):
     assert min(m for m, _, _ in arms) == 1
     rng = np.random.default_rng(cfg.seed)
     for arm in arms:
-        _mean_agrees(np.column_stack(_arm_means(rng, cfg, *arm)), *_arm_law(cfg, *arm))
+        _mean_agrees(_row_means(rng, cfg, cfg.trials, arm), *_arm_law(cfg, *arm))
     stats = run_trials(cfg)
     t_ref, _ = reference_estimates(cfg)
     se = math.sqrt((stats.std_T ** 2 + float(np.var(t_ref, ddof=1))) / cfg.trials)
@@ -363,6 +367,19 @@ def test_trial_config_validation():
                     Protocol("modified", 3.0, 10.0, 0.5), 100, 1, 0)
 
 
+@pytest.mark.parametrize("t_grid", [[0.0, 0.5], [0.5, 0.0], [0.0, 1.5]],
+                         ids=["first-row", "later-row", "before-a-later-bad-T"])
+def test_modified_trials_need_a_transmittance_to_weight_two_arms(t_grid):
+    # two arms are weighted by inverse variances, which vanish at T = 0; the
+    # table checks its scheme once but this on every row, in row order
+    message = "^modified-scheme trials need T > 0 to weight the sub-estimates$"
+    modified, src = Protocol("modified", 3.0, 10.0, 0.5), SourceParams(1.0)
+    with pytest.raises(ValueError, match=message):
+        TrialConfig(ChannelParams(0.0, 0.0), src, modified, 100, 2, 0)
+    with pytest.raises(ValueError, match=message):
+        validate_variance_models(t_grid, (modified,), src, 2000, 2, 0)
+
+
 # --------------------------------------------------------------------------
 # validation-grid plumbing
 
@@ -410,24 +427,75 @@ _BATCH_PROTOCOLS = _GRID_PROTOCOLS + (Protocol("modified", 3.0, 10.0, 1e-4),)
                          ids=["2", "35", "two-rows-a-batch", "a-row-a-batch"])
 def test_validation_rows_equal_lone_runs(trials):
     # the stacked batches against the one-row reference: each row is what
-    # run_trials gives on the row's own configuration and seed
-    src, N, seed, t_grid = SourceParams(1.0), 2000, 33, [0.05, 0.3, 0.9]
-    rows = validate_variance_models(t_grid, _BATCH_PROTOCOLS, src, N, trials, seed)
-    expected = []
-    for s_idx, protocol in enumerate(_BATCH_PROTOCOLS):
-        for t_idx, T in enumerate(t_grid):
-            channel = ChannelParams(T, excess_noise_from_fiber(T, FiberModel()))
-            config = TrialConfig(channel, src, protocol, N, trials,
-                                 _row_seed(seed, s_idx, t_idx))
-            stats = run_trials(config)
-            expected.append(ValidationRow(
-                protocol.kind, T, float(config.disclosed if protocol.kind == "single" else N),
-                stats.model.s, stats.std_Veps, stats.rel_err_Veps, stats.model.sigma,
-                stats.std_T, stats.rel_err_T, theoretical_noise_limit(channel, float(N))))
-    assert len(rows) == len(expected) == 12
-    for row, reference in zip(rows, expected):
-        assert row == reference
-    assert validate_variance_models([], _BATCH_PROTOCOLS, src, N, trials, seed) == []
+    # run_trials gives on the row's own configuration and seed; at N = 2 the
+    # single and modified arms hold one sample each, so chi^2_0 = 0 is stacked
+    src, seed, t_grid = SourceParams(1.0), 33, [0.05, 0.3, 0.9]
+    for N, protocols, count in ((2000, _BATCH_PROTOCOLS, 12), (2, _GRID_PROTOCOLS, 9)):
+        rows = validate_variance_models(t_grid, protocols, src, N, trials, seed)
+        expected = []
+        for s_idx, protocol in enumerate(protocols):
+            for t_idx, T in enumerate(t_grid):
+                channel = ChannelParams(T, excess_noise_from_fiber(T, FiberModel()))
+                config = TrialConfig(channel, src, protocol, N, trials,
+                                     _row_seed(seed, s_idx, t_idx))
+                stats = run_trials(config)
+                expected.append(ValidationRow(
+                    protocol.kind, T, float(config.disclosed if protocol.kind == "single" else N),
+                    stats.model.s, stats.std_Veps, stats.rel_err_Veps, stats.model.sigma,
+                    stats.std_T, stats.rel_err_T, theoretical_noise_limit(channel, float(N))))
+        assert len(rows) == len(expected) == count
+        for row, reference in zip(rows, expected):
+            assert row == reference
+        assert validate_variance_models([], protocols, src, N, trials, seed) == []
+
+
+def _row_reference(rng, channel, source, trials, m, revealed, withheld):
+    # the draw of one row, as the sampler computed it row by row
+    T = channel.T
+    noise = aggregated_noise_variance(channel, source, withheld)
+    a11 = np.sqrt(rng.chisquare(m, trials))
+    a22_sq = rng.chisquare(m - 1, trials) if m > 1 else np.zeros(trials)
+    a21 = rng.standard_normal(trials)
+    x11 = math.sqrt(revealed) * a11
+    x21 = math.sqrt(T * revealed) * a11 + math.sqrt(noise) * a21
+    return x11 * x11 / m, x11 * x21 / m, (x21 * x21 + noise * a22_sq) / m
+
+
+@pytest.mark.parametrize("protocol, N", [
+    (Protocol("single", 3.0, r=0.5), 2000),
+    (Protocol("double", 3.0, 10.0), 2000),
+    (Protocol("modified", 3.0, 10.0, 0.5), 2000),
+    (Protocol("single", 3.0, r=0.5), 2),           # the one arm has one sample
+    (Protocol("modified", 3.0, 10.0, 0.75), 4),    # the probe-only arm has one
+])
+def test_stacked_rows_equal_the_row_by_row_arithmetic(protocol, N):
+    # bit for bit: each row of the stacked draw against the row drawn alone,
+    # and each row's statistics against its estimators and reductions alone;
+    # run_trials shares the stacked path, so the lone-run comparison above
+    # cannot see a reassociation
+    src, trials, seeds = SourceParams(1.0), 35, [101, 202, 303]
+    channels = [ChannelParams(T, 0.01 * T) for T in (0.05, 0.3, 0.9)]
+    config = TrialConfig(channels[0], src, protocol, N, trials, 0)
+    arms = estimation_arms(protocol, N - config.disclosed, config.disclosed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    stacked = [_arm_means(rngs, channels, src, trials, *arm) for arm in arms]
+    stats = _run_rows(config, channels, seeds)
+    for row, (channel, seed) in enumerate(zip(channels, seeds)):
+        rng = np.random.default_rng(seed)
+        means = [_row_reference(rng, channel, src, trials, *arm) for arm in arms]
+        for drawn, alone in zip(stacked, means):
+            assert [x[row].tobytes() for x in drawn] == [x.tobytes() for x in alone]
+        model = variance_model(channel, src, arms)
+        t_weights, v_weights = (_weights(v) for v in zip(*model.per_arm))
+        t_hat = sum(_t_estimate(mb, revealed) * w
+                    for (_, mb, _), (_, revealed, _), w in zip(means, arms, t_weights))
+        v_hat = sum(_veps_estimate(mm, mb, bb, t_hat, src.v_s + withheld) * u
+                    for (mm, mb, bb), (_, _, withheld), u in zip(means, arms, v_weights))
+        expected = [float(f(x)) for x in (t_hat, v_hat)
+                    for f in (np.mean, lambda a: np.std(a, ddof=1))]
+        got = stats[row]
+        assert [x.hex() for x in (got.mean_T, got.std_T, got.mean_Veps, got.std_Veps)] == \
+            [x.hex() for x in expected]
 
 
 @pytest.mark.parametrize("seed", [-1, 2.0, True, "7"])

@@ -5,7 +5,8 @@ a T-axis sweep scenario, the ``variance_validation`` Monte Carlo preset as
 shipped (1000 trials per row), and a fixed set of
 ``keyrate``/``optimize``/``maxdist`` queries covering all three schemes,
 ``--ideal-bounds`` and ``--corner-search``; then the Monte Carlo preset
-again at 35 and at 70,000 trials per row, whose lines follow the others.
+again at 35 and at 70,000 trials per row, and last a Monte Carlo table
+whose arms hold one sample each, whose lines follow the others.
 Paths are printed relative to the work directory, and the timestamp of
 each JSON manifest is blanked before hashing, so two trees print the
 same lines exactly when their outputs are byte-identical. Uses only the
@@ -46,6 +47,12 @@ MC_ARGS = ("montecarlo", "--preset", "variance_validation")
 # the trial count of the benchmark's 25 s montecarlo workload, and one
 # above the 2**16 trials of a stacked batch, where each row runs alone
 MC_TRIALS = ("35", "70000")
+# arms of one sample, where chi^2_0 = 0 is not drawn: N = 2 and r = 0.5
+# leave the single and modified arms one sample each, the double arm two
+MC_ONE_SAMPLE = {"command": "montecarlo", "name": "one_sample", "seed": 20140902,
+                 "t_grid": {"min": 0.05, "max": 0.9, "points": 4, "spacing": "log"},
+                 "template": {"N": 2, "r": 0.5, "v": 3.0, "v1": 3.0, "v2": 10.0},
+                 "trials": 35}
 QUERIES = (
     ("keyrate", "--T", "0.3"),
     ("keyrate", "--d", "76", "--scheme", "double", "--vs", "0.1", "--N", "1e6"),
@@ -92,12 +99,8 @@ def produce(work: str) -> tuple[list[str], list[str]]:
     for name in SWEEP_PRESETS:
         if not _run(("sweep", "--preset", name, "--out", os.path.join(work, "sweep"))):
             failed.append(f"sweep --preset {name}")
-    with tempfile.TemporaryDirectory() as scratch:
-        scenario = os.path.join(scratch, "t_axis.json")
-        with open(scenario, "w") as handle:
-            json.dump(T_SWEEP, handle)
-        if not _run(("sweep", "--scenario", scenario, "--out", os.path.join(work, "sweep"))):
-            failed.append("sweep --scenario t_axis.json")
+    if not _run_scenario(T_SWEEP, os.path.join(work, "sweep")):
+        failed.append("sweep --scenario t_axis.json")
     if not _run(MC_ARGS + ("--out", os.path.join(work, "montecarlo"))):
         failed.append(" ".join(MC_ARGS))
     os.makedirs(os.path.join(work, "query"), exist_ok=True)
@@ -111,7 +114,19 @@ def produce(work: str) -> tuple[list[str], list[str]]:
         if not _run(MC_ARGS + ("--trials", trials, "--out", out)):
             failed.append(" ".join(MC_ARGS + ("--trials", trials)))
         paths += _files(out)
-    return paths, failed
+    out = os.path.join(work, "montecarlo_one_sample")
+    if not _run_scenario(MC_ONE_SAMPLE, out):
+        failed.append("montecarlo --scenario one_sample.json")
+    return paths + _files(out), failed
+
+
+def _run_scenario(scenario: dict, out: str) -> bool:
+    """``scenario``'s command on a scenario file that is not digested."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, f"{scenario['name']}.json")
+        with open(path, "w") as handle:
+            json.dump(scenario, handle)
+        return _run((scenario["command"], "--scenario", path, "--out", out))
 
 
 def _files(top: str) -> list[str]:
