@@ -60,7 +60,7 @@ from .model import (SINGLE, MODIFIED, KINDS, DEFAULT_BETA, DEFAULT_DELTA,
                     excess_noise_from_fiber, _finite, _require, _whole)
 from .estimation import expected_bounds, ideal_bounds
 from .keyrate import finite_key_rate, theoretical_key_rate_limit
-from .montecarlo import validate_variance_models
+from .montecarlo import ValidationRow, validate_variance_models
 from .optimizer import (FIT_POINTS, FIT_WINDOW_KM, FREE, LEGACY, OptimizationProblem,
                         optimize_each, optimize_key_rate, fit_exponential_keyrate,
                         max_distance)
@@ -71,9 +71,6 @@ EXIT_INSECURE = 2
 
 _SWEEP_COLUMNS = ("axis_value", "K", "K_inf", "I_AB", "chi", "Delta",
                   "T_low", "Veps_up", "V_opt", "r_opt", "K_th", "K_legacy")
-_MC_COLUMNS = ("scheme", "T", "samples", "s_analytic", "s_empirical",
-               "rel_err_s", "sigma_analytic", "sigma_empirical",
-               "rel_err_sigma", "veps_th")
 
 # ------------------------------------------------------------------
 # manifest and rendering
@@ -339,7 +336,8 @@ def run_montecarlo(scenario: dict, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{s['name']}.csv")
     # the columns are the row's fields
-    _write_csv(path, manifest, _MC_COLUMNS, map(operator.attrgetter(*_MC_COLUMNS), rows))
+    _write_csv(path, manifest, ValidationRow._fields,
+               map(operator.attrgetter(*ValidationRow._fields), rows))
     return path, rows
 
 
@@ -470,13 +468,14 @@ def cmd_optimize(args) -> int:
 
 def cmd_maxdist(args) -> int:
     fiber = FiberModel(eps_ratio=args.eps_ratio)
-    fit = fit_exponential_keyrate(fiber, args.beta, v_s=args.vs,
-                                  d_range=(args.d_min, args.d_max), points=args.points)
+    fit = fit_exponential_keyrate(fiber, args.beta, v_s=args.vs)
+    n_values = [float(n_val) for n_val in args.N]
     table = [{"N": n_val, "d_max_km": max_distance(fit, n_val, args.delta_star)}
-             for n_val in args.N]
+             for n_val in n_values]
+    # the fixed window is echoed, so a report says where its fit was made
     inputs = {"command": "maxdist", "beta": args.beta, "v_s": args.vs,
-              "eps_ratio": args.eps_ratio, "d_min": args.d_min, "d_max": args.d_max,
-              "points": args.points, "N": list(args.N),
+              "eps_ratio": args.eps_ratio, "d_min": FIT_WINDOW_KM[0],
+              "d_max": FIT_WINDOW_KM[1], "points": FIT_POINTS, "N": n_values,
               "delta_star": args.delta_star}
     _emit_json(inputs, args.out,
                fit={"a": fit.a, "kappa": fit.kappa, "residual": fit.residual,
@@ -610,16 +609,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     maxdist = commands.add_parser("maxdist",
                                   help="fitted distance bound per block size")
-    maxdist.add_argument("--N", type=float, nargs="+",
-                         default=[1e6, 1e8, 1e10])
+    maxdist.add_argument("--N", type=_whole_flag("block size must be a count >= 2", 2),
+                         nargs="+", default=[1e6, 1e8, 1e10])
     maxdist.add_argument("--beta", type=float, default=DEFAULT_BETA)
     maxdist.add_argument("--vs", type=float, default=None,
                          help="source variance (default: strong-squeezing limit)")
     maxdist.add_argument("--eps-ratio", type=float, default=FiberModel().eps_ratio)
-    maxdist.add_argument("--d-min", type=float, default=FIT_WINDOW_KM[0])
-    maxdist.add_argument("--d-max", type=float, default=FIT_WINDOW_KM[1])
-    maxdist.add_argument("--points", type=_whole_flag("point count must be a whole number"),
-                         default=FIT_POINTS)
     maxdist.add_argument("--delta-star", type=float, default=DEFAULT_DELTA_STAR)
     maxdist.add_argument("--out", help="also write the JSON report here")
     maxdist.set_defaults(func=cmd_maxdist)

@@ -230,9 +230,10 @@ def validate_variance_models(t_grid, protocols, source: SourceParams, N: int,
              f"the validation table compares spreads, so trials must be >= 2, got {trials!r}")
     _require(_whole(seed, 0), f"seed must be a non-negative integer, got {seed!r}")
     batch = max(1, _BATCH_TRIALS // trials)
+    t_values = list(map(float, t_grid))  # read once: each protocol walks it
     rows: list[ValidationRow] = []
     for s_idx, protocol in enumerate(protocols):
-        grid = (ChannelParams(T, excess_noise_from_fiber(T, fiber)) for T in map(float, t_grid))
+        grid = (ChannelParams(T, excess_noise_from_fiber(T, fiber)) for T in t_values)
         first = next(grid, None)
         if first is None:
             continue

@@ -493,18 +493,17 @@ def optimal_ratio_curve(problem_template: OptimizationProblem,
     return fit, points
 
 
-def optimal_ratio_zero_crossing(problem_template: OptimizationProblem,
-                                iterations: int = 30) -> float:
+def optimal_ratio_zero_crossing(problem_template: OptimizationProblem) -> float:
     """Transmittance below which the modified scheme stops disclosing.
 
     At high transmittance the optimum reveals part of the key modulation
     (``r_opt > 0``); toward low transmittance the probe arm alone wins and
     ``r_opt`` snaps to zero.  Scans a 13-point geometric transmittance grid
     over (0.01, 1) from the top down for that switch, counting an optimum
-    as disclosing when ``r_opt > 1e-3``, and bisects it ``iterations``
-    times.  Grid points whose best rate
-    is not positive are skipped: their arg-max is degenerate (the prefactor
-    pushes ``r`` to the box ceiling), so they carry no ratio information.
+    as disclosing when ``r_opt > 1e-3``, and bisects it 30 times.  Grid
+    points whose best rate is not positive are skipped: their arg-max is
+    degenerate (the prefactor pushes ``r`` to the box ceiling), so they
+    carry no ratio information.
     The channel's excess noise follows the template's ratio of excess
     noise to transmittance.
     """
@@ -535,7 +534,7 @@ def optimal_ratio_zero_crossing(problem_template: OptimizationProblem,
         hi = T
     _require(lo is not None,
              "disclosure persists down to the dead zone; no crossing")
-    for _ in range(iterations):
+    for _ in range(30):
         mid = 0.5 * (lo + hi)
         # a dead midpoint counts as the no-disclosure side
         if all(probe(mid)):
@@ -547,25 +546,24 @@ def optimal_ratio_zero_crossing(problem_template: OptimizationProblem,
 
 def fit_exponential_keyrate(fiber: FiberModel = FiberModel(),
                             beta: float = DEFAULT_BETA,
-                            v_s: float | None = None,
-                            d_range: tuple[float, float] = FIT_WINDOW_KM,
-                            points: int = FIT_POINTS) -> ExponentialFit:
+                            v_s: float | None = None) -> ExponentialFit:
     """Exponential model of the asymptotic rate over fiber distance.
 
-    At each distance the rate is maximised over the modulation variance;
-    the source defaults to the strong-squeezing limit. The fitted decay
-    constant feeds :func:`max_distance`.
+    The fit runs at ``FIT_POINTS`` even steps over the fixed
+    ``FIT_WINDOW_KM``. At each distance the rate is maximised over the
+    modulation variance, and refused if it is not positive; the source
+    defaults to the strong-squeezing limit. The fitted decay constant
+    feeds :func:`max_distance`.
     """
     _require_beta(beta)
-    _require(points >= 2, "a fit needs at least 2 points")
-    _require(d_range[1] > d_range[0] > 0.0, "distance window must be increasing and positive")
-    ds = numeric.linspace(d_range[0], d_range[1], points)
+    ds = numeric.linspace(*FIT_WINDOW_KM, FIT_POINTS)
     ks = []
     for d in ds:
         channel = channel_at_distance(d, fiber)
         k_opt, _ = optimal_asymptotic_rate(channel, beta, v_s)
         _require(k_opt > 0.0,
-                 f"asymptotic rate is dead at {d:.1f} km; shrink the window")
+                 f"asymptotic rate is dead at {d:.1f} km, inside the fixed "
+                 f"{FIT_WINDOW_KM[0]:.0f}-{FIT_WINDOW_KM[1]:.0f} km fit window")
         ks.append(k_opt)
     return fit_exponential_decay(ds, ks)
 

@@ -176,14 +176,16 @@ def test_out_of_range_budgets_are_refused_by_name(capsys, argv, message):
 
 @pytest.mark.parametrize("count", ["inf", "nan", "1", "abc", "2.5", "1000000.5"])
 def test_block_size_flag_refuses_a_non_count(capsys, count):
-    assert main_entry(["keyrate", "--T", "0.3", "--N", count]) == 1
-    assert f"block size must be a count >= 2, got {count!r}" in capsys.readouterr().err
+    for argv in (["keyrate", "--T", "0.3", "--N", count], ["maxdist", "--N", "1e6", count]):
+        assert main_entry(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"block size must be a count >= 2, got {count!r}" in captured.err
 
 
 @pytest.mark.parametrize("flag, label, argv", [
     ("--trials", "trial count", ["montecarlo", "--preset", "variance_validation"]),
     ("--seed", "seed", ["montecarlo", "--preset", "variance_validation"]),
-    ("--points", "point count", ["maxdist"]),
 ])
 def test_count_flags_read_any_float_spelling_of_a_whole_number(capsys, flag, label, argv):
     parser = cli.build_parser()
@@ -205,16 +207,12 @@ def test_count_flags_in_scientific_notation_run_as_their_integers(capsys, tmp_pa
                                     "template": {**load_preset("variance_validation")[
                                         "template"], "N": 1000}}))
     outputs = []
-    for trials, seed, points in (("2e0", "1e3", "1e1"), ("2", "1000", "10")):
+    for trials, seed in (("2e0", "1e3"), ("2", "1000")):
         assert main_entry(["montecarlo", "--scenario", str(scenario), "--trials", trials,
                            "--seed", seed, "--out", str(tmp_path / trials)]) == 0
         capsys.readouterr()
-        assert main_entry(["maxdist", "--N", "1e6", "--points", points]) == 0
-        maxdist = _json_out(capsys)
-        outputs.append(((tmp_path / trials / "variance_validation.csv").read_bytes(),
-                        maxdist["fit"], maxdist["inputs"]["points"]))
+        outputs.append((tmp_path / trials / "variance_validation.csv").read_bytes())
     assert outputs[0] == outputs[1]
-    assert outputs[0][2] == 10
 
 
 @pytest.mark.parametrize("argv", [["optimize", "--T", "0.3", "--N", "2"],
@@ -802,29 +800,28 @@ def test_maxdist_reports_the_bound_of_its_fit(capsys):
     assert payload["km_per_decade"] == 0.5 / fit.kappa
     assert [(row["N"], row["d_max_km"]) for row in payload["d_max"]] == [
         (n_val, max_distance(fit, n_val)) for n_val in (1e6, 1e8)]
+    inputs = payload["inputs"]
+    assert (inputs["d_min"], inputs["d_max"], inputs["points"]) == (30.0, 150.0, 13)
+    assert inputs["N"] == [1e6, 1e8] and {type(n_val) for n_val in inputs["N"]} == {float}
 
 
-@pytest.mark.parametrize("path", ["fitted", "library"])
-@pytest.mark.parametrize("window", [("200", "10"), ("50", "50"), ("0", "150"),
-                                    ("nan", "150")])
-def test_maxdist_refuses_a_bad_window_on_both_paths(capsys, path, window):
-    # the query leaves the window to the library fit, which refuses it
-    if path == "library":
-        with pytest.raises(ValueError) as refused:
-            fit_exponential_keyrate(d_range=(float(window[0]), float(window[1])))
-        assert str(refused.value) == "distance window must be increasing and positive"
-        return
-    rc = main_entry(["maxdist", "--N", "1e6", "--d-min", window[0], "--d-max", window[1]])
-    captured = capsys.readouterr()
-    assert rc == 1 and captured.out == ""
-    assert captured.err == "error: distance window must be increasing and positive\n"
+def test_maxdist_has_no_window_flags(capsys):
+    # the fit's window is fixed
+    for flag in ("--d-min", "--d-max", "--points"):
+        assert main_entry(["maxdist", "--N", "1e6", flag, "40"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 40" in captured.err
 
 
 @pytest.mark.parametrize("flags, message", [
     (["--delta-star", "0"], "delta_star must lie in (0, 1), got 0.0"),
     (["--delta-star", "2"], "delta_star must lie in (0, 1), got 2.0"),
     (["--beta", "2"], "reconciliation efficiency must lie in (0, 1], got 2.0"),
-], ids=["delta_star-0", "delta_star-2", "beta-2"])
+    # a coherent source with poor reconciliation dies inside the window
+    (["--beta", "0.6", "--vs", "1"],
+     "error: asymptotic rate is dead at 90.0 km, inside the fixed 30-150 km fit window\n"),
+], ids=["delta_star-0", "delta_star-2", "beta-2", "dead-rate"])
 def test_maxdist_refuses_out_of_range_budgets(capsys, flags, message):
     assert main_entry(["maxdist", "--N", "1e6", *flags]) == 1
     captured = capsys.readouterr()

@@ -418,6 +418,15 @@ def test_validation_grid_deterministic():
     assert a == b
 
 
+def test_validation_grid_reads_a_one_shot_grid_once():
+    # every protocol walks the grid, so an iterator must give the list's rows
+    src, t_grid = SourceParams(1.0), [0.1, 0.5]
+    rows = validate_variance_models(t_grid, _GRID_PROTOCOLS, src, 2000, 5, 1)
+    assert len(rows) == 6
+    for one_shot in (iter(t_grid), map(float, t_grid)):
+        assert validate_variance_models(one_shot, _GRID_PROTOCOLS, src, 2000, 5, 1) == rows
+
+
 # a modified scheme with round(r N) = 0 at N = 2000 draws the double
 # scheme's one arm
 _BATCH_PROTOCOLS = _GRID_PROTOCOLS + (Protocol("modified", 3.0, 10.0, 1e-4),)

@@ -1,7 +1,6 @@
 """Parameter search, scaling fits and the block-size range bound."""
 
 import importlib.util
-import inspect
 import itertools
 import math
 import os
@@ -797,7 +796,7 @@ def test_zero_crossing_bracket_probes():
 def test_zero_crossing_beta_sensitivity():
     template = OptimizationProblem(_channel(0.5), ProtocolParams(
         SourceParams(0.1), Protocol("modified", 1.0), 10**6, beta=0.8))
-    t_star = optimal_ratio_zero_crossing(template, iterations=8)
+    t_star = optimal_ratio_zero_crossing(template)
     assert 0.05 < t_star < 0.5
 
 
@@ -813,7 +812,7 @@ def test_zero_crossing_found_for_each_squeezing():
     # "disclosure persists down to the dead zone; no crossing" instead
     for vs in (1.0, 0.5, 0.1):
         template = OptimizationProblem(_channel(0.5), _params(vs, "modified", 10**6))
-        t_star = optimal_ratio_zero_crossing(template, iterations=8)
+        t_star = optimal_ratio_zero_crossing(template)
         assert 0.01 < t_star < 1.0
 
 
@@ -847,10 +846,11 @@ def test_fitted_reach_bounds_the_pipeline():
 
 
 def test_fit_exponential_keyrate_rejects_dead_window():
-    # a coherent source with poor reconciliation has no positive rate at
-    # the far end of the default window
-    with pytest.raises(ValueError):
-        fit_exponential_keyrate(beta=0.6, v_s=1.0, points=3)
+    # a coherent source with poor reconciliation has no positive rate in
+    # the far part of the fixed window
+    with pytest.raises(ValueError, match="^asymptotic rate is dead at 90.0 km, inside "
+                                         "the fixed 30-150 km fit window$"):
+        fit_exponential_keyrate(beta=0.6, v_s=1.0)
 
 
 def _bits(values):
@@ -867,8 +867,7 @@ def test_linspace_is_numpys_bit_for_bit():
         n = 2 if rng.random() < 0.2 else rng.randint(3, 300)
         assert _bits(numeric.linspace(lo, hi, n)) == _bits(np.linspace(lo, hi, n)), \
             (lo, hi, n)
-    defaults = inspect.signature(fit_exponential_keyrate).parameters
-    window = (*defaults["d_range"].default, defaults["points"].default)
+    window = (*optimizer.FIT_WINDOW_KM, optimizer.FIT_POINTS)
     # a step that underflows takes numpy's other operation order
     for lo, hi, n in (window, (5e-324, 1.5e-323, 5), (5e-324, 1e-323, 3)):
         assert _bits(numeric.linspace(lo, hi, n)) == _bits(np.linspace(lo, hi, n))

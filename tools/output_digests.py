@@ -5,8 +5,9 @@ a T-axis sweep scenario, the ``variance_validation`` Monte Carlo preset as
 shipped (1000 trials per row), and a fixed set of
 ``keyrate``/``optimize``/``maxdist`` queries covering all three schemes,
 ``--ideal-bounds`` and ``--corner-search``; then the Monte Carlo preset
-again at 35 and at 70,000 trials per row, and last a Monte Carlo table
-whose arms hold one sample each, whose lines follow the others.
+again at 35 and at 70,000 trials per row, a Monte Carlo table whose arms
+hold one sample each, and last a ``maxdist`` query that sets every flag
+off its default. The lines of these later outputs follow the others.
 Paths are printed relative to the work directory, and the timestamp of
 each JSON manifest is blanked before hashing, so two trees print the
 same lines exactly when their outputs are byte-identical. Uses only the
@@ -76,6 +77,8 @@ QUERIES = (
     ("optimize", "--T", "0.5", "--scheme", "modified", "--v2", "4", "--N", "1e9"),
     ("maxdist", "--N", "1e6", "1e8", "1e10"),
 )
+MAXDIST_FLAGS = ("maxdist", "--N", "1e7", "1e9", "--beta", "0.9", "--vs", "0.5",
+                 "--eps-ratio", "0.02", "--delta-star", "1e-9")
 _TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 
 
@@ -117,6 +120,11 @@ def produce(work: str) -> tuple[list[str], list[str]]:
     out = os.path.join(work, "montecarlo_one_sample")
     if not _run_scenario(MC_ONE_SAMPLE, out):
         failed.append("montecarlo --scenario one_sample.json")
+    paths += _files(out)
+    out = os.path.join(work, "query_flags")
+    os.makedirs(out)
+    if not _run(MAXDIST_FLAGS + ("--out", os.path.join(out, "maxdist.json"))):
+        failed.append(" ".join(MAXDIST_FLAGS))
     return paths + _files(out), failed
 
 
