@@ -23,9 +23,10 @@ counterpart of the sampled estimators in :mod:`cvqkd.montecarlo`, which
 validates them on the same arms.
 
 numpy is imported inside :class:`SampleSet` and the sample reductions, on
-first use, so the planning path (variance models and confidence bounds)
-never loads it. As in :mod:`cvqkd.keyrate`, the public functions check
-types and the private scalar cores compare values only.
+first use; with :mod:`cvqkd.montecarlo` they alone load it, so the planning
+path (bounds, rates, the optimizer, its fits, every grid) never does. As
+in :mod:`cvqkd.keyrate`, the public functions check types and the private
+scalar cores compare values only.
 """
 
 from __future__ import annotations

@@ -21,7 +21,10 @@ def log_grid(lo: float, hi: float, points: int) -> list[float]:
     if not (0.0 < lo < hi):
         raise ValueError("log grid needs 0 < lo < hi")
     ratio = hi / lo
-    grid = [lo * ratio ** (i / (points - 1)) for i in range(points)]
+    if ratio < math.inf:
+        grid = [lo * ratio ** (i / (points - 1)) for i in range(points)]
+    else:  # hi / lo overflows: step evenly in the logs instead
+        grid = [lo] + [math.exp(x) for x in linspace(math.log(lo), math.log(hi), points)[1:]]
     grid[-1] = hi  # guard against rounding on the last point
     return grid
 
@@ -29,7 +32,8 @@ def log_grid(lo: float, hi: float, points: int) -> list[float]:
 def linspace(lo: float, hi: float, points: int) -> list[float]:
     """Evenly spaced grid from ``lo`` to ``hi`` inclusive, bit for bit
     ``numpy.linspace(lo, hi, points)``: the same ``i * step + lo`` in the
-    same order, with the last point set to ``hi``."""
+    same order, with the last point set to ``hi``, without loading numpy
+    (which only the sampling code imports)."""
     if points < 2:
         raise ValueError("a grid needs at least 2 points")
     delta = hi - lo

@@ -301,9 +301,9 @@ def optimize_key_rate(problem: OptimizationProblem) -> OptimizationResult:
     if kind == MODIFIED and "r" in free and best_point.get("r", 0.0) > 0.0:
         at_zero = dict(best_point)
         at_zero["r"] = 0.0
-        if at(at_zero) >= best_value - _TOL * scale:
-            best_point = at_zero
-            best_value = at(at_zero)
+        value = at(at_zero)
+        if value >= best_value - _TOL * scale:
+            best_point, best_value = at_zero, value
 
     report = evaluate_point(problem, best_point)
     status = "ok" if report.K > 0.0 else "no_positive_rate"
@@ -444,30 +444,32 @@ def fit_power_law(x_values, y_values) -> PowerLawFit:
     """Least squares on the logs: :func:`fit_exponential_decay` of ``y``
     against ``log10 x``, whose decay constant is ``-gamma``. All values
     must be positive."""
-    import numpy as np
-
-    x = np.asarray(x_values, dtype=np.float64)
-    _require(bool(np.all(x > 0.0)), "power-law fitting needs positive x values")
-    fit = fit_exponential_decay(np.log10(x), y_values)
+    x = [float(v) for v in x_values]
+    _require(all(v > 0.0 for v in x), "power-law fitting needs positive x values")
+    fit = fit_exponential_decay([math.log10(v) for v in x], y_values)
     return PowerLawFit(alpha=fit.a, gamma=-fit.kappa, residual=fit.residual)
 
 
 def fit_exponential_decay(x_values, y_values) -> ExponentialFit:
-    """Least squares of ``log10 y`` against ``x``. The y values must be
-    positive."""
-    import numpy as np
-
-    x = np.asarray(x_values, dtype=np.float64)
-    y = np.asarray(y_values, dtype=np.float64)
-    _require(x.size == y.size, f"x and y differ in length: {x.size} against {y.size}")
-    _require(x.size >= 2, "a fit needs at least 2 points")
-    _require(bool(np.all(y > 0.0)), "fitting log10 y needs positive y values")
-    ly = np.log10(y)
-    slope, intercept = np.polyfit(x, ly, 1)
-    residual = float(np.max(np.abs(ly - (slope * x + intercept))))
-    return ExponentialFit(a=float(10.0 ** intercept), kappa=float(-slope),
-                          fit_range=(float(np.min(x)), float(np.max(x))),
-                          residual=residual)
+    """Least squares of ``log10 y`` against ``x``, in closed form on centred
+    sums. The values must be finite, the y values positive, the x spread."""
+    x, y = [float(v) for v in x_values], [float(v) for v in y_values]
+    _require(len(x) == len(y), f"x and y differ in length: {len(x)} against {len(y)}")
+    _require(len(x) >= 2, "a fit needs at least 2 points")
+    _require(all(map(math.isfinite, x)), f"fitting needs finite x values, got {x!r}")
+    _require(all(map(math.isfinite, y)), f"fitting needs finite y values, got {y!r}")
+    _require(all(v > 0.0 for v in y), "fitting log10 y needs positive y values")
+    ly = [math.log10(v) for v in y]
+    x_mean, ly_mean = math.fsum(x) / len(x), math.fsum(ly) / len(ly)
+    dx = [v - x_mean for v in x]
+    sxx = math.fsum(d * d for d in dx)
+    _require(0.0 < sxx < math.inf, f"fitting needs an x spread in (0, ~1e154), got {x!r}")
+    slope = math.fsum(d * (v - ly_mean) for d, v in zip(dx, ly)) / sxx
+    intercept = ly_mean - slope * x_mean
+    _require(intercept <= 308.25, f"the fitted amplitude 10**{intercept:.6g} overflows a float")
+    residual = max(abs(v - (slope * u + intercept)) for u, v in zip(x, ly))
+    return ExponentialFit(a=10.0 ** intercept, kappa=-slope,
+                          fit_range=(min(x), max(x)), residual=residual)
 
 
 def optimal_ratio_curve(problem_template: OptimizationProblem,

@@ -254,22 +254,30 @@ print(json.dumps(report))
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # numpy loads on first use only, so a planning query never pays for it,
-    # and the records need neither dataclasses nor the inspect it imports;
-    # every layer module is still imported eagerly, which the bench's
-    # tracer reads from sys.modules; a sweep on 2 CPUs forks its child
-    # without loading multiprocessing or concurrent.futures
+    # only the sampling code loads numpy, so a planning query (a maxdist
+    # fit and a log axis included) never pays for it, and the records
+    # need neither dataclasses nor the inspect it imports; every layer
+    # module is still imported eagerly, which the bench's tracer reads
+    # from sys.modules; a sweep on 2 CPUs forks its child without loading
+    # multiprocessing or concurrent.futures
     scenario = tmp_path / "linear.json"
     scenario.write_text(json.dumps({
         "command": "sweep", "name": "linear", "N": 1000000,
         "sweep": {"variable": "d", "min": 5.0, "max": 20.0, "points": 2},
         "schemes": [{"kind": "single"}]}))
+    log_n = tmp_path / "log_n.json"
+    log_n.write_text(json.dumps({
+        "command": "sweep", "name": "log_n", "channel": {"T": 0.3},
+        "sweep": {"variable": "N", "min": 1e6, "max": 1e8, "points": 3, "spacing": "log"},
+        "schemes": [{"kind": "double"}]}))
     queries = [
         ["keyrate", "--T", "0.3"],
         ["keyrate", "--T", "0.5", "--v", "3", "--r", "0.5", "--N", "1e7",
          "--corner-search"],
         ["optimize", "--T", "0.1", "--scheme", "double", "--N", "1e8"],
         ["sweep", "--scenario", str(scenario), "--out", str(tmp_path)],
+        ["maxdist", "--N", "1e6", "1e8"],
+        ["sweep", "--scenario", str(log_n), "--out", str(tmp_path)],
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(queries)],
@@ -700,8 +708,13 @@ def test_sweep_presets_have_expected_geometry():
         assert len(scenario["schemes"]) == 6
 
 
-def test_preset_axes_are_numpys_bit_for_bit():
+def test_preset_axes_are_numeric_grids():
+    # a linear axis is numpy's linspace bit for bit; a log axis is
+    # numeric.log_grid with exact endpoints, within 2e-15 relative of
+    # numpy's geomspace (5 ulps on these presets)
     import numpy as np
+
+    from cvqkd import numeric
 
     for name in preset_names():
         scenario = load_preset(name)
@@ -709,10 +722,16 @@ def test_preset_axes_are_numpys_bit_for_bit():
             axis = cli._read(scenario, cli._SWEEP, name)["sweep"]
         else:
             axis = cli._read(scenario, cli._MONTECARLO, name)["t_grid"]
-        space = np.geomspace if axis["spacing"] == "log" else np.linspace
-        expected = space(axis["min"], axis["max"], axis["points"])
-        assert ([float.hex(x) for x in cli._axis_values(axis, name)]
-                == [float.hex(float(x)) for x in expected]), name
+        lo, hi, points = axis["min"], axis["max"], axis["points"]
+        values = cli._axis_values(axis, name)
+        if axis["spacing"] != "log":
+            assert ([float.hex(x) for x in values]
+                    == [float.hex(float(x)) for x in np.linspace(lo, hi, points)]), name
+            continue
+        assert values == numeric.log_grid(lo, hi, points), name
+        assert (values[0], values[-1]) == (lo, hi), name
+        assert values == pytest.approx(np.geomspace(lo, hi, points).tolist(),
+                                       rel=2e-15, abs=0.0), name
 
 
 def test_montecarlo_preset_small_run(capsys, tmp_path):

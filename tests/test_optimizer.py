@@ -76,7 +76,41 @@ def test_power_law_fit_bits_are_pinned():
     x = np.logspace(4, 9, 12)
     fit = fit_power_law(x, 37.5 * x ** -0.41)
     assert (fit.alpha.hex(), fit.gamma.hex(), fit.residual.hex()) == (
-        "0x1.2c00000000008p+5", "-0x1.a3d70a3d70a3ep-2", "0x1.6000000000000p-51")
+        "0x1.2c00000000003p+5", "-0x1.a3d70a3d70a3ep-2", "0x1.0000000000000p-51")
+
+
+def _assert_polyfit(x, y, a, kappa, residual):
+    """``(a, kappa, residual)`` against the reference the closed form
+    replaced, numpy's least squares of ``log10 y`` against ``x``: a and
+    kappa to 1e-13 relative, the residual to 1e-12 relative or, where it
+    is rounding noise on exact synthetic data, 1e-14 absolute."""
+    x, ly = np.asarray(x, dtype=np.float64), np.log10(np.asarray(y, dtype=np.float64))
+    slope, intercept = np.polyfit(x, ly, 1)
+    assert (a, kappa) == pytest.approx((10.0 ** intercept, -slope), rel=1e-13, abs=0.0)
+    assert residual == pytest.approx(np.max(np.abs(ly - (slope * x + intercept))),
+                                     rel=1e-12, abs=1e-14)
+
+
+def test_closed_form_fits_equal_polyfit(monkeypatch):
+    x = np.logspace(4, 9, 12)
+    y = 37.5 * x ** -0.41
+    power = fit_power_law(x, y)
+    _assert_polyfit(np.log10(x), y, power.alpha, -power.gamma, power.residual)
+    d = np.linspace(20.0, 150.0, 14)
+    k = 1.18 * 10.0 ** (-0.021 * d)
+    fit = fit_exponential_decay(d, k)
+    _assert_polyfit(d, k, fit.a, fit.kappa, fit.residual)
+    # the 13 rates over 30-150 km that maxdist fits
+    seen = []
+
+    def recording(x, y, _real=optimizer.fit_exponential_decay):
+        seen.append((x, y))
+        return _real(x, y)
+    monkeypatch.setattr(optimizer, "fit_exponential_decay", recording)
+    fit = fit_exponential_keyrate()
+    (d, k), = seen
+    assert len(d) == 13
+    _assert_polyfit(d, k, fit.a, fit.kappa, fit.residual)
 
 
 def test_exponential_fit_recovers_synthetic_data():
@@ -98,6 +132,21 @@ def test_fit_validation():
         fit_exponential_decay([1.0, 2.0, 3.0], [2.0, 1.0])
     with pytest.raises(ValueError):
         fit_exponential_decay([1.0, 2.0], [0.0, 1.0])
+    # refused by name: values a float cannot fit, and x spreads whose
+    # squares vanish or overflow
+    nan, inf = math.nan, math.inf
+    for x, y, message in [
+            ([1.0, nan], [2.0, 1.0], r"finite x values, got \[1.0, nan\]"),
+            ([1.0, inf], [2.0, 1.0], r"finite x values, got \[1.0, inf\]"),
+            ([1.0, 2.0], [inf, 1.0], r"finite y values, got \[inf, 1.0\]"),
+            ([2.0, 2.0], [2.0, 1.0], r"an x spread in \(0, ~1e154\), got \[2.0, 2.0\]"),
+            ([0.0, 5e-324], [2.0, 1.0], r"an x spread in \(0, ~1e154\)"),
+            ([-1e200, 1e200], [2.0, 1.0], r"an x spread in \(0, ~1e154\)"),
+            ([-1000.0, -999.0], [1e-300, 1e300], r"amplitude 10\*\*599700 overflows")]:
+        with pytest.raises(ValueError, match=message):
+            fit_exponential_decay(x, y)
+    with pytest.raises(ValueError, match="power-law fitting needs positive x values"):
+        fit_power_law([1.0, nan], [2.0, 1.0])
 
 
 # --------------------------------------------------------------------------
@@ -330,7 +379,7 @@ _SEARCH_PINS = [
     ((0.5, 0.1, "modified", 10**6),
      {"v": 11.848273603960568, "r": 0.06661588940914186}, 0.5044440455808618, 303),
     ((0.23, 0.5, "modified", 10**6),
-     {"v": 2.0486863244564577, "r": 0.0}, 0.048248051830546895, 294),
+     {"v": 2.0486863244564577, "r": 0.0}, 0.048248051830546895, 293),
 ]
 
 
@@ -873,6 +922,21 @@ def test_linspace_is_numpys_bit_for_bit():
         assert _bits(numeric.linspace(lo, hi, n)) == _bits(np.linspace(lo, hi, n))
     with pytest.raises(ValueError):
         numeric.linspace(0.0, 1.0, 1)
+
+
+def test_log_grid_is_geomspace_to_rounding():
+    # log axes reach published CSVs through log_grid: within 1e-12
+    # relative of np.geomspace (5.3e-13 at most over 20,000 ranges drawn
+    # as below), endpoints exact, also where hi / lo overflows (the
+    # first three)
+    rng = random.Random(20140902)
+    for lo, hi in [(5e-324, 10.0), (1e-200, 1e200), (5e-324, 1.7e308)] + [
+            (10.0 ** rng.uniform(-300.0, 0.0), 10.0 ** rng.uniform(0.0, 300.0))
+            for _ in range(2_000)]:
+        n = rng.randint(2, 60)
+        grid = numeric.log_grid(lo, hi, n)
+        assert (grid[0], grid[-1]) == (lo, hi)
+        assert grid == pytest.approx(np.geomspace(lo, hi, n).tolist(), rel=1e-12, abs=0.0)
 
 
 def test_grids_refuse_what_they_cannot_span():
