@@ -18,6 +18,8 @@ The package is organised bottom-up:
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .model import (
     ChannelParams,
     SourceParams,
@@ -68,37 +70,16 @@ from .optimizer import (
     OptimizationProblem,
     OptimizationResult,
     ExponentialFit,
-    PowerLawFit,
     optimize_key_rate,
     optimize_each,
     evaluate_point,
-    fit_power_law,
     fit_exponential_decay,
-    optimal_ratio_curve,
     optimal_ratio_zero_crossing,
     fit_exponential_keyrate,
     max_distance,
 )
 
-# the names the README's "Python API" section lists, module by module
-__all__ = [
-    "ChannelParams", "SourceParams", "Protocol", "ProtocolParams",
-    "FiberModel", "SINGLE", "DOUBLE", "MODIFIED",
-    "aggregated_noise_variance", "distance_to_transmittance",
-    "transmittance_to_distance", "excess_noise_from_fiber",
-    "channel_at_distance",
-    "SampleSet", "VarianceModel", "ConfidenceBounds", "estimate_covariance",
-    "estimate_T", "estimate_Veps", "estimation_arms", "variance_model",
-    "confidence_coefficient", "confidence_bounds", "expected_bounds",
-    "ideal_bounds",
-    "KeyRateReport", "mutual_information", "holevo_bound",
-    "asymptotic_key_rate", "finite_size_correction", "finite_key_rate",
-    "theoretical_noise_limit", "theoretical_key_rate_limit",
-    "TrialConfig", "EmpiricalStats", "ValidationRow", "run_trials",
-    "validate_variance_models",
-    "OptimizationProblem", "OptimizationResult", "ExponentialFit",
-    "PowerLawFit", "optimize_key_rate", "optimize_each", "evaluate_point",
-    "fit_power_law", "fit_exponential_decay", "optimal_ratio_curve",
-    "optimal_ratio_zero_crossing", "fit_exponential_keyrate",
-    "max_distance",
-]
+# the names the README's "Python API" section lists, module by module:
+# every public name imported above that is not a module
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -47,13 +47,13 @@ def linspace(lo: float, hi: float, points: int) -> list[float]:
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
-                       *, tol: float = 1e-8) -> tuple[float, float]:
+                       *, tol: float) -> tuple[float, float]:
     """Maximize a unimodal ``f`` on ``[lo, hi]``, ``lo < hi``, by
     golden-section search.
 
-    Returns the best probed ``(x, f(x))``. The tolerance applies to the
-    bracket width, and at most 200 probes follow the first two; the probe
-    sequence is fixed, so the result is deterministic.
+    Returns the best probed ``(x, f(x))``. The tolerance ``tol`` applies
+    to the bracket width, and at most 200 probes follow the first two; the
+    probe sequence is fixed, so the result is deterministic.
     """
     a, b = float(lo), float(hi)
     h = b - a
@@ -88,7 +88,7 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
 
 
 def grid_then_golden_max(f: Callable[[float], float], grid: Sequence[float],
-                         *, tol: float = 1e-8) -> tuple[float, float]:
+                         *, tol: float) -> tuple[float, float]:
     """Coarse scan over ``grid`` followed by golden refinement around the
     best cell. Ties on the scan go to the earliest grid point.
     """

@@ -423,14 +423,6 @@ def _take(problems, tokens, step, parent=None) -> list:
 # empirical scaling fits
 
 
-class PowerLawFit(Record):
-    """Fit of ``y = alpha * x ** gamma`` on log-log axes."""
-
-    alpha: float
-    gamma: float
-    residual: float  # largest |log10 deviation| over the fitted points
-
-
 class ExponentialFit(Record):
     """Fit of ``y = a * 10 ** (-kappa * x)``."""
 
@@ -438,16 +430,6 @@ class ExponentialFit(Record):
     kappa: float
     fit_range: tuple[float, float]
     residual: float  # largest |log10 deviation| over the fitted points
-
-
-def fit_power_law(x_values, y_values) -> PowerLawFit:
-    """Least squares on the logs: :func:`fit_exponential_decay` of ``y``
-    against ``log10 x``, whose decay constant is ``-gamma``. All values
-    must be positive."""
-    x = [float(v) for v in x_values]
-    _require(all(v > 0.0 for v in x), "power-law fitting needs positive x values")
-    fit = fit_exponential_decay([math.log10(v) for v in x], y_values)
-    return PowerLawFit(alpha=fit.a, gamma=-fit.kappa, residual=fit.residual)
 
 
 def fit_exponential_decay(x_values, y_values) -> ExponentialFit:
@@ -470,29 +452,6 @@ def fit_exponential_decay(x_values, y_values) -> ExponentialFit:
     residual = max(abs(v - (slope * u + intercept)) for u, v in zip(x, ly))
     return ExponentialFit(a=10.0 ** intercept, kappa=-slope,
                           fit_range=(min(x), max(x)), residual=residual)
-
-
-def optimal_ratio_curve(problem_template: OptimizationProblem,
-                        n_values) -> tuple[PowerLawFit, list[tuple[float, float]]]:
-    """Optimal disclosed fraction as a function of block size.
-
-    Runs the optimizer at every block size, through :func:`optimize_each`,
-    and fits a power law through the points with a positive rate and a
-    positive optimal fraction; points outside that domain (rate dead, or
-    fraction snapped to zero) cannot enter a log-log fit and are excluded.
-    Returns the fit and all usable ``(N, r_opt)`` points.
-    """
-    problems = [replace(problem_template,
-                        params=replace(problem_template.params, N=int(round(float(n_val)))))
-                for n_val in n_values]
-    points: list[tuple[float, float]] = []
-    for problem, result in zip(problems, optimize_each(problems)):
-        r_opt = result.point.get("r", 0.0)
-        if result.status == "ok" and r_opt > 0.0:
-            points.append((float(problem.params.N), float(r_opt)))
-    _require(len(points) >= 2, "fewer than 2 usable block sizes; cannot fit")
-    fit = fit_power_law([p[0] for p in points], [p[1] for p in points])
-    return fit, points
 
 
 def optimal_ratio_zero_crossing(problem_template: OptimizationProblem) -> float:

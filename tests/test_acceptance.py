@@ -30,12 +30,13 @@ from cvqkd import (
     theoretical_key_rate_limit,
     OptimizationProblem,
     optimize_key_rate,
+    optimize_each,
     evaluate_point,
-    optimal_ratio_curve,
+    fit_exponential_decay,
     optimal_ratio_zero_crossing,
     fit_exponential_keyrate,
 )
-from cvqkd.model import DEFAULT_DELTA
+from cvqkd.model import DEFAULT_DELTA, replace
 from cvqkd.cli import load_preset, run_montecarlo
 
 
@@ -139,9 +140,17 @@ def test_criterion_05_distance_fit_slope():
 def test_criterion_06_optimal_ratio_power_law():
     template = OptimizationProblem(ChannelParams(0.03, 0.0003), ProtocolParams(
         SourceParams(1.0), Protocol("single", 1.0), 1000))
-    fit, points = optimal_ratio_curve(template, np.logspace(5, 9, 9))
-    print(f"gamma={fit.gamma:.4f} from {len(points)} live points")
-    assert abs(fit.gamma - (-0.35)) < 0.10
+    # r_opt = alpha N^gamma, fitted on the block sizes with a positive
+    # rate and a positive optimal fraction
+    problems = [replace(template, params=replace(template.params, N=int(round(float(n)))))
+                for n in np.logspace(5, 9, 9)]
+    points = [(float(problem.params.N), float(result.point["r"]))
+              for problem, result in zip(problems, optimize_each(problems))
+              if result.status == "ok" and result.point["r"] > 0.0]
+    gamma = -fit_exponential_decay([math.log10(n) for n, _ in points],
+                                   [r for _, r in points]).kappa
+    print(f"gamma={gamma:.4f} from {len(points)} live points")
+    assert abs(gamma - (-0.35)) < 0.10
 
 
 def test_criterion_07_scheme_ordering():

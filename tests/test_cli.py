@@ -526,6 +526,22 @@ def test_t_axis_sweep_rows_are_the_optimum_at_each_transmittance(tmp_path):
             assert [row["K"], row["V_opt"], row["r_opt"]] == ["%.12g" % x for x in expected]
 
 
+def test_distance_sweep_rows_without_a_positive_rate_sit_on_the_box_ceiling(tmp_path):
+    # where no point has K > 0 the search runs r to the box ceiling, where
+    # (1 - r) shrinks the deficit most, so such a row's point columns
+    # describe the box; a row with K > 0 never sits there
+    ceiling = optimizer._BOX["r"][1]
+    dead = []
+    for path in run_sweep(load_preset("distance_sweep"), str(tmp_path)):
+        lines = Path(path).read_text().splitlines()
+        for row in (dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]):
+            if float(row["K"]) > 0.0:
+                assert float(row["r_opt"]) < ceiling, (path, row)
+            else:
+                dead.append(float(row["r_opt"]) == ceiling)
+    assert (len(dead), sum(dead)) == (27, 24)
+
+
 def test_n_axis_sweep_channel_without_transmittance_names_it(capsys, tmp_path):
     scenario = {**_TINY_SWEEP, "channel": {"v_eps": 0.001},
                 "sweep": {"variable": "N", "min": 1e5, "max": 1e6, "points": 2}}

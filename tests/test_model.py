@@ -29,8 +29,7 @@ from cvqkd.estimation import ConfidenceBounds, SampleSet, VarianceModel
 from cvqkd.keyrate import KeyRateReport
 from cvqkd.model import Record, replace
 from cvqkd.montecarlo import EmpiricalStats, TrialConfig, ValidationRow
-from cvqkd.optimizer import (ExponentialFit, OptimizationProblem, OptimizationResult,
-                             PowerLawFit)
+from cvqkd.optimizer import ExponentialFit, OptimizationProblem, OptimizationResult
 
 
 def test_aggregated_noise_variance_values():
@@ -238,7 +237,6 @@ _RECORDS = [
      ("free", ("v2",))),
     (OptimizationResult, ({"v": 1.0, "r": 0.2}, 0.1, _REPORT, "ok", 10, Counter(), 2, True), {},
      ("status", "no_positive_rate"), None),
-    (PowerLawFit, (2.0, -0.5, 0.01), {}, ("gamma", -0.4), None),
     (ExponentialFit, (1.0, 0.02, (30.0, 150.0), 0.01), {}, ("kappa", 0.03), None),
 ]
 
@@ -262,7 +260,7 @@ def _outcome(act):
 
 def test_the_record_table_holds_every_record_class():
     assert {entry[0] for entry in _RECORDS} == set(Record.__subclasses__())
-    assert len(_RECORDS) == 16
+    assert len(_RECORDS) == 15
 
 
 @pytest.mark.parametrize("cls, args, kwargs, change, bad", _RECORDS,

@@ -31,9 +31,7 @@ from cvqkd import (
     optimize_key_rate,
     optimize_each,
     evaluate_point,
-    optimal_ratio_curve,
     optimal_ratio_zero_crossing,
-    fit_power_law,
     fit_exponential_decay,
     fit_exponential_keyrate,
     max_distance,
@@ -62,20 +60,25 @@ def _params(v_s, kind, N, v=1.0):
 # curve fitting
 
 
+def _log10(values):
+    return [math.log10(v) for v in values]
+
+
 def test_power_law_fit_recovers_synthetic_data():
+    # y = alpha x^gamma is the exponential decay of y in log10 x, kappa = -gamma
     x = np.logspace(4, 9, 12)
     y = 37.5 * x ** -0.41
-    fit = fit_power_law(x, y)
-    assert fit.alpha == pytest.approx(37.5, rel=1e-10)
-    assert fit.gamma == pytest.approx(-0.41, abs=1e-12)
+    fit = fit_exponential_decay(_log10(x), y)
+    assert fit.a == pytest.approx(37.5, rel=1e-10)
+    assert -fit.kappa == pytest.approx(-0.41, abs=1e-12)
     assert fit.residual < 1e-12
 
 
 def test_power_law_fit_bits_are_pinned():
     # no digested output runs this fit, so its bits are held here
     x = np.logspace(4, 9, 12)
-    fit = fit_power_law(x, 37.5 * x ** -0.41)
-    assert (fit.alpha.hex(), fit.gamma.hex(), fit.residual.hex()) == (
+    fit = fit_exponential_decay(_log10(x), 37.5 * x ** -0.41)
+    assert (fit.a.hex(), (-fit.kappa).hex(), fit.residual.hex()) == (
         "0x1.2c00000000003p+5", "-0x1.a3d70a3d70a3ep-2", "0x1.0000000000000p-51")
 
 
@@ -94,8 +97,8 @@ def _assert_polyfit(x, y, a, kappa, residual):
 def test_closed_form_fits_equal_polyfit(monkeypatch):
     x = np.logspace(4, 9, 12)
     y = 37.5 * x ** -0.41
-    power = fit_power_law(x, y)
-    _assert_polyfit(np.log10(x), y, power.alpha, -power.gamma, power.residual)
+    power = fit_exponential_decay(_log10(x), y)
+    _assert_polyfit(np.log10(x), y, power.a, power.kappa, power.residual)
     d = np.linspace(20.0, 150.0, 14)
     k = 1.18 * 10.0 ** (-0.021 * d)
     fit = fit_exponential_decay(d, k)
@@ -125,9 +128,9 @@ def test_exponential_fit_recovers_synthetic_data():
 
 def test_fit_validation():
     with pytest.raises(ValueError):
-        fit_power_law([1.0], [2.0])
+        fit_exponential_decay(_log10([1.0]), [2.0])
     with pytest.raises(ValueError):
-        fit_power_law([1.0, 2.0], [2.0, -1.0])
+        fit_exponential_decay(_log10([1.0, 2.0]), [2.0, -1.0])
     with pytest.raises(ValueError, match="x and y differ in length: 3 against 2"):
         fit_exponential_decay([1.0, 2.0, 3.0], [2.0, 1.0])
     with pytest.raises(ValueError):
@@ -145,8 +148,9 @@ def test_fit_validation():
             ([-1000.0, -999.0], [1e-300, 1e300], r"amplitude 10\*\*599700 overflows")]:
         with pytest.raises(ValueError, match=message):
             fit_exponential_decay(x, y)
-    with pytest.raises(ValueError, match="power-law fitting needs positive x values"):
-        fit_power_law([1.0, nan], [2.0, 1.0])
+    # a power law is this fit on log10 x, where a nan x stays nan
+    with pytest.raises(ValueError, match=r"finite x values, got \[0.0, nan\]"):
+        fit_exponential_decay(_log10([1.0, nan]), [2.0, 1.0])
 
 
 # --------------------------------------------------------------------------
@@ -536,18 +540,19 @@ def test_first_positive_block_discloses_about_half():
 
 
 def test_ratio_curve_power_law_moderate_loss():
+    # r_opt = alpha N^gamma, fitted on the block sizes with a positive
+    # rate and a positive optimal fraction
     template = OptimizationProblem(_channel(0.3), _params(1.0, "single", 1000))
-    fit, points = optimal_ratio_curve(template, np.logspace(5, 9, 9))
+    problems = [replace(template, params=replace(template.params, N=int(round(float(n)))))
+                for n in np.logspace(5, 9, 9)]
+    points = [(float(problem.params.N), float(result.point["r"]))
+              for problem, result in zip(problems, optimize_each(problems))
+              if result.status == "ok" and result.point["r"] > 0.0]
+    fit = fit_exponential_decay(_log10(n for n, _ in points), [r for _, r in points])
     assert len(points) >= 5
-    assert -0.45 < fit.gamma < -0.25
-    assert 10.0 < fit.alpha < 100.0
+    assert -0.45 < -fit.kappa < -0.25
+    assert 10.0 < fit.a < 100.0
     assert all(0.0 < r <= 0.9 for _, r in points)
-
-
-def test_ratio_curve_needs_live_points():
-    template = OptimizationProblem(_channel(0.03), _params(1.0, "single", 1000))
-    with pytest.raises(ValueError):
-        optimal_ratio_curve(template, [1e5, 3e5])
 
 
 # --------------------------------------------------------------------------
@@ -817,13 +822,50 @@ def test_optimize_each_worker_blocked_on_its_report_ends_when_its_parent_is_kill
         _reap(proc, child)
 
 
-def test_ratio_curve_is_the_same_on_one_cpu(monkeypatch):
-    template = OptimizationProblem(_channel(0.3), _params(1.0, "single", 1000))
-    n_values = np.logspace(5, 8, 4)
-    _cpus(monkeypatch, 2)
-    forked = optimal_ratio_curve(template, n_values)
-    _cpus(monkeypatch, 1)
-    assert optimal_ratio_curve(template, n_values) == forked
+# --------------------------------------------------------------------------
+# relations that any correct optimum obeys, on seeded fiber problems
+
+
+def _fiber_optimum(kind, v_s, d, N, beta=0.95):
+    """K* at ``d`` km of the default fiber, or None where it is refused."""
+    try:
+        return optimize_key_rate(OptimizationProblem(
+            channel_at_distance(d, FiberModel()),
+            ProtocolParams(SourceParams(v_s), Protocol(kind, 1.0), N, beta=beta))).K
+    except ValueError:
+        return None
+
+
+_FIBER_PROBLEMS = dict(v_s=st.sampled_from((1.0, 0.5, 0.1)), d=st.floats(1.0, 120.0),
+                       N=st.floats(5.0, 10.0).map(lambda e: int(round(10.0 ** e))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(("single", "double", "modified")), **_FIBER_PROBLEMS)
+def test_optimum_is_monotone(kind, v_s, d, N):
+    # K* does not rise with distance and does not fall with N or beta, to
+    # 1e-9 relative; a pair with a refused side is skipped
+    here = _fiber_optimum(kind, v_s, d, N)
+    if here is None:
+        return
+    for relation, there, sign in [
+            ("d + 0.5 km", _fiber_optimum(kind, v_s, d + 0.5, N), -1),
+            ("N x 1.2", _fiber_optimum(kind, v_s, d, int(round(1.2 * N))), 1),
+            ("beta 0.96", _fiber_optimum(kind, v_s, d, N, beta=0.96), 1)]:
+        if there is not None:
+            assert sign * (there - here) >= -1e-9 * abs(here), relation
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known fault (ROADMAP item 2): the search can stop short of the modified "
+    "optimum, below the double optimum that its r = 0 face contains"))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**_FIBER_PROBLEMS)
+@example(v_s=0.5, d=24.29, N=23_400_000)
+def test_modified_optimum_dominates_double(v_s, d, N):
+    double, modified = (_fiber_optimum(kind, v_s, d, N) for kind in ("double", "modified"))
+    if double is not None and modified is not None:
+        assert modified >= double - 1e-9 * abs(double)
 
 
 # --------------------------------------------------------------------------
@@ -946,7 +988,7 @@ def test_grids_refuse_what_they_cannot_span():
         with pytest.raises(ValueError, match="0 < lo < hi"):
             numeric.log_grid(lo, hi, 5)
     with pytest.raises(ValueError, match="at least 2 grid points"):
-        numeric.grid_then_golden_max(lambda x: -x * x, [1.0])
+        numeric.grid_then_golden_max(lambda x: -x * x, [1.0], tol=1e-8)
 
 
 # --------------------------------------------------------------------------
